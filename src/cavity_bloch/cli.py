@@ -13,7 +13,7 @@ import numpy as np
 from . import cavity_gas, eft, landau, qed_bloch, response
 from .config import COMMANDS, FORMATS, parse_config
 from .constants import EV, HBAR, THZ
-from .errors import CavityBlochError, ConfigError, NumericalError
+from .errors import CavityBlochError, ConfigError, DomainError, NumericalError, StabilityError
 from .lattice import (
     CENTERED_RECT_THETA,
     Lattice2D,
@@ -31,6 +31,15 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 
+def _build(factory, *args, **kwargs):
+    """factory(*args, **kwargs), reporting a domain or stability error raised
+    while the model is built as the config error it is."""
+    try:
+        return factory(*args, **kwargs)
+    except (DomainError, StabilityError) as exc:
+        raise ConfigError([str(exc)]) from exc
+
+
 def _lattice_from(params):
     kind = params["kind"]
     theta = params.get("theta_deg")
@@ -42,11 +51,12 @@ def _lattice_from(params):
         theta = math.pi / 3.0
     elif kind == "centered-rectangular" and (theta is None or math.isclose(theta, math.pi / 2)):
         theta = CENTERED_RECT_THETA
-    return Lattice2D(params["a1_angstrom"], params["a2_angstrom"], theta)
+    return _build(Lattice2D, params["a1_angstrom"], params["a2_angstrom"], theta)
 
 
 def _setup_from(params):
-    return cavity_gas.CavitySetup(
+    return _build(
+        cavity_gas.CavitySetup,
         omega_cav=params["cavity_thz"],
         n2d=params["density_cm2"],
         mass_ratio=params.get("mass_ratio", 1.0),
@@ -122,8 +132,8 @@ def _run_conductivity(cfg):
 
 def _run_eft(cfg):
     p = cfg.parameters
-    setup = eft.EftSetup(
-        l_z=p["lz_mm"], n2d=p["density_cm2"], n_electrons=p["n_electrons"],
+    setup = _build(
+        eft.EftSetup, l_z=p["lz_mm"], n2d=p["density_cm2"], n_electrons=p["n_electrons"],
         lambda0=p["lambda0"], mass_ratio=p["mass_ratio"],
     )
     from .constants import C_LIGHT, EPSILON_0
@@ -186,8 +196,8 @@ def _run_polariton(cfg):
 def _run_butterfly(cfg):
     p = cfg.parameters
     lat = _lattice_from(p)
-    pot = bravais_cosine_potential(p["kind"], p["v0_ev"], lat)
-    trunc = qed_bloch.BasisTruncation(n_max=p["n_max"], j_max=p["j_max"])
+    pot = _build(bravais_cosine_potential, p["kind"], p["v0_ev"], lat)
+    trunc = _build(qed_bloch.BasisTruncation, n_max=p["n_max"], j_max=p["j_max"])
     kx_grid = qed_bloch.midpoint_kx_grid(lat, p["kx_points"])
     scaling = p.get("scaling") or "raw-joules"
     flux_values = np.linspace(p["flux_min"], p["flux_max"], p["points"])
@@ -225,7 +235,7 @@ def _run_polariton_butterfly(cfg):
     lat = _lattice_from(p)
     if p["kind"] != "square":
         raise ConfigError(["[lattice] the polaritonic Harper sweep is defined on the square lattice"])
-    trunc = qed_bloch.BasisTruncation(n_max=p["n_max"], j_max=0)
+    trunc = _build(qed_bloch.BasisTruncation, n_max=p["n_max"], j_max=0)
     kx_grid = qed_bloch.midpoint_kx_grid(lat, p["kx_points"])
     kw_count = p["kw_points"]
     kw_grid = [0.0] if kw_count == 1 else list(

@@ -81,6 +81,7 @@ def _mm(x):
 _POS = (lambda v: v > 0.0, "must be positive")
 _NONNEG = (lambda v: v >= 0.0, "must be >= 0")
 _INT_POS = (lambda v: v >= 1, "must be a positive integer")
+_AT_LEAST_ONE = (lambda v: v >= 1.0, "must be >= 1")
 
 
 def _lattice_schema(schema):
@@ -118,8 +119,8 @@ def _schema_for(command):
     elif command == "eft":
         s.add("eft", "lz_mm", _mm, check=_POS)
         s.add("eft", "density_cm2", _cm2, check=_POS)
-        s.add("eft", "n_electrons", float, check=_POS)
-        s.add("eft", "lambda0", float, check=(lambda v: v >= 1.0, "must be >= 1"))
+        s.add("eft", "n_electrons", float, check=_AT_LEAST_ONE)
+        s.add("eft", "lambda0", float, check=_AT_LEAST_ONE)
         s.add("eft", "mass_ratio", float, required=False, check=_POS, default=1.0)
         _grid_schema(s)
     elif command == "landau":
@@ -286,10 +287,12 @@ def _cross_checks(command, params):
         lam = params.get("lambda0")
         mr = params.get("mass_ratio", 1.0)
         if None not in (lz, n2d, n_el, lam):
-            from .constants import C_LIGHT, EPSILON_0, E_CHARGE, M_ELECTRON
+            from .eft import EftSetup
 
-            alpha = E_CHARGE**2 / (4.0 * math.pi * C_LIGHT**2 * EPSILON_0 * mr * M_ELECTRON * lz)
-            lam_max = math.exp(1.0 / (n_el * alpha))
+            # lambda0 = 1 is always inside the window, so the setup builds
+            lam_max = EftSetup(
+                l_z=lz, n2d=n2d, n_electrons=n_el, lambda0=1.0, mass_ratio=mr
+            ).lambda0_max
             if lam > lam_max:
                 violations.append(
                     f"[eft] lambda0 = {lam:g} beyond the stability window "

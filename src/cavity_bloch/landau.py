@@ -2,30 +2,11 @@
 free-gas Fermi quantities."""
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .constants import CONDUCTANCE_QUANTUM, E_CHARGE, FLUX_QUANTUM, HBAR, M_ELECTRON
 from .errors import DomainError
-
-
-@dataclass(frozen=True)
-class ElectronGasState:
-    """Carrier density (2D or 3D) plus effective-mass ratio m*/m_e."""
-
-    density: float
-    mass_ratio: float = 1.0
-    dimensions: int = 3
-
-    def __post_init__(self):
-        if self.density <= 0.0:
-            raise DomainError("density must be positive")
-        if self.mass_ratio <= 0.0:
-            raise DomainError("mass ratio must be positive")
-        if self.dimensions not in (2, 3):
-            raise DomainError("dimensions must be 2 or 3")
 
 
 def cyclotron_frequency(b_field, mass_ratio=1.0):
@@ -79,7 +60,10 @@ def landau_dos(energies, b_field, eta, n_max, mass_ratio=1.0, spin_degeneracy=2)
     w_c = cyclotron_frequency(b_field, mass_ratio)
     centers = HBAR * w_c * (np.arange(n_max + 1) + 0.5)
     weight = spin_degeneracy * E_CHARGE * b_field / (2.0 * math.pi * HBAR)
-    return weight * kernels.lorentzian_comb(energies, centers, eta)
+    comb = np.zeros_like(energies)
+    for c in centers:
+        comb += (eta / math.pi) / ((energies - c) ** 2 + eta**2)
+    return weight * comb
 
 
 def free_gas_3d(n3d, mass_ratio=1.0):

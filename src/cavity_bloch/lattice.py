@@ -5,7 +5,7 @@ b_i . a_j = 2 pi delta_ij.  Lengths are meters, energies joules, fields tesla.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,16 +92,6 @@ def field_for_flux_ratio(lat, ratio):
     if ratio < 0.0:
         raise DomainError("flux ratio must be >= 0")
     return ratio * FLUX_QUANTUM / lat.cell_area
-
-
-@dataclass(frozen=True)
-class FluxState:
-    b_field: float
-    flux_ratio: float
-
-
-def flux_state(lat, b_field):
-    return FluxState(b_field=b_field, flux_ratio=flux_ratio(lat, b_field))
 
 
 def mtg_flux_condition(lat, b_field, p, tol=1e-9):

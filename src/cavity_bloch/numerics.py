@@ -10,11 +10,26 @@ import math
 
 import numpy as np
 
-from . import kernels
 from .errors import DomainError, NumericalError
 
 #: relative Hermiticity tolerance accepted before symmetrization
 HERMITICITY_RTOL = 1e-10
+
+
+def _laguerre_table(j_count, a_count, x):
+    """Associated Laguerre values L_j^{(a)}(x) for 0 <= j < j_count, 0 <= a < a_count.
+
+    Upward three-term recurrence in j, vectorized over the integer order a:
+    (j+1) L_{j+1}^{(a)} = (2j + a + 1 - x) L_j^{(a)} - (j + a) L_{j-1}^{(a)}.
+    """
+    a = np.arange(a_count).astype(np.float64)
+    out = np.empty((j_count, a_count), dtype=np.float64)
+    out[0, :] = 1.0
+    if j_count > 1:
+        out[1, :] = 1.0 + a - x
+    for j in range(1, j_count - 1):
+        out[j + 1, :] = ((2.0 * j + a + 1.0 - x) * out[j, :] - (j + a) * out[j - 1, :]) / (j + 1.0)
+    return out
 
 
 def laguerre_assoc(j, a, x):
@@ -36,11 +51,11 @@ def laguerre_assoc(j, a, x):
     if a < -j:
         raise DomainError(f"laguerre order must be >= -j = {-j}, got {a}")
     if a >= 0:
-        table = kernels.laguerre_table(j + 1, a + 1, float(x))
+        table = _laguerre_table(j + 1, a + 1, float(x))
         return float(table[j, a])
     # negative integer order: L_j^(-m)(x) = (-x)^m (j-m)!/j! L_{j-m}^{(m)}(x), m <= j
     m = -a
-    table = kernels.laguerre_table(j - m + 1, m + 1, float(x))
+    table = _laguerre_table(j - m + 1, m + 1, float(x))
     ratio = math.exp(math.lgamma(j - m + 1.0) - math.lgamma(j + 1.0))
     return float((-x) ** m * ratio * table[j - m, m])
 
@@ -60,13 +75,35 @@ def displacement_matrix_element(i, j, alpha):
 
 
 def displacement_matrix(dim, alpha):
-    """Truncated dim x dim displacement matrix {<i|D(alpha)|j>}."""
+    """Truncated dim x dim displacement matrix {<i|D(alpha)|j>}.
+
+    Lower triangle (row i >= col j):
+        sqrt(j!/i!) * alpha^(i-j) * exp(-|alpha|^2/2) * L_j^{(i-j)}(|alpha|^2),
+    upper triangle from D^dagger(alpha) = D(-alpha):
+        D[i, j] = (-1)^(j-i) * conj(D[j, i]).
+    Factorial ratios go through lgamma so levels up to a few hundred are safe.
+    """
     if dim < 1:
         raise DomainError("dimension must be >= 1")
     alpha = complex(alpha)
     if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
         raise DomainError("displacement amplitude must be finite")
-    return kernels.displacement_block(dim, alpha)
+    x = (alpha * np.conj(alpha)).real
+    lag = _laguerre_table(dim, dim, x)
+    pref = math.exp(-0.5 * x)
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    for j in range(dim):
+        apow = 1.0 + 0.0j
+        for i in range(j, dim):
+            d = i - j
+            ratio = math.exp(0.5 * (math.lgamma(j + 1.0) - math.lgamma(i + 1.0)))
+            val = ratio * apow * pref * lag[j, d]
+            out[i, j] = val
+            if i != j:
+                sign = -1.0 if (d % 2) else 1.0
+                out[j, i] = sign * np.conj(val)
+            apow = apow * alpha
+    return out
 
 
 def hermiticity_residual(m):
@@ -81,7 +118,8 @@ def _fingerprint(m):
 
 
 def hermitian_eigvals(m, check=True):
-    """All eigenvalues of a Hermitian matrix, ascending and deterministic.
+    """All eigenvalues of a Hermitian matrix, ascending (LAPACK order) and
+    deterministic.
 
     The input is symmetrized (averaged with its conjugate transpose) before
     decomposition; assembly round-off beyond ``HERMITICITY_RTOL`` is rejected
@@ -106,4 +144,4 @@ def hermitian_eigvals(m, check=True):
         ) from exc
     if not np.all(np.isfinite(vals)):
         raise NumericalError(f"non-finite eigenvalues (fingerprint {_fingerprint(sym)})")
-    return np.sort(vals)
+    return vals

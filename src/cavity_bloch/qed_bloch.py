@@ -10,14 +10,12 @@ returns scaled dimensionless values.
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from . import kernels
 from .constants import HBAR, M_ELECTRON, E_CHARGE
 from .errors import DomainError, NumericalError
-from .numerics import hermitian_eigvals
+from .numerics import displacement_matrix, hermitian_eigvals
 
 #: scaled diagonal beyond which a polariton-lattice state is treated as
 #: decoupled; far above it float64 eigensolving of the low window degrades
@@ -174,22 +172,33 @@ def beta_matrix(dn, dm, lat, omega_c):
     return scale * (-lat.g_x(dn) - 1j * lat.g_oblique(dm, dn))
 
 
-def _half_index_gx(lat, n, dn):
-    """G^x at the exact half index (n + n')/2 = n - dn/2."""
-    s = Fraction(2 * int(n) - int(dn), 2)
-    return 2.0 * math.pi * float(s) / lat.a1
+def _half_index_kx(lat, k_x, trunc, dn):
+    """k_x + G^x_{(n+n')/2} per row index n (n' = n - dn); the half index
+    n - dn/2 is exact in binary64."""
+    n_vals = np.arange(-trunc.n_max, trunc.n_max + 1)
+    return k_x + lat.g_x((2 * n_vals - dn) / 2)
 
 
-def _central_phases(lat, params, k_x, n_vals, dn, dm):
-    """exp(-i G^v_{dm,dn} A^{k_x}_{(n+n')/2}) per row index n (n' = n - dn)."""
-    # G^v A^{k_x}_s = (m_p/M) hbar G_{dm,dn} (k_x + G^x_s) / (2 omega_c m_e)
-    scale = params.mp_over_m * HBAR / (2.0 * params.omega_c * M_ELECTRON)
-    g_ob = lat.g_oblique(dm, dn)
-    phases = np.empty(len(n_vals), dtype=np.complex128)
-    for idx, n in enumerate(n_vals):
-        gx_s = _half_index_gx(lat, n, dn)
-        phases[idx] = np.exp(-1j * scale * g_ob * (k_x + gx_s))
-    return phases
+def _fourier_lattice_matrix(diagonal, terms):
+    """Dense matrix on the Fourier-lattice x level basis, row-major in
+    (n, [m,] level).
+
+    `diagonal` has shape (n_count,)*d + (j_count,).  Each term
+    (shift, phases, block) adds phases[n] * block[i, j] at
+    ((n, ..., i), (n - shift[0], ..., j)) wherever the shifted Fourier
+    indices stay inside the window; the phases depend on n only.
+    """
+    shape = diagonal.shape
+    n_count = shape[0]
+    mat = np.zeros((diagonal.size, diagonal.size), dtype=np.complex128)
+    np.fill_diagonal(mat, diagonal.ravel())
+    view = mat.reshape(shape + shape)
+    level = slice(None)
+    for shift, phases, block in terms:
+        rows = np.ix_(*(np.arange(max(s, 0), n_count + min(s, 0)) for s in shift))
+        cols = tuple(r - s for r, s in zip(rows, shift))
+        view[(*rows, level, *cols, level)] += phases[rows[0]][..., None, None] * block
+    return mat
 
 
 def assemble_central_matrix(pot, params, k_x, k_w, trunc, reduce_m=False):
@@ -205,51 +214,22 @@ def assemble_central_matrix(pot, params, k_x, k_w, trunc, reduce_m=False):
     """
     lat = pot.lattice
     j_count = trunc.j_max + 1
-    n_count = trunc.n_count
-    n_vals = np.arange(-trunc.n_max, trunc.n_max + 1)
+    trunc.dimension(fourier_dims=1 if reduce_m else 2)
     ladder = HBAR * params.big_omega * (np.arange(j_count) + 0.5)
-
-    blocks = {}
+    # G^v A^{k_x}_s = (m_p/M) hbar G_{dm,dn} (k_x + G^x_s) / (2 omega_c m_e)
+    scale = params.mp_over_m * HBAR / (2.0 * params.omega_c * M_ELECTRON)
+    terms = []
     for (dn, dm), v in pot.coefficients.items():
-        alpha = alpha_matrix(dn, dm, lat, params)
-        blocks[(dn, dm)] = v * kernels.displacement_block(j_count, alpha)
-
+        theta = scale * lat.g_oblique(dm, dn) * _half_index_kx(lat, k_x, trunc, dn)
+        block = v * displacement_matrix(j_count, alpha_matrix(dn, dm, lat, params))
+        terms.append(((dn,) if reduce_m else (dn, dm), np.exp(-1j * theta), block))
     if reduce_m:
-        dim = trunc.dimension(fourier_dims=1)
-        mat = np.zeros((dim, dim), dtype=np.complex128)
-        for idx in range(n_count):
-            for j in range(j_count):
-                mat[idx * j_count + j, idx * j_count + j] = ladder[j]
-        for (dn, dm), block in blocks.items():
-            phases = _central_phases(lat, params, k_x, n_vals, dn, dm)
-            kernels.fill_coupling(mat, n_count, j_count, dn, phases, block)
-        return mat
+        return _fourier_lattice_matrix(np.broadcast_to(ladder, (trunc.n_count, j_count)), terms)
 
-    dim = trunc.dimension(fourier_dims=2)
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    inv_m = params.inv_m_total
-    sqrt2_wc = math.sqrt(2.0) * params.omega_c
-    for i_n, n in enumerate(n_vals):
-        for i_m, m in enumerate(n_vals):
-            g_w = lat.g_oblique(m, n) / sqrt2_wc
-            kinetic = 0.5 * HBAR**2 * (k_w + g_w) ** 2 * inv_m
-            base = (i_n * n_count + i_m) * j_count
-            for j in range(j_count):
-                mat[base + j, base + j] = kinetic + ladder[j]
-    for (dn, dm), block in blocks.items():
-        phases = _central_phases(lat, params, k_x, n_vals, dn, dm)
-        for i_n in range(n_count):
-            ipr_n = i_n - dn
-            if ipr_n < 0 or ipr_n >= n_count:
-                continue
-            for i_m in range(n_count):
-                ipr_m = i_m - dm
-                if ipr_m < 0 or ipr_m >= n_count:
-                    continue
-                r0 = (i_n * n_count + i_m) * j_count
-                c0 = (ipr_n * n_count + ipr_m) * j_count
-                mat[r0 : r0 + j_count, c0 : c0 + j_count] += phases[i_n] * block
-    return mat
+    n_vals = np.arange(-trunc.n_max, trunc.n_max + 1)
+    g_w = lat.g_oblique(n_vals[None, :], n_vals[:, None]) / (math.sqrt(2.0) * params.omega_c)
+    kinetic = 0.5 * HBAR**2 * (k_w + g_w) ** 2 * params.inv_m_total
+    return _fourier_lattice_matrix(kinetic[:, :, None] + ladder, terms)
 
 
 def assemble_llb_matrix(pot, omega_c, k_x, trunc, mass_ratio=1.0):
@@ -264,25 +244,16 @@ def assemble_llb_matrix(pot, omega_c, k_x, trunc, mass_ratio=1.0):
     lat = pot.lattice
     mass = mass_ratio * M_ELECTRON
     j_count = trunc.j_max + 1
-    n_count = trunc.n_count
-    n_vals = np.arange(-trunc.n_max, trunc.n_max + 1)
-    dim = trunc.dimension(fourier_dims=1)
-    mat = np.zeros((dim, dim), dtype=np.complex128)
+    trunc.dimension(fourier_dims=1)
     ladder = HBAR * omega_c * (np.arange(j_count) + 0.5)
-    for idx in range(n_count):
-        for j in range(j_count):
-            mat[idx * j_count + j, idx * j_count + j] = ladder[j]
     scale = math.sqrt(HBAR / (2.0 * mass * omega_c))
+    terms = []
     for (dn, dm), v in pot.coefficients.items():
-        beta = scale * (-lat.g_x(dn) - 1j * lat.g_oblique(dm, dn))
-        block = v * kernels.displacement_block(j_count, beta)
         g_ob = lat.g_oblique(dm, dn)
-        phases = np.empty(n_count, dtype=np.complex128)
-        for idx, n in enumerate(n_vals):
-            gx_s = _half_index_gx(lat, n, dn)
-            phases[idx] = np.exp(-1j * HBAR * (k_x + gx_s) * g_ob / (mass * omega_c))
-        kernels.fill_coupling(mat, n_count, j_count, dn, phases, block)
-    return mat
+        beta = scale * (-lat.g_x(dn) - 1j * g_ob)
+        theta = HBAR * _half_index_kx(lat, k_x, trunc, dn) * g_ob / (mass * omega_c)
+        terms.append(((dn,), np.exp(-1j * theta), v * displacement_matrix(j_count, beta)))
+    return _fourier_lattice_matrix(np.broadcast_to(ladder, (trunc.n_count, j_count)), terms)
 
 
 def harper_hopping(flux, v_amplitude):
@@ -509,26 +480,19 @@ def polariton_harper_eigvals(flux, g, kx_a, kw_scaled, trunc, a1, v0, mode="auto
         mat = mat + np.diag(off, 1) + np.diag(off, -1)
         return hermitian_eigvals(mat), "reduced"
 
-    n_count = trunc.n_count
-    dim = n_count * n_count
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    for i_m, m in enumerate(n_vals):
-        kin = min(polariton_scaled_kinetic(flux, g, kw_scaled, int(m), a1, v0), DIAG_SAFE_CAP)
-        for i_n in range(n_count):
-            mat[i_n * n_count + i_m, i_n * n_count + i_m] = kin
-    for i_n in range(n_count):
-        ph = np.exp(1j * phase_arg[i_n])
-        for i_m in range(n_count):
-            row = i_n * n_count + i_m
-            if i_n + 1 < n_count:
-                col = (i_n + 1) * n_count + i_m
-                mat[row, col] = tau1
-                mat[col, row] = tau1
-            if i_m + 1 < n_count:
-                col = i_n * n_count + i_m + 1
-                mat[row, col] = tau2 * ph
-                mat[col, row] = tau2 * np.conj(ph)
-    return hermitian_eigvals(mat), "matrix"
+    kinetic = [
+        min(polariton_scaled_kinetic(flux, g, kw_scaled, int(m), a1, v0), DIAG_SAFE_CAP)
+        for m in n_vals
+    ]
+    # (n, m) lattice of 1x1 blocks: kinetic[m] on the diagonal, tau1 hops
+    # along n, tau2 e^{+-i phase_arg[n]} hops along m
+    diagonal = np.broadcast_to(np.array(kinetic)[:, None], (trunc.n_count,) * 2 + (1,))
+    hop_n = np.full(trunc.n_count, tau1)
+    hop_m = tau2 * np.exp(1j * phase_arg)
+    one = np.ones((1, 1))
+    terms = [((1, 0), hop_n, one), ((-1, 0), hop_n, one),
+             ((0, -1), hop_m, one), ((0, 1), hop_m.conj(), one)]
+    return hermitian_eigvals(_fourier_lattice_matrix(diagonal, terms)), "matrix"
 
 
 @dataclass

@@ -64,13 +64,6 @@ def chi_ea(w_grid, eta, omega_tilde, volume):
     return ResponseSample(w=w, value=value, eta=eta)
 
 
-def chi_aa_time_kernel(t, omega_tilde, volume, eta=0.0):
-    """Time-domain propagator -Theta(t) sin(wt t) e^(-eta t) / (eps0 wt V)."""
-    t = np.asarray(t, dtype=float)
-    kernel = -np.sin(omega_tilde * t) * np.exp(-eta * t) / (EPSILON_0 * omega_tilde * volume)
-    return np.where(t >= 0.0, kernel, 0.0)
-
-
 def chi_ea_time_kernel(t, omega_tilde, volume, eta=0.0):
     """Time-domain E-field kernel Theta(t) cos(wt t) e^(-eta t) / (eps0 V)."""
     t = np.asarray(t, dtype=float)

@@ -2,9 +2,11 @@
 
 import json
 import math
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +55,57 @@ kx_points = 4
 path = {path}
 format = csv
 """
+
+EFT_CONFIG = """
+[run]
+command = eft
+
+[eft]
+lz_mm = 1
+density_cm2 = 1.3e12
+n_electrons = 1
+lambda0 = 1.2
+
+[output]
+path = {path}
+format = csv
+"""
+
+OBLIQUE_BUTTERFLY_CONFIG = """
+[run]
+command = butterfly
+
+[lattice]
+kind = oblique
+a1_angstrom = 2.0
+a2_angstrom = 3.0
+v0_ev = 3.0
+
+[sweep]
+flux_min = 0.5
+flux_max = 1.0
+points = 2
+
+[truncation]
+n_max = 2
+
+[kgrid]
+kx_points = 2
+
+[output]
+path = {path}
+format = csv
+"""
+
+#: the checkout's src, which subprocesses started from tmp_path must import
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def env_with_src(env):
+    """`env` with SRC in front of its PYTHONPATH."""
+    rest = env.get("PYTHONPATH")
+    return {**env, "PYTHONPATH": str(SRC) + (os.pathsep + rest if rest else "")}
+
 
 MTG_CONFIG = """
 [run]
@@ -265,6 +318,7 @@ class TestCliProcess:
             capture_output=True,
             text=True,
             cwd=cwd,
+            env=env_with_src(os.environ),
             timeout=600,
         )
 
@@ -319,7 +373,7 @@ class TestCliProcess:
             [sys.executable, "-m", "cavity_bloch.cli", "gas", "--config", str(cfg)],
             capture_output=True,
             text=True,
-            env={"PATH": "/usr/bin:/bin", "CAVITY_BLOCH_THREADS": "3"},
+            env=env_with_src({"PATH": "/usr/bin:/bin", "CAVITY_BLOCH_THREADS": "3"}),
             timeout=600,
         )
         assert result.returncode == 0, result.stderr
@@ -327,7 +381,24 @@ class TestCliProcess:
             [sys.executable, "-m", "cavity_bloch.cli", "gas", "--config", str(cfg)],
             capture_output=True,
             text=True,
-            env={"PATH": "/usr/bin:/bin", "CAVITY_BLOCH_THREADS": "many"},
+            env=env_with_src({"PATH": "/usr/bin:/bin", "CAVITY_BLOCH_THREADS": "many"}),
             timeout=600,
         )
         assert bad.returncode == cli.EXIT_CONFIG
+
+
+class TestMainExitCodes:
+    def run_main(self, tmp_path, command, text):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(text.format(path=tmp_path / "out.csv"))
+        return cli.main([command, "--config", str(cfg)])
+
+    def test_eft_single_electron_thin_gap(self, tmp_path):
+        # exp(1/(N alpha)) overflows float64 here: the window has no ceiling
+        assert self.run_main(tmp_path, "eft", EFT_CONFIG) == cli.EXIT_OK
+
+    def test_model_domain_error_is_config_error(self, tmp_path, capsys):
+        # an oblique lattice needs theta != 90 deg, the theta_deg default
+        code = self.run_main(tmp_path, "butterfly", OBLIQUE_BUTTERFLY_CONFIG)
+        assert code == cli.EXIT_CONFIG
+        assert "config error: oblique potential requires" in capsys.readouterr().err

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from cavity_bloch import kernels
 from cavity_bloch.errors import DomainError, NumericalError
 from cavity_bloch.numerics import (
     displacement_matrix,
@@ -129,20 +128,6 @@ class TestDisplacement:
             displacement_matrix_element(1, 0, complex("inf"))
         with pytest.raises(DomainError):
             displacement_matrix(0, 0.1)
-
-
-class TestKernelPaths:
-    def test_numba_and_numpy_agree(self):
-        alpha = 0.42 - 0.17j
-        fast = kernels.displacement_block(20, alpha)
-        ref = kernels.displacement_block_py(20, alpha)
-        assert np.array_equal(fast, ref) or np.max(np.abs(fast - ref)) < 1e-14
-
-        energies = np.linspace(0.0, 2.0, 101)
-        centers = np.array([0.4, 0.9, 1.5])
-        fast = kernels.lorentzian_comb(energies, centers, 0.01)
-        ref = kernels.lorentzian_comb_py(energies, centers, 0.01)
-        assert np.max(np.abs(fast - ref)) < 1e-12
 
 
 class TestHermitianEigvals:

@@ -1,10 +1,14 @@
 """QED-Bloch solver tests: polariton parameters, screening identity, coupling
 matrices, central-equation limits, Harper bands and the polaritonic windows."""
 
+import cmath
+import itertools
 import math
 
 import numpy as np
 import pytest
+
+from cavity_bloch import qed_bloch
 
 from cavity_bloch.cavity_gas import CavitySetup
 from cavity_bloch.constants import EV, HBAR, M_ELECTRON
@@ -15,8 +19,13 @@ from cavity_bloch.lattice import (
     bravais_cosine_potential,
     field_for_flux_ratio,
 )
-from cavity_bloch.numerics import hermitian_eigvals, hermiticity_residual
+from cavity_bloch.numerics import (
+    displacement_matrix_element,
+    hermitian_eigvals,
+    hermiticity_residual,
+)
 from cavity_bloch.qed_bloch import (
+    DIAG_SAFE_CAP,
     BasisTruncation,
     alpha_matrix,
     assemble_central_matrix,
@@ -34,6 +43,7 @@ from cavity_bloch.qed_bloch import (
     polariton_harper_eigvals,
     polariton_hoppings,
     polariton_params,
+    polariton_scaled_kinetic,
     screening_chi,
     spectral_gaps,
     sweep,
@@ -329,6 +339,143 @@ class TestAssembly:
             _, w_c = square_setup(flux)
             minima.append(hermitian_eigvals(assemble_llb_matrix(pot, w_c, 0.0, trunc))[0])
         assert all(b > a for a, b in zip(minima, minima[1:]))
+
+
+def loop_matrix(n_max, fourier_dims, j_count, entry):
+    """Reference matrix, one explicit entry(row, col, i, j) call per element.
+
+    Rows and columns run row-major over (n, [m,] level) with Fourier indices
+    -n_max..n_max; row and col are tuples of Fourier indices.
+    """
+    fourier = list(itertools.product(range(-n_max, n_max + 1), repeat=fourier_dims))
+    dim = len(fourier) * j_count
+    mat = np.zeros((dim, dim), dtype=np.complex128)
+    for r, row in enumerate(fourier):
+        for c, col in enumerate(fourier):
+            for i in range(j_count):
+                for j in range(j_count):
+                    mat[r * j_count + i, c * j_count + j] = entry(row, col, i, j)
+    return mat
+
+
+def assert_entrywise_close(mat, ref):
+    assert mat.shape == ref.shape
+    assert np.max(np.abs(mat - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestFourierLatticeOracle:
+    """Every assembled entry against the docstring formulas, loop by loop.
+
+    Hexagonal puts two cosine stars on each dn != 0; oblique has an
+    irrational G_{m,n} mixing and a nonzero G^x on both stars.
+    """
+
+    LATTICES = {
+        "hexagonal": Lattice2D(A, A, math.pi / 3.0),
+        "oblique": Lattice2D(A, 1.3 * A, math.radians(70.0)),
+    }
+    N_MAX, J_MAX = 3, 2
+
+    def setup_for(self, kind):
+        lat = self.LATTICES[kind]
+        pot = bravais_cosine_potential(kind, 3.0 * EV, lat)
+        w_c = cyclotron_frequency(field_for_flux_ratio(lat, 0.7))
+        return lat, pot, w_c, BasisTruncation(n_max=self.N_MAX, j_max=self.J_MAX)
+
+    @staticmethod
+    def gx_half(lat, n, n_pr):
+        return 2.0 * math.pi * ((n + n_pr) / 2.0) / lat.a1
+
+    @pytest.mark.parametrize("kind", ["hexagonal", "oblique"])
+    def test_llb_entries(self, kind):
+        lat, pot, w_c, trunc = self.setup_for(kind)
+        k_x = 0.37 / lat.a1
+        length = math.sqrt(HBAR / (2.0 * M_ELECTRON * w_c))
+
+        def entry(row, col, i, j):
+            (n,), (n_pr,) = row, col
+            value = HBAR * w_c * (i + 0.5) if (n == n_pr and i == j) else 0.0
+            for (dn, dm), v in pot.coefficients.items():
+                if n - n_pr == dn:
+                    g = lat.g_oblique(dm, dn)
+                    phase = cmath.exp(
+                        -1j * HBAR * (k_x + self.gx_half(lat, n, n_pr)) * g / (M_ELECTRON * w_c)
+                    )
+                    beta = length * (-lat.g_x(dn) - 1j * g)
+                    value += v * phase * displacement_matrix_element(i, j, beta)
+            return value
+
+        ref = loop_matrix(self.N_MAX, 1, self.J_MAX + 1, entry)
+        assert_entrywise_close(assemble_llb_matrix(pot, w_c, k_x, trunc), ref)
+
+    @pytest.mark.parametrize("reduce_m", [True, False])
+    @pytest.mark.parametrize("kind", ["hexagonal", "oblique"])
+    def test_central_entries(self, kind, reduce_m):
+        lat, pot, w_c, trunc = self.setup_for(kind)
+        params = polariton_params(0.6 * w_c, w_c)
+        k_x = -1.2 / lat.a1
+        k_w = 0.3 * lat.g_y(1) / (math.sqrt(2.0) * w_c)
+        mu_omega = params.mu * params.big_omega
+        mp_over_m = params.m_p / params.m_total
+
+        def coupling(n, n_pr, dn, dm, v, i, j):
+            g = lat.g_oblique(dm, dn)
+            a0 = HBAR * lat.g_x(dn) / (math.sqrt(2.0) * M_ELECTRON)
+            gv = mp_over_m * g / (math.sqrt(2.0) * params.omega_c)
+            a_kx = HBAR * (k_x + self.gx_half(lat, n, n_pr)) / (math.sqrt(2.0) * M_ELECTRON)
+            alpha = (
+                -math.sqrt(mu_omega / (2.0 * HBAR)) * a0
+                - 1j * math.sqrt(HBAR / (2.0 * mu_omega)) * gv
+            )
+            return v * cmath.exp(-1j * gv * a_kx) * displacement_matrix_element(i, j, alpha)
+
+        def entry(row, col, i, j):
+            n, n_pr = row[0], col[0]
+            value = 0.0
+            if row == col and i == j:
+                value = HBAR * params.big_omega * (i + 0.5)
+                if not reduce_m:
+                    g_w = lat.g_oblique(row[1], n) / (math.sqrt(2.0) * params.omega_c)
+                    value += HBAR**2 * (k_w + g_w) ** 2 / (2.0 * params.m_total)
+            for (dn, dm), v in pot.coefficients.items():
+                if n - n_pr == dn and (reduce_m or row[1] - col[1] == dm):
+                    value += coupling(n, n_pr, dn, dm, v, i, j)
+            return value
+
+        ref = loop_matrix(self.N_MAX, 1 if reduce_m else 2, self.J_MAX + 1, entry)
+        mat = assemble_central_matrix(pot, params, k_x, k_w, trunc, reduce_m=reduce_m)
+        assert_entrywise_close(mat, ref)
+
+    def test_polariton_matrix_mode_entries(self, monkeypatch):
+        flux, g, kx_a, kw_scaled, v0 = 1.3, 0.8, 0.41, 0.3 / A, 1.5 * EV
+        captured = []
+
+        def capture(mat, check=True):
+            captured.append(np.array(mat))
+            return hermitian_eigvals(mat, check)
+
+        monkeypatch.setattr(qed_bloch, "hermitian_eigvals", capture)
+        polariton_harper_eigvals(
+            flux, g, kx_a, kw_scaled, BasisTruncation(n_max=self.N_MAX), a1=A, v0=v0,
+            mode="matrix",
+        )
+        tau1, tau2 = polariton_hoppings(flux, g)
+
+        def entry(row, col, _i, _j):
+            (n, m), (n_pr, m_pr) = row, col
+            phase = 2.0 * math.pi / (flux * (1.0 + g * g)) * (kx_a / (2.0 * math.pi) + n)
+            if row == col:
+                return min(polariton_scaled_kinetic(flux, g, kw_scaled, m, A, v0), DIAG_SAFE_CAP)
+            if m == m_pr and abs(n - n_pr) == 1:
+                return tau1
+            if n == n_pr and m_pr - m == 1:
+                return tau2 * cmath.exp(1j * phase)
+            if n == n_pr and m - m_pr == 1:
+                return tau2 * cmath.exp(-1j * phase)
+            return 0.0
+
+        assert len(captured) == 1
+        assert_entrywise_close(captured[0], loop_matrix(self.N_MAX, 2, 1, entry))
 
 
 class TestHarper:
