@@ -23,12 +23,15 @@ from .lattice import (
     mtg_flux_condition,
 )
 from .numerics import hermitian_eigvals
-from .output import ResultEnvelope, ScalarPayload, TablePayload, export
+from .output import ResultEnvelope, ScalarPayload, SpectrumPayload, TablePayload, export
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
+
+#: failure messages of a sweep printed in full; the rest are counted
+FAILURES_SHOWN = 5
 
 
 def _build(factory, *args, **kwargs):
@@ -193,6 +196,11 @@ def _run_polariton(cfg):
     return TablePayload(columns=columns, rows=rows)
 
 
+def _spectrum_payload(grid, columns):
+    return SpectrumPayload(columns=columns, axis_values=grid.axis_values,
+                           eigenvalues=grid.eigenvalues, failures=grid.failures)
+
+
 def _run_butterfly(cfg):
     p = cfg.parameters
     lat = _lattice_from(p)
@@ -209,6 +217,7 @@ def _run_butterfly(cfg):
 
         unit = "scaled[1]"
     else:
+        _build(trunc.dimension, fourier_dims=1)
 
         def assembler(flux, kx_a):
             b = field_for_flux_ratio(lat, flux)
@@ -223,11 +232,7 @@ def _run_butterfly(cfg):
         metadata={"scaling": scaling, "n_max": trunc.n_max, "j_max": trunc.j_max,
                   "kind": p["kind"], "kx_points": p["kx_points"]},
     )
-    rows = [[float(flux_values[a]), k, e, v] for a, k, e, v in grid.flat_rows()]
-    columns = ["flux_ratio[1]", "k_index[1]", "eig_index[1]", unit]
-    payload = TablePayload(columns=columns, rows=rows)
-    payload.kind = "spectrum"
-    return payload, grid
+    return _spectrum_payload(grid, ["flux_ratio[1]", "k_index[1]", "eig_index[1]", unit])
 
 
 def _run_polariton_butterfly(cfg):
@@ -236,6 +241,8 @@ def _run_polariton_butterfly(cfg):
     if p["kind"] != "square":
         raise ConfigError(["[lattice] the polaritonic Harper sweep is defined on the square lattice"])
     trunc = _build(qed_bloch.BasisTruncation, n_max=p["n_max"], j_max=0)
+    if p["mode"] == "matrix":
+        _build(trunc.dimension, fourier_dims=2)
     kx_grid = qed_bloch.midpoint_kx_grid(lat, p["kx_points"])
     kw_count = p["kw_points"]
     kw_grid = [0.0] if kw_count == 1 else list(
@@ -264,11 +271,7 @@ def _run_polariton_butterfly(cfg):
                   "kw_points": kw_count, "solver_mode": p["mode"]},
     )
     grid.metadata["kinetic_modes_used"] = sorted(modes_seen)
-    rows = [[float(g_values[a]), k, e, v] for a, k, e, v in grid.flat_rows()]
-    columns = ["coupling_g[1]", "k_index[1]", "eig_index[1]", "scaled[1]"]
-    payload = TablePayload(columns=columns, rows=rows)
-    payload.kind = "spectrum"
-    return payload, grid
+    return _spectrum_payload(grid, ["coupling_g[1]", "k_index[1]", "eig_index[1]", "scaled[1]"])
 
 
 def _run_mtg(cfg):
@@ -299,15 +302,12 @@ def run(cfg):
         "landau": _run_landau,
         "polariton": _run_polariton,
         "mtg-check": _run_mtg,
+        "butterfly": _run_butterfly,
+        "polariton-butterfly": _run_polariton_butterfly,
     }
-    if cfg.command in handlers:
-        payload = handlers[cfg.command](cfg)
-    elif cfg.command == "butterfly":
-        payload, _ = _run_butterfly(cfg)
-    elif cfg.command == "polariton-butterfly":
-        payload, _ = _run_polariton_butterfly(cfg)
-    else:  # pragma: no cover - parse_config guards the command set
+    if cfg.command not in handlers:  # pragma: no cover - parse_config guards the command set
         raise ConfigError([f"unknown command {cfg.command!r}"])
+    payload = handlers[cfg.command](cfg)
     return ResultEnvelope(
         config_text=cfg.source_text, command=cfg.command, payload=payload, seed=cfg.seed
     )
@@ -387,6 +387,16 @@ def main(argv=None):
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
+    # a sweep writes the points that succeeded and reports the rest
+    failures = getattr(envelope.payload, "failures", [])
+    if failures:
+        print(f"numerical failure: {len(failures)} of {envelope.payload.points} points failed",
+              file=sys.stderr)
+        for message in failures[:FAILURES_SHOWN]:
+            print(f"  {message}", file=sys.stderr)
+        if len(failures) > FAILURES_SHOWN:
+            print(f"  ... and {len(failures) - FAILURES_SHOWN} more", file=sys.stderr)
+
     out_path = args.out or cfg.output_path
     out_format = args.format or cfg.output_format
     try:
@@ -395,7 +405,7 @@ def main(argv=None):
         print(f"output failure: {exc}", file=sys.stderr)
         return EXIT_IO
     print(f"wrote {out_format} to {out_path}")
-    return EXIT_OK
+    return EXIT_NUMERICAL if failures else EXIT_OK
 
 
 if __name__ == "__main__":

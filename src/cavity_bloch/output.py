@@ -6,8 +6,7 @@ timestamp so identical runs produce byte-identical files.
 
 import datetime
 import json
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,6 +15,8 @@ from .errors import CavityBlochError
 SCHEMA_VERSION = "0.1.0"
 SVG_WIDTH = 1200
 SVG_HEIGHT = 900
+#: stands in for a SpectrumPayload's rows until write_json splices them in
+ROWS_SLOT = "\u0000rows\u0000"
 
 
 @dataclass
@@ -28,6 +29,40 @@ class TablePayload:
 
     def to_jsonable(self):
         return {"kind": self.kind, "columns": self.columns, "rows": self.rows}
+
+
+@dataclass
+class SpectrumPayload:
+    """A sweep's spectra, written as rows (axis value, k index, eigen index,
+    value) in that order; a failed point writes no row.
+
+    `eigenvalues[axis][k]` is the point's ascending array, empty when the
+    point failed; `failures` holds one message per failed point and is
+    reported by the CLI, never written.
+    """
+
+    columns: list
+    axis_values: np.ndarray
+    eigenvalues: list
+    failures: list = field(default_factory=list)
+    kind: str = "spectrum"
+
+    @property
+    def points(self):
+        """Number of (axis, k) points the sweep attempted."""
+        return sum(len(per_axis) for per_axis in self.eigenvalues)
+
+    def blocks(self):
+        """(axis value, k index, eigenvalues) of every point that has any,
+        in row order."""
+        for axis, per_axis in zip(self.axis_values.tolist(), self.eigenvalues):
+            for k_idx, eigs in enumerate(per_axis):
+                if len(eigs):
+                    yield axis, k_idx, np.asarray(eigs, dtype=float)
+
+    def to_jsonable(self):
+        """The payload with ROWS_SLOT for its rows, which write_json fills."""
+        return {"kind": self.kind, "columns": self.columns, "rows": ROWS_SLOT}
 
 
 @dataclass
@@ -84,11 +119,18 @@ def _format_cell(value):
 
 def write_csv(envelope, path):
     """Deterministic CSV: header row with units, one row per record."""
-    table = _table_of(envelope.payload)
-    lines = [",".join(table.columns)]
-    for row in table.rows:
-        lines.append(",".join(_format_cell(v) for v in row))
-    text = "\n".join(lines) + "\n"
+    payload = envelope.payload
+    if isinstance(payload, SpectrumPayload):
+        chunks = [",".join(payload.columns)]
+        for axis, k_idx, eigs in payload.blocks():
+            prefix = f"{axis!r},{k_idx},"
+            chunks.append("\n".join([f"{prefix}{e_idx},{value!r}"
+                                     for e_idx, value in enumerate(eigs.tolist())]))
+    else:
+        table = _table_of(payload)
+        chunks = [",".join(table.columns)]
+        chunks += [",".join(_format_cell(v) for v in row) for row in table.rows]
+    text = "\n".join(chunks) + "\n"
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
@@ -97,10 +139,33 @@ def write_csv(envelope, path):
     return path
 
 
+def _json_rows(payload, depth):
+    """The rows of a SpectrumPayload as JSON text, laid out as
+    json.dumps(indent=1) lays out a list that opens on a line indented by
+    `depth` spaces."""
+    row, cell = "\n" + " " * (depth + 1), "\n" + " " * (depth + 2)
+    blocks = []
+    for axis, k_idx, eigs in payload.blocks():
+        prefix = f"[{cell}{json.dumps(axis)},{cell}{k_idx},{cell}"
+        # json spells non-finite floats NaN/Infinity where repr gives nan/inf
+        values = eigs.tolist()
+        texts = map(repr, values) if np.isfinite(eigs).all() else map(json.dumps, values)
+        blocks.append(f",{row}".join([f"{prefix}{e_idx},{cell}{text}{row}]"
+                                      for e_idx, text in enumerate(texts)]))
+    if not blocks:
+        return "[]"
+    return f"[{row}" + f",{row}".join(blocks) + "\n" + " " * depth + "]"
+
+
 def write_json(envelope, path):
+    text = json.dumps(envelope.to_jsonable(), indent=1, sort_keys=True)
+    if isinstance(envelope.payload, SpectrumPayload):
+        head, _, tail = text.rpartition(json.dumps(ROWS_SLOT))
+        line = head[head.rfind("\n") + 1:]
+        text = head + _json_rows(envelope.payload, len(line) - len(line.lstrip(" "))) + tail
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(envelope.to_jsonable(), handle, indent=1, sort_keys=True)
+            handle.write(text)
             handle.write("\n")
     except OSError as exc:
         raise CavityBlochError(f"cannot write JSON to {path}: {exc}") from exc
@@ -119,18 +184,31 @@ def _scatter_columns(table):
     return numeric[0], numeric[-1]
 
 
+def _scatter_points(payload):
+    """(x label, y label, x, y) of the scatter plot of a payload."""
+    if isinstance(payload, SpectrumPayload):
+        blocks = list(payload.blocks())
+        if not blocks:
+            raise CavityBlochError("nothing to plot")
+        x = np.repeat([axis for axis, _, _ in blocks], [eigs.size for _, _, eigs in blocks])
+        y = np.concatenate([eigs for _, _, eigs in blocks])
+        return payload.columns[0], payload.columns[-1], x, y
+    table = _table_of(payload)
+    if not table.rows:
+        raise CavityBlochError("nothing to plot")
+    ix, iy = _scatter_columns(table)
+    x = np.array([row[ix] for row in table.rows], dtype=float)
+    y = np.array([row[iy] for row in table.rows], dtype=float)
+    return table.columns[ix], table.columns[iy], x, y
+
+
 def write_svg_scatter(envelope, path, window=None):
     """Fixed-canvas (1200x900) point-cloud SVG with unit-labelled axes.
 
     `window` optionally restricts the plotted y range (full data always lives
     in the CSV/JSON exports, never here).
     """
-    table = _table_of(envelope.payload)
-    if not table.rows:
-        raise CavityBlochError("nothing to plot")
-    ix, iy = _scatter_columns(table)
-    x = np.array([row[ix] for row in table.rows], dtype=float)
-    y = np.array([row[iy] for row in table.rows], dtype=float)
+    x_label, y_label, x, y = _scatter_points(envelope.payload)
     if window is not None:
         lo, hi = window
         keep = np.ones_like(y, dtype=bool)
@@ -147,20 +225,14 @@ def write_svg_scatter(envelope, path, window=None):
     xspan = x1 - x0 or 1.0
     yspan = y1 - y0 or 1.0
 
-    def sx(v):
-        return pad + (v - x0) / xspan * (SVG_WIDTH - 2 * pad)
-
-    def sy(v):
-        return SVG_HEIGHT - pad - (v - y0) / yspan * (SVG_HEIGHT - 2 * pad)
-
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" '
         f'viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
         f'<rect width="{SVG_WIDTH}" height="{SVG_HEIGHT}" fill="white"/>',
         f'<text x="{SVG_WIDTH // 2}" y="{SVG_HEIGHT - 15}" text-anchor="middle" '
-        f'font-size="16">{table.columns[ix]}</text>',
+        f'font-size="16">{x_label}</text>',
         f'<text x="20" y="{SVG_HEIGHT // 2}" text-anchor="middle" font-size="16" '
-        f'transform="rotate(-90 20 {SVG_HEIGHT // 2})">{table.columns[iy]}</text>',
+        f'transform="rotate(-90 20 {SVG_HEIGHT // 2})">{y_label}</text>',
         f'<line x1="{pad}" y1="{SVG_HEIGHT - pad}" x2="{SVG_WIDTH - pad}" '
         f'y2="{SVG_HEIGHT - pad}" stroke="black"/>',
         f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{SVG_HEIGHT - pad}" stroke="black"/>',
@@ -171,9 +243,11 @@ def write_svg_scatter(envelope, path, window=None):
         f'font-size="12">{y0:.6g}</text>',
         f'<text x="{pad - 5}" y="{pad + 5}" text-anchor="end" font-size="12">{y1:.6g}</text>',
     ]
-    for xi, yi in zip(x, y):
-        if math.isfinite(xi) and math.isfinite(yi):
-            parts.append(f'<circle cx="{sx(xi):.2f}" cy="{sy(yi):.2f}" r="1" fill="black"/>')
+    finite = np.isfinite(x) & np.isfinite(y)
+    cx = pad + (x[finite] - x0) / xspan * (SVG_WIDTH - 2 * pad)
+    cy = SVG_HEIGHT - pad - (y[finite] - y0) / yspan * (SVG_HEIGHT - 2 * pad)
+    parts += [f'<circle cx="{a:.2f}" cy="{b:.2f}" r="1" fill="black"/>'
+              for a, b in zip(cx.tolist(), cy.tolist())]
     parts.append("</svg>")
     text = "\n".join(parts) + "\n"
     try:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR, M_ELECTRON, E_CHARGE
-from .errors import DomainError, NumericalError
+from .errors import CavityBlochError, DomainError, NumericalError
 from .numerics import displacement_matrix, hermitian_eigvals
 
 #: scaled diagonal beyond which a polariton-lattice state is treated as
@@ -480,6 +480,7 @@ def polariton_harper_eigvals(flux, g, kx_a, kw_scaled, trunc, a1, v0, mode="auto
         mat = mat + np.diag(off, 1) + np.diag(off, -1)
         return hermitian_eigvals(mat), "reduced"
 
+    trunc.dimension(fourier_dims=2)
     kinetic = [
         min(polariton_scaled_kinetic(flux, g, kw_scaled, int(m), a1, v0), DIAG_SAFE_CAP)
         for m in n_vals
@@ -506,13 +507,6 @@ class SpectrumGrid:
     metadata: dict
     failures: list
 
-    def flat_rows(self):
-        """Deterministic (axis index, k index, eigen index, value) rows."""
-        for a_idx, per_axis in enumerate(self.eigenvalues):
-            for k_idx, eigs in enumerate(per_axis):
-                for e_idx, val in enumerate(eigs):
-                    yield a_idx, k_idx, e_idx, float(val)
-
     def union(self, a_idx):
         """All eigenvalues of one axis point, k-concatenated then sorted."""
         return np.sort(np.concatenate(self.eigenvalues[a_idx]))
@@ -522,8 +516,9 @@ def sweep(assembler, axis_name, axis_values, k_grid, threads=1, metadata=None):
     """Run `assembler(axis_value, k) -> ascending eigenvalues` over an axis
     and a k grid, in parallel, with a merge independent of execution order.
 
-    Per-point failures are recorded and the sweep continues; the summary
-    lives in SpectrumGrid.failures.
+    A point whose assembler raises a package error or a floating-point error
+    is recorded in SpectrumGrid.failures, keeps an empty eigenvalue array, and
+    the sweep continues; any other exception propagates.
     """
     axis_values = np.asarray(axis_values, dtype=float)
     if axis_values.size == 0:
@@ -537,7 +532,7 @@ def sweep(assembler, axis_name, axis_values, k_grid, threads=1, metadata=None):
         a_idx, k_idx = task
         try:
             return a_idx, k_idx, np.asarray(assembler(axis_values[a_idx], k_grid[k_idx])), None
-        except Exception as exc:  # per-point failure, recorded not raised
+        except (CavityBlochError, FloatingPointError) as exc:
             return a_idx, k_idx, None, f"axis[{a_idx}]={axis_values[a_idx]:g}, k[{k_idx}]: {exc}"
 
     if threads > 1:

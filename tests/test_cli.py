@@ -1,5 +1,6 @@
 """Config parsing, dispatch, export and determinism tests for the CLI."""
 
+import functools
 import json
 import math
 import os
@@ -9,10 +10,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cavity_bloch import cli, output
+from cavity_bloch import cli, output, qed_bloch
 from cavity_bloch.config import parse_config
-from cavity_bloch.errors import ConfigError
+from cavity_bloch.errors import ConfigError, NumericalError
 
 GAS_CONFIG = """
 [run]
@@ -91,6 +94,64 @@ n_max = 2
 
 [kgrid]
 kx_points = 2
+
+[output]
+path = {path}
+format = csv
+"""
+
+RAW_JOULES_CAP_CONFIG = """
+[run]
+command = butterfly
+
+[lattice]
+kind = hexagonal
+a1_angstrom = 2.0
+a2_angstrom = 2.0
+v0_ev = 3.0
+
+[sweep]
+flux_min = 0.5
+flux_max = 1.0
+points = 2
+scaling = raw-joules
+
+[truncation]
+n_max = 200
+j_max = 60
+
+[kgrid]
+kx_points = 2
+
+[output]
+path = {path}
+format = csv
+"""
+
+POLARITON_MATRIX_CONFIG = """
+[run]
+command = polariton-butterfly
+
+[lattice]
+kind = square
+a1_angstrom = 2.0
+a2_angstrom = 2.0
+v0_ev = 3.0
+
+[sweep]
+flux_ratio = 1.0
+g_min = 0.5
+g_max = 1.0
+points = 2
+
+[truncation]
+n_max = 5
+
+[kgrid]
+kx_points = 2
+
+[solver]
+mode = matrix
 
 [output]
 path = {path}
@@ -236,7 +297,9 @@ points = 20
         text = BUTTERFLY_CONFIG.format(path="x", points=5, threads=1)
         env1 = cli.run(parse_config(text))
         env2 = cli.run(parse_config(text))
-        assert env1.payload.rows == env2.payload.rows
+        rows1 = [(axis, k, eigs.tolist()) for axis, k, eigs in env1.payload.blocks()]
+        rows2 = [(axis, k, eigs.tolist()) for axis, k, eigs in env2.payload.blocks()]
+        assert rows1 == rows2
 
     def test_csv_json_value_equivalent(self, tmp_path):
         text = BUTTERFLY_CONFIG.format(path="x", points=3, threads=1)
@@ -386,6 +449,19 @@ class TestCliProcess:
         )
         assert bad.returncode == cli.EXIT_CONFIG
 
+    def test_cli_import_leaves_scipy_out(self):
+        # scipy is a test dependency: importing it would cost every CLI run
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, cavity_bloch.cli; print('scipy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env=env_with_src(os.environ),
+            timeout=600,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
 
 class TestMainExitCodes:
     def run_main(self, tmp_path, command, text):
@@ -402,3 +478,63 @@ class TestMainExitCodes:
         code = self.run_main(tmp_path, "butterfly", OBLIQUE_BUTTERFLY_CONFIG)
         assert code == cli.EXIT_CONFIG
         assert "config error: oblique potential requires" in capsys.readouterr().err
+
+    def test_sweep_failures_reported(self, tmp_path, capsys, monkeypatch):
+        harper = qed_bloch.harper_eigvals
+        fluxes = [0.01 + i * (2.0 - 0.01) / 4 for i in range(5)]
+
+        def failing_at_one_flux(flux, kx_a, n_max):
+            if flux == fluxes[2]:
+                raise NumericalError("synthetic failure")
+            return harper(flux, kx_a, n_max)
+
+        monkeypatch.setattr(qed_bloch, "harper_eigvals", failing_at_one_flux)
+        text = BUTTERFLY_CONFIG.format(path="{path}", points=5, threads=1)
+        assert self.run_main(tmp_path, "butterfly", text) == cli.EXIT_NUMERICAL
+        rows = [line.split(",") for line in (tmp_path / "out.csv").read_text().splitlines()[1:]]
+        written = {(float(flux), int(k)) for flux, k, _, _ in rows}
+        assert written == {(flux, k) for flux in fluxes if flux != fluxes[2] for k in range(4)}
+        assert len(rows) == 4 * 4 * 21
+        err = capsys.readouterr().err
+        assert "numerical failure: 4 of 20 points failed" in err
+        assert err.count("synthetic failure") == 4
+
+    def test_raw_joules_basis_cap_is_config_error(self, tmp_path, capsys):
+        # (2 n_max + 1)(j_max + 1) = 24461 basis states exceed the 20000 cap
+        code = self.run_main(tmp_path, "butterfly", RAW_JOULES_CAP_CONFIG)
+        assert code == cli.EXIT_CONFIG
+        assert "config error: basis dimension 24461 exceeds cap" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_polariton_matrix_basis_cap_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # (2 n_max + 1)^2 = 121 states against a cap of 100
+        monkeypatch.setattr(qed_bloch, "BasisTruncation",
+                            functools.partial(qed_bloch.BasisTruncation, dimension_cap=100))
+        code = self.run_main(tmp_path, "polariton-butterfly", POLARITON_MATRIX_CONFIG)
+        assert code == cli.EXIT_CONFIG
+        assert "config error: basis dimension 121 exceeds cap 100" in capsys.readouterr().err
+
+
+#: INI-like text: section headers, key = value lines and stray lines, with
+#: keys, values and section names drawn from the config vocabulary or made up
+_INI_WORDS = st.sampled_from([
+    "run", "command", "butterfly", "gas", "eft", "lattice", "kind", "square", "oblique",
+    "sweep", "points", "flux_min", "n_max", "j_max", "threads", "output", "format", "csv",
+    "cavity_thz", "density_cm2", "1e400", "-1", "0", "nan", "inf", "2.0", "",
+])
+_INI_TOKEN = st.one_of(_INI_WORDS, st.text(max_size=12))
+_INI_LINE = st.one_of(
+    st.builds("[{}]".format, _INI_TOKEN),
+    st.builds("{} = {}".format, _INI_TOKEN, _INI_TOKEN),
+    _INI_TOKEN,
+)
+
+
+class TestParseConfigProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.lists(_INI_LINE, max_size=12).map("\n".join), st.text()))
+    def test_returns_or_raises_config_error(self, text):
+        try:
+            parse_config(text)
+        except ConfigError:
+            pass

@@ -1,0 +1,208 @@
+"""Spectrum exporters against the row-by-row writers they replaced.
+
+The CSV, JSON and SVG writers format a SpectrumPayload one (axis, k) block at
+a time.  The references below build one Python list per row and format it one
+cell at a time, as the exporters did before; every file must match them byte
+for byte.
+"""
+
+import dataclasses
+import io
+import json
+import math
+
+import numpy as np
+import pytest
+
+from cavity_bloch import cli, output
+from cavity_bloch.config import parse_config
+from cavity_bloch.errors import CavityBlochError
+
+COLUMNS = ["flux_ratio[1]", "k_index[1]", "eig_index[1]", "energy[eV]"]
+
+BUTTERFLY_CONFIG = """
+[run]
+command = butterfly
+
+[lattice]
+kind = square
+a1_angstrom = 2.0
+a2_angstrom = 2.0
+v0_ev = 3.0
+
+[sweep]
+flux_min = 0.05
+flux_max = 1.9
+points = 7
+scaling = harper-scaled
+
+[truncation]
+n_max = 6
+
+[kgrid]
+kx_points = 3
+
+[output]
+path = out.csv
+format = csv
+"""
+
+
+def reference_rows(payload):
+    """[axis value, k index, eigen index, value] per eigenvalue; a failed
+    point (empty array) has no row."""
+    return [
+        [float(axis), k_idx, e_idx, float(value)]
+        for axis, per_axis in zip(payload.axis_values, payload.eigenvalues)
+        for k_idx, eigs in enumerate(per_axis)
+        for e_idx, value in enumerate(eigs)
+    ]
+
+
+def _format_cell(value):
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def reference_csv(payload):
+    lines = [",".join(payload.columns)]
+    for row in reference_rows(payload):
+        lines.append(",".join(_format_cell(v) for v in row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def reference_json(envelope):
+    table = output.TablePayload(columns=envelope.payload.columns,
+                                rows=reference_rows(envelope.payload), kind="spectrum")
+    handle = io.StringIO()
+    json.dump(dataclasses.replace(envelope, payload=table).to_jsonable(), handle,
+              indent=1, sort_keys=True)
+    handle.write("\n")
+    return handle.getvalue().encode()
+
+
+def reference_svg(payload, window=None):
+    rows = reference_rows(payload)
+    if not rows:
+        raise CavityBlochError("nothing to plot")
+    x = np.array([row[0] for row in rows], dtype=float)
+    y = np.array([row[3] for row in rows], dtype=float)
+    if window is not None:
+        lo, hi = window
+        keep = np.ones_like(y, dtype=bool)
+        if lo is not None:
+            keep &= y >= lo
+        if hi is not None:
+            keep &= y <= hi
+        x, y = x[keep], y[keep]
+    width, height, pad = output.SVG_WIDTH, output.SVG_HEIGHT, 60
+    x0, x1 = float(x.min()), float(x.max())
+    y0, y1 = float(y.min()), float(y.max())
+    xspan = x1 - x0 or 1.0
+    yspan = y1 - y0 or 1.0
+
+    def sx(v):
+        return pad + (v - x0) / xspan * (width - 2 * pad)
+
+    def sy(v):
+        return height - pad - (v - y0) / yspan * (height - 2 * pad)
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<text x="{width // 2}" y="{height - 15}" text-anchor="middle" '
+        f'font-size="16">{payload.columns[0]}</text>',
+        f'<text x="20" y="{height // 2}" text-anchor="middle" font-size="16" '
+        f'transform="rotate(-90 20 {height // 2})">{payload.columns[3]}</text>',
+        f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" '
+        f'y2="{height - pad}" stroke="black"/>',
+        f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height - pad}" stroke="black"/>',
+        f'<text x="{pad}" y="{height - pad + 20}" font-size="12">{x0:.6g}</text>',
+        f'<text x="{width - pad}" y="{height - pad + 20}" text-anchor="end" '
+        f'font-size="12">{x1:.6g}</text>',
+        f'<text x="{pad - 5}" y="{height - pad}" text-anchor="end" '
+        f'font-size="12">{y0:.6g}</text>',
+        f'<text x="{pad - 5}" y="{pad + 5}" text-anchor="end" font-size="12">{y1:.6g}</text>',
+    ]
+    for xi, yi in zip(x, y):
+        if math.isfinite(xi) and math.isfinite(yi):
+            parts.append(f'<circle cx="{sx(xi):.2f}" cy="{sy(yi):.2f}" r="1" fill="black"/>')
+    parts.append("</svg>")
+    return ("\n".join(parts) + "\n").encode()
+
+
+def spectrum_envelope(axis_values, eigenvalues):
+    payload = output.SpectrumPayload(
+        columns=COLUMNS, axis_values=np.asarray(axis_values, dtype=float),
+        eigenvalues=[[np.asarray(e, dtype=float) for e in per_axis] for per_axis in eigenvalues],
+    )
+    return output.ResultEnvelope(config_text="[run]\ncommand = butterfly\n",
+                                 command="butterfly", payload=payload)
+
+
+def written(writer, envelope, path, **kwargs):
+    writer(envelope, path, **kwargs)
+    return path.read_bytes()
+
+
+def assert_matches_reference(envelope, tmp_path, window=None):
+    payload = envelope.payload
+    assert written(output.write_csv, envelope, tmp_path / "s.csv") == reference_csv(payload)
+    assert written(output.write_json, envelope, tmp_path / "s.json") == reference_json(envelope)
+    assert (written(output.write_svg_scatter, envelope, tmp_path / "s.svg", window=window)
+            == reference_svg(payload, window))
+
+
+#: ragged band counts, a failed point in the middle of an axis row and of a
+#: k column, and values whose repr needs care
+SPECTRA = {
+    "failed-point-ragged": (
+        [0.1, 0.25, 1.0],
+        [[[-1.5, 0.0, 2.0], [], [-3.0, 4.0]],
+         [[1.0], [-0.5, 0.5, 1.5, 2.5], [0.75]],
+         [[], [-2.0, -1.0], [3.0, 3.5, 4.0]]],
+    ),
+    "special-values": (
+        [1e-12, 2.0],
+        [[[-2.5e20, -0.0, 1e-300, 0.1]], [[-0.0, 0.0, 1.0000000000000002, 5e-324]]],
+    ),
+    "non-finite": (
+        [0.5, 1.5],
+        [[[-1.0, float("nan")]], [[float("-inf"), 1.0, float("inf")]]],
+    ),
+    "single-value": ([0.3], [[[7.0]]]),
+}
+
+
+class TestSpectrumWriters:
+    @pytest.mark.parametrize("name", sorted(SPECTRA))
+    def test_byte_identical_to_row_reference(self, name, tmp_path):
+        assert_matches_reference(spectrum_envelope(*SPECTRA[name]), tmp_path)
+
+    def test_windowed_svg(self, tmp_path):
+        env = spectrum_envelope(*SPECTRA["failed-point-ragged"])
+        assert_matches_reference(env, tmp_path, window=(-1.0, 2.0))
+
+    def test_all_failed_sweep(self, tmp_path):
+        env = spectrum_envelope([0.1, 0.2], [[[], []], [[], []]])
+        csv = written(output.write_csv, env, tmp_path / "s.csv")
+        assert csv == reference_csv(env.payload) == (",".join(COLUMNS) + "\n").encode()
+        text = written(output.write_json, env, tmp_path / "s.json")
+        assert text == reference_json(env)
+        assert b'"rows": []' in text
+        with pytest.raises(CavityBlochError, match="nothing to plot"):
+            output.write_svg_scatter(env, tmp_path / "s.svg")
+
+    def test_cli_spectra_at_one_and_two_threads(self, tmp_path):
+        outputs = []
+        cfg = parse_config(BUTTERFLY_CONFIG)
+        for threads in (1, 2):
+            env = cli.run(dataclasses.replace(cfg, threads=threads))
+            env.produced_at = "2000-01-01T00:00:00+00:00"
+            assert_matches_reference(env, tmp_path)
+            outputs.append([written(output.write_csv, env, tmp_path / "c.csv"),
+                            written(output.write_json, env, tmp_path / "c.json"),
+                            written(output.write_svg_scatter, env, tmp_path / "c.svg")])
+        assert outputs[0] == outputs[1]

@@ -556,6 +556,16 @@ class TestPolaritonHarper:
         assert mode == "matrix"
         assert vals.shape == (11 * 11,)
 
+    def test_matrix_mode_enforces_dimension_cap(self):
+        # (2 n_max + 1)^2 = 121 > 100: refused before the matrix is built
+        trunc = BasisTruncation(n_max=5, dimension_cap=100)
+        with pytest.raises(DomainError, match="exceeds cap"):
+            polariton_harper_eigvals(1.0, 1.0, 0.3, 0.0, trunc, a1=A, v0=3.0 * EV,
+                                     mode="matrix")
+        vals, mode = polariton_harper_eigvals(1.0, 1.0, 0.3, 0.0, trunc, a1=A, v0=3.0 * EV,
+                                              mode="reduced")
+        assert mode == "reduced" and vals.shape == (11,)
+
     def test_matrix_mode_matches_full_central_equation(self):
         # the explicit (n, m) polariton lattice is the square-lattice j = 0
         # block of the full central equation, scaled by S and measured from
@@ -666,13 +676,23 @@ class TestSweep:
     def test_failures_recorded_not_raised(self):
         def assembler(flux, kxa):
             if flux > 1.0:
-                raise ValueError("synthetic failure")
+                raise DomainError("synthetic failure")
             return harper_eigvals(flux, kxa, 4)
 
         grid = sweep(assembler, "flux_ratio", [0.5, 1.5], [0.1, 0.2])
         assert len(grid.failures) == 2
         assert grid.eigenvalues[0][0].size == 9
         assert grid.eigenvalues[1][0].size == 0
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_programming_errors_propagate(self, threads):
+        def assembler(flux, kxa):
+            if flux > 1.0:
+                raise TypeError("synthetic bug")
+            return harper_eigvals(flux, kxa, 4)
+
+        with pytest.raises(TypeError, match="synthetic bug"):
+            sweep(assembler, "flux_ratio", [0.5, 1.5], [0.1, 0.2], threads=threads)
 
     def test_band_counting_helpers(self):
         values = [0.0, 0.01, 0.02, 1.0, 1.01, 2.5]
