@@ -4,6 +4,7 @@ Exit codes: 0 success, 2 invalid config, 3 numerical failure, 4 I/O failure.
 """
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -11,7 +12,7 @@ import sys
 import numpy as np
 
 from . import cavity_gas, eft, landau, qed_bloch, response
-from .config import COMMANDS, FORMATS, parse_config
+from .config import COMMANDS, FORMATS, format_violations, parse_config
 from .constants import EV, HBAR, THZ
 from .errors import CavityBlochError, ConfigError, DomainError, NumericalError, StabilityError
 from .lattice import (
@@ -227,11 +228,7 @@ def _run_butterfly(cfg):
 
         unit = "energy[eV]"
 
-    grid = qed_bloch.sweep(
-        assembler, "flux_ratio", flux_values, kx_grid, threads=cfg.threads,
-        metadata={"scaling": scaling, "n_max": trunc.n_max, "j_max": trunc.j_max,
-                  "kind": p["kind"], "kx_points": p["kx_points"]},
-    )
+    grid = qed_bloch.sweep(assembler, flux_values, kx_grid)
     return _spectrum_payload(grid, ["flux_ratio[1]", "k_index[1]", "eig_index[1]", unit])
 
 
@@ -253,24 +250,15 @@ def _run_polariton_butterfly(cfg):
     if g_values[0] == 0.0:
         g_values = g_values.copy()
         g_values[0] = 1e-12  # continuous Harper limit, transform singular at exactly 0
-    modes_seen = set()
 
     def assembler(g, k):
         kx_a, kw_scaled = k
-        vals, used = qed_bloch.polariton_harper_eigvals(
+        return qed_bloch.polariton_harper_eigvals(
             p["flux_ratio"], g, kx_a, kw_scaled, trunc, a1=lat.a1, v0=p["v0_ev"],
             mode=p["mode"],
-        )
-        modes_seen.add(used)
-        return vals
+        )[0]
 
-    grid = qed_bloch.sweep(
-        assembler, "coupling_g", g_values, k_grid, threads=cfg.threads,
-        metadata={"flux_ratio": p["flux_ratio"], "n_max": trunc.n_max,
-                  "scaling": "polariton-scaled", "kx_points": p["kx_points"],
-                  "kw_points": kw_count, "solver_mode": p["mode"]},
-    )
-    grid.metadata["kinetic_modes_used"] = sorted(modes_seen)
+    grid = qed_bloch.sweep(assembler, g_values, k_grid)
     return _spectrum_payload(grid, ["coupling_g[1]", "k_index[1]", "eig_index[1]", "scaled[1]"])
 
 
@@ -332,7 +320,9 @@ def main(argv=None):
     parser.add_argument("--format", default=None, choices=FORMATS,
                         help="output format (overrides [output] format)")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: CAVITY_BLOCH_THREADS or 1)")
+                        help="accepted and checked (>= 1) but selects nothing: the sweep is "
+                             "serial and output never depended on it "
+                             "(default: CAVITY_BLOCH_THREADS or 1)")
     parser.add_argument("--seed", type=int, default=None,
                         help="seed recorded for sampled property runs")
     args = parser.parse_args(argv)
@@ -360,22 +350,30 @@ def main(argv=None):
         return EXIT_CONFIG
 
     overrides = {}
-    if args.threads is not None:
-        overrides["threads"] = args.threads
-    elif os.environ.get("CAVITY_BLOCH_THREADS"):
+    violations = []
+    threads, source = args.threads, "--threads"
+    if threads is None and os.environ.get("CAVITY_BLOCH_THREADS"):
+        source = "CAVITY_BLOCH_THREADS"
         try:
-            overrides["threads"] = int(os.environ["CAVITY_BLOCH_THREADS"])
+            threads = int(os.environ[source])
         except ValueError:
-            print("config error: CAVITY_BLOCH_THREADS must be an integer", file=sys.stderr)
-            return EXIT_CONFIG
+            violations.append(f"{source} must be an integer")
+    if threads is not None:
+        overrides["threads"] = threads
+        if threads < 1:
+            violations.append(f"{source} must be >= 1")
+    if args.format is not None:
+        overrides["output_format"] = args.format
+        violations += format_violations(cfg.command, args.format)
+    if args.out:
+        overrides["output_path"] = args.out
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if overrides:
-        cfg = type(cfg)(
-            command=cfg.command, parameters=cfg.parameters, output_path=cfg.output_path,
-            output_format=cfg.output_format, source_text=cfg.source_text,
-            seed=overrides.get("seed", cfg.seed), threads=overrides.get("threads", cfg.threads),
-        )
+    if violations:
+        for violation in violations:
+            print(f"config error: {violation}", file=sys.stderr)
+        return EXIT_CONFIG
+    cfg = dataclasses.replace(cfg, **overrides)
 
     try:
         envelope = run(cfg)
@@ -396,15 +394,15 @@ def main(argv=None):
             print(f"  {message}", file=sys.stderr)
         if len(failures) > FAILURES_SHOWN:
             print(f"  ... and {len(failures) - FAILURES_SHOWN} more", file=sys.stderr)
+        if cfg.output_format == "svg-scatter" and len(failures) == envelope.payload.points:
+            return EXIT_NUMERICAL  # no point succeeded, so there is nothing to plot
 
-    out_path = args.out or cfg.output_path
-    out_format = args.format or cfg.output_format
     try:
-        export(envelope, out_path, out_format, window=_plot_window(cfg))
+        export(envelope, cfg.output_path, cfg.output_format, window=_plot_window(cfg))
     except CavityBlochError as exc:
         print(f"output failure: {exc}", file=sys.stderr)
         return EXIT_IO
-    print(f"wrote {out_format} to {out_path}")
+    print(f"wrote {cfg.output_format} to {cfg.output_path}")
     return EXIT_NUMERICAL if failures else EXIT_OK
 
 

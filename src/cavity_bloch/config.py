@@ -28,6 +28,9 @@ COMMANDS = (
 
 FORMATS = ("csv", "json", "svg-scatter")
 
+#: commands whose output has the two numeric columns a scatter plot needs
+SCATTER_COMMANDS = ("response", "conductivity", "polariton", "butterfly", "polariton-butterfly")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -39,17 +42,17 @@ class RunConfig:
     output_format: str
     source_text: str
     seed: int = 0
-    threads: int = 1
+    threads: int = 1  # checked (>= 1) but unused: the sweep is serial
 
 
 class _Schema:
     """Declarative per-command key schema with unit conversions."""
 
     def __init__(self):
-        self.keys = {}  # (section, key) -> (required, converter, validator, message)
+        self.keys = {}  # (section, key) -> (required, converter, validator, default)
 
-    def add(self, section, key, converter, required=True, check=None, message=None, default=None):
-        self.keys[(section, key)] = (required, converter, check, message, default)
+    def add(self, section, key, converter, required=True, check=None, default=None):
+        self.keys[(section, key)] = (required, converter, check, default)
         return self
 
 
@@ -92,11 +95,10 @@ def _lattice_schema(schema):
     return schema
 
 
-def _cavity_schema(schema, need_mass=True):
+def _cavity_schema(schema):
     schema.add("cavity", "cavity_thz", _thz_angular, check=_POS)
     schema.add("cavity", "density_cm2", _cm2, check=_POS)
-    if need_mass:
-        schema.add("cavity", "mass_ratio", float, required=False, check=_POS, default=1.0)
+    schema.add("cavity", "mass_ratio", float, required=False, check=_POS, default=1.0)
     return schema
 
 
@@ -122,7 +124,6 @@ def _schema_for(command):
         s.add("eft", "n_electrons", float, check=_AT_LEAST_ONE)
         s.add("eft", "lambda0", float, check=_AT_LEAST_ONE)
         s.add("eft", "mass_ratio", float, required=False, check=_POS, default=1.0)
-        _grid_schema(s)
     elif command == "landau":
         s.add("landau", "b_tesla", float, check=_POS)
         s.add("landau", "density_cm2", _cm2, check=_POS)
@@ -169,6 +170,16 @@ def _schema_for(command):
     return s
 
 
+def format_violations(command, fmt):
+    """Why `command` cannot write its output as `fmt` (empty when it can)."""
+    if fmt not in FORMATS:
+        return [f"[output] format {fmt!r} not one of {FORMATS}"]
+    if fmt == "svg-scatter" and command not in SCATTER_COMMANDS:
+        return [f"[output] format 'svg-scatter' needs two numeric columns, which command "
+                f"{command!r} does not write; scatter commands are {SCATTER_COMMANDS}"]
+    return []
+
+
 def parse_config(text):
     """Parse and fully validate a config; raises ConfigError listing every violation."""
     violations = []
@@ -188,8 +199,7 @@ def parse_config(text):
     threads = parser.get("run", "threads", fallback="1")
     out_path = parser.get("output", "path", fallback="result.csv")
     out_format = parser.get("output", "format", fallback="csv")
-    if out_format not in FORMATS:
-        violations.append(f"[output] format {out_format!r} not one of {FORMATS}")
+    violations += format_violations(command, out_format)
     try:
         seed = int(seed)
     except ValueError:
@@ -214,7 +224,7 @@ def parse_config(text):
                 violations.append(f"[{section}] unknown key {key!r} for command {command!r}")
 
     params = {}
-    for (section, key), (required, conv, check, message, default) in schema.keys.items():
+    for (section, key), (required, conv, check, default) in schema.keys.items():
         raw = parser.get(section, key, fallback=None)
         if raw is None:
             if required:

@@ -117,24 +117,22 @@ def _fingerprint(m):
     return hashlib.sha256(np.ascontiguousarray(m).tobytes()).hexdigest()[:16]
 
 
-def hermitian_eigvals(m, check=True):
+def hermitian_eigvals(m):
     """All eigenvalues of a Hermitian matrix, ascending (LAPACK order) and
     deterministic.
 
     The input is symmetrized (averaged with its conjugate transpose) before
-    decomposition; assembly round-off beyond ``HERMITICITY_RTOL`` is rejected
-    when ``check`` is true.
+    decomposition; assembly round-off beyond ``HERMITICITY_RTOL`` is rejected.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise DomainError(f"expected a square matrix, got shape {m.shape}")
-    if check:
-        res = hermiticity_residual(m)
-        if res > HERMITICITY_RTOL:
-            raise NumericalError(
-                f"matrix is not Hermitian: residual {res:.3e} > {HERMITICITY_RTOL:.0e} "
-                f"(fingerprint {_fingerprint(m)})"
-            )
+    res = hermiticity_residual(m)
+    if res > HERMITICITY_RTOL:
+        raise NumericalError(
+            f"matrix is not Hermitian: residual {res:.3e} > {HERMITICITY_RTOL:.0e} "
+            f"(fingerprint {_fingerprint(m)})"
+        )
     sym = 0.5 * (m + m.conj().T)
     try:
         vals = np.linalg.eigvalsh(sym)

@@ -8,7 +8,6 @@ returns scaled dimensionless values.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -500,21 +499,15 @@ def polariton_harper_eigvals(flux, g, kx_a, kw_scaled, trunc, a1, v0, mode="auto
 class SpectrumGrid:
     """Sweep container: axis samples x k points x ascending eigenvalues."""
 
-    axis_name: str
     axis_values: np.ndarray
     k_labels: list
     eigenvalues: list  # [axis][k] -> ascending ndarray
-    metadata: dict
     failures: list
 
-    def union(self, a_idx):
-        """All eigenvalues of one axis point, k-concatenated then sorted."""
-        return np.sort(np.concatenate(self.eigenvalues[a_idx]))
 
-
-def sweep(assembler, axis_name, axis_values, k_grid, threads=1, metadata=None):
+def sweep(assembler, axis_values, k_grid):
     """Run `assembler(axis_value, k) -> ascending eigenvalues` over an axis
-    and a k grid, in parallel, with a merge independent of execution order.
+    and a k grid, axis value by axis value, k point by k point.
 
     A point whose assembler raises a package error or a floating-point error
     is recorded in SpectrumGrid.failures, keeps an empty eigenvalue array, and
@@ -526,34 +519,21 @@ def sweep(assembler, axis_name, axis_values, k_grid, threads=1, metadata=None):
     if np.any(np.diff(axis_values) < 0.0):
         raise DomainError("sweep axis must be monotone")
     k_grid = list(k_grid)
-    tasks = [(a_idx, k_idx) for a_idx in range(axis_values.size) for k_idx in range(len(k_grid))]
-
-    def run_task(task):
-        a_idx, k_idx = task
-        try:
-            return a_idx, k_idx, np.asarray(assembler(axis_values[a_idx], k_grid[k_idx])), None
-        except (CavityBlochError, FloatingPointError) as exc:
-            return a_idx, k_idx, None, f"axis[{a_idx}]={axis_values[a_idx]:g}, k[{k_idx}]: {exc}"
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_task, tasks))
-    else:
-        results = [run_task(t) for t in tasks]
-
-    eigenvalues = [[np.empty(0) for _ in k_grid] for _ in range(axis_values.size)]
+    eigenvalues = []
     failures = []
-    for a_idx, k_idx, eigs, err in results:
-        if err is not None:
-            failures.append(err)
-        else:
-            eigenvalues[a_idx][k_idx] = eigs
+    for a_idx, axis in enumerate(axis_values):
+        row = []
+        for k_idx, k in enumerate(k_grid):
+            try:
+                row.append(np.asarray(assembler(axis, k)))
+            except (CavityBlochError, FloatingPointError) as exc:
+                row.append(np.empty(0))
+                failures.append(f"axis[{a_idx}]={axis:g}, k[{k_idx}]: {exc}")
+        eigenvalues.append(row)
     return SpectrumGrid(
-        axis_name=axis_name,
         axis_values=axis_values,
         k_labels=[tuple(np.atleast_1d(k)) for k in k_grid],
         eigenvalues=eigenvalues,
-        metadata=dict(metadata or {}),
         failures=failures,
     )
 

@@ -148,13 +148,7 @@ class TestAcceptance:
         def assembler(flux, kxa):
             return harper_eigvals(flux, kxa, 30)
 
-        grid = sweep(
-            assembler,
-            "flux_ratio",
-            np.linspace(0.01, 2.0, 300),
-            midpoint_kx_grid(SQUARE, 32),
-            threads=2,
-        )
+        grid = sweep(assembler, np.linspace(0.01, 2.0, 300), midpoint_kx_grid(SQUARE, 32))
         assert not grid.failures
         elapsed = time.perf_counter() - start
         assert elapsed < 120.0

@@ -158,6 +158,39 @@ path = {path}
 format = csv
 """
 
+#: model sections of a small config for each command that writes no scatter plot
+UNPLOTTABLE_BODIES = {
+    "gas": "[cavity]\ncavity_thz = 0.208\ndensity_cm2 = 1.3e12\n",
+    "eft": "[eft]\nlz_mm = 1\ndensity_cm2 = 1.3e12\nn_electrons = 1\nlambda0 = 1.2\n",
+    "landau": "[landau]\nb_tesla = 2.0\ndensity_cm2 = 1.3e12\npoints = 50\n",
+    "mtg-check": ("[lattice]\nkind = square\na1_angstrom = 2.0\na2_angstrom = 2.0\n"
+                  "[mtg]\nflux_ratio = 0.5\np = 2\n"),
+}
+
+POLARITON_CONFIG = """
+[run]
+command = polariton
+
+[cavity]
+cavity_thz = 0.208
+density_cm2 = 1.3e12
+mass_ratio = 0.336
+
+[sweep]
+b_min_tesla = 0.1
+b_max_tesla = 6.0
+points = 20
+
+[output]
+path = {path}
+format = svg-scatter
+"""
+
+
+def config_text(command, body, path, fmt):
+    return f"[run]\ncommand = {command}\n{body}[output]\npath = {path}\nformat = {fmt}\n"
+
+
 #: the checkout's src, which subprocesses started from tmp_path must import
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -513,6 +546,79 @@ class TestMainExitCodes:
         code = self.run_main(tmp_path, "polariton-butterfly", POLARITON_MATRIX_CONFIG)
         assert code == cli.EXIT_CONFIG
         assert "config error: basis dimension 121 exceeds cap 100" in capsys.readouterr().err
+
+    def test_all_failed_sweep_as_svg_is_numerical_failure(self, tmp_path, capsys):
+        # under mode = auto each matrix-mode point at n_max = 71 (20449 states) fails
+        text = (POLARITON_MATRIX_CONFIG.replace("n_max = 5", "n_max = 71")
+                .replace("mode = matrix", "mode = auto")
+                .replace("format = csv", "format = svg-scatter"))
+        assert self.run_main(tmp_path, "polariton-butterfly", text) == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "numerical failure: 4 of 4 points failed" in err
+        assert "output failure" not in err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_threads_flag_below_one_is_config_error(self, tmp_path, capsys, value):
+        cfg = tmp_path / "gas.ini"
+        cfg.write_text(GAS_CONFIG.format(path=tmp_path / "gas.csv", fmt="csv"))
+        assert cli.main(["gas", "--config", str(cfg), "--threads", value]) == cli.EXIT_CONFIG
+        assert "config error: --threads must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "gas.csv").exists()
+
+    def test_threads_env_below_one_is_config_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CAVITY_BLOCH_THREADS", "0")
+        text = GAS_CONFIG.replace("{fmt}", "csv")
+        assert self.run_main(tmp_path, "gas", text) == cli.EXIT_CONFIG
+        assert "config error: CAVITY_BLOCH_THREADS must be >= 1" in capsys.readouterr().err
+
+    def test_threads_config_below_one_is_config_error(self, tmp_path, capsys):
+        text = GAS_CONFIG.replace("{fmt}", "csv").replace("command = gas",
+                                                          "command = gas\nthreads = 0")
+        assert self.run_main(tmp_path, "gas", text) == cli.EXIT_CONFIG
+        assert "config error: [run] threads must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["points = 11", "span = 2.0", "eta_fraction = 0.1"])
+    def test_eft_grid_keys_unknown(self, tmp_path, capsys, key):
+        text = EFT_CONFIG.replace("[output]", f"[grid]\n{key}\n\n[output]")
+        assert self.run_main(tmp_path, "eft", text) == cli.EXIT_CONFIG
+        name = key.split(" = ")[0]
+        err = capsys.readouterr().err
+        assert f"config error: [grid] unknown key {name!r} for command 'eft'" in err
+
+
+class TestScatterFormat:
+    @pytest.mark.parametrize("command", sorted(UNPLOTTABLE_BODIES))
+    def test_config_format_rejected(self, tmp_path, capsys, command):
+        out = tmp_path / "out.svg"
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(config_text(command, UNPLOTTABLE_BODIES[command], out, "svg-scatter"))
+        with pytest.raises(ConfigError) as err:
+            parse_config(cfg.read_text())
+        assert any("svg-scatter" in v for v in err.value.violations)
+        assert cli.main([command, "--config", str(cfg)]) == cli.EXIT_CONFIG
+        assert "config error: [output] format 'svg-scatter'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(UNPLOTTABLE_BODIES))
+    def test_format_override_rejected(self, tmp_path, capsys, command):
+        out = tmp_path / "out.csv"
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(config_text(command, UNPLOTTABLE_BODIES[command], out, "csv"))
+        code = cli.main([command, "--config", str(cfg), "--format", "svg-scatter"])
+        assert code == cli.EXIT_CONFIG
+        assert "config error: [output] format 'svg-scatter'" in capsys.readouterr().err
+        assert not out.exists()
+        # the same config writes its CSV
+        assert cli.main([command, "--config", str(cfg)]) == cli.EXIT_OK
+        assert out.exists()
+
+    def test_polariton_still_plots(self, tmp_path):
+        out = tmp_path / "out.svg"
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(POLARITON_CONFIG.format(path=out))
+        assert cli.main(["polariton", "--config", str(cfg)]) == cli.EXIT_OK
+        assert out.read_text().count("<circle") == 20
 
 
 #: INI-like text: section headers, key = value lines and stray lines, with

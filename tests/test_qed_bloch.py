@@ -450,9 +450,9 @@ class TestFourierLatticeOracle:
         flux, g, kx_a, kw_scaled, v0 = 1.3, 0.8, 0.41, 0.3 / A, 1.5 * EV
         captured = []
 
-        def capture(mat, check=True):
+        def capture(mat):
             captured.append(np.array(mat))
-            return hermitian_eigvals(mat, check)
+            return hermitian_eigvals(mat)
 
         monkeypatch.setattr(qed_bloch, "hermitian_eigvals", capture)
         polariton_harper_eigvals(
@@ -655,23 +655,9 @@ class TestSweep:
         def assembler(flux, kxa):
             return harper_eigvals(flux, kxa, 8)
 
-        grid = sweep(assembler, "flux_ratio", [1.0], [0.3])
+        grid = sweep(assembler, [1.0], [0.3])
         direct = harper_eigvals(1.0, 0.3, 8)
         assert np.array_equal(grid.eigenvalues[0][0], direct)
-
-    def test_parallel_serial_bitwise_identical(self):
-        def assembler(flux, kxa):
-            return harper_eigvals(flux, kxa, 12)
-
-        axis = np.linspace(0.3, 1.5, 7)
-        kxs = midpoint_kx_grid(SQUARE, 8)
-        serial = sweep(assembler, "flux_ratio", axis, kxs, threads=1)
-        parallel = sweep(assembler, "flux_ratio", axis, kxs, threads=4)
-        for a_idx in range(len(axis)):
-            for k_idx in range(len(kxs)):
-                assert np.array_equal(
-                    serial.eigenvalues[a_idx][k_idx], parallel.eigenvalues[a_idx][k_idx]
-                )
 
     def test_failures_recorded_not_raised(self):
         def assembler(flux, kxa):
@@ -679,20 +665,19 @@ class TestSweep:
                 raise DomainError("synthetic failure")
             return harper_eigvals(flux, kxa, 4)
 
-        grid = sweep(assembler, "flux_ratio", [0.5, 1.5], [0.1, 0.2])
+        grid = sweep(assembler, [0.5, 1.5], [0.1, 0.2])
         assert len(grid.failures) == 2
         assert grid.eigenvalues[0][0].size == 9
         assert grid.eigenvalues[1][0].size == 0
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_programming_errors_propagate(self, threads):
+    def test_programming_errors_propagate(self):
         def assembler(flux, kxa):
             if flux > 1.0:
                 raise TypeError("synthetic bug")
             return harper_eigvals(flux, kxa, 4)
 
         with pytest.raises(TypeError, match="synthetic bug"):
-            sweep(assembler, "flux_ratio", [0.5, 1.5], [0.1, 0.2], threads=threads)
+            sweep(assembler, [0.5, 1.5], [0.1, 0.2])
 
     def test_band_counting_helpers(self):
         values = [0.0, 0.01, 0.02, 1.0, 1.01, 2.5]
