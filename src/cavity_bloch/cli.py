@@ -16,9 +16,8 @@ from .config import COMMANDS, FORMATS, format_violations, parse_config
 from .constants import EV, HBAR, THZ
 from .errors import CavityBlochError, ConfigError, DomainError, NumericalError, StabilityError
 from .lattice import (
-    CENTERED_RECT_THETA,
-    Lattice2D,
     bravais_cosine_potential,
+    bravais_lattice,
     field_for_flux_ratio,
     flux_ratio,
     mtg_flux_condition,
@@ -45,17 +44,8 @@ def _build(factory, *args, **kwargs):
 
 
 def _lattice_from(params):
-    kind = params["kind"]
-    theta = params.get("theta_deg")
-    if kind == "square":
-        theta = math.pi / 2.0
-    elif kind == "rectangular":
-        theta = math.pi / 2.0
-    elif kind == "hexagonal":
-        theta = math.pi / 3.0
-    elif kind == "centered-rectangular" and (theta is None or math.isclose(theta, math.pi / 2)):
-        theta = CENTERED_RECT_THETA
-    return _build(Lattice2D, params["a1_angstrom"], params["a2_angstrom"], theta)
+    return _build(bravais_lattice, params["kind"], params["a1_angstrom"],
+                  params["a2_angstrom"], params["theta_deg"])
 
 
 def _setup_from(params):
@@ -140,8 +130,6 @@ def _run_eft(cfg):
         eft.EftSetup, l_z=p["lz_mm"], n2d=p["density_cm2"], n_electrons=p["n_electrons"],
         lambda0=p["lambda0"], mass_ratio=p["mass_ratio"],
     )
-    from .constants import C_LIGHT, EPSILON_0
-
     k_f = landau.fermi_2d(setup.n2d, setup.mass_ratio)["k_F"]
     values = {
         "alpha[1]": setup.alpha,
@@ -153,7 +141,7 @@ def _run_eft(cfg):
         "mass_enhancement[1]": eft.renormalized_mass(setup) / setup.mass,
         "chemical_potential[J]": eft.chemical_potential(setup, k_f),
         "casimir_pressure[N/m^2]": eft.casimir_pressure(setup),
-        "absorption_plateau[s^2/(F m^2)]": 1.0 / (4.0 * C_LIGHT**2 * EPSILON_0 * setup.l_z),
+        "absorption_plateau[s^2/(F m^2)]": eft.absorption_plateau(setup),
     }
     return ScalarPayload(values=values)
 
@@ -235,8 +223,6 @@ def _run_butterfly(cfg):
 def _run_polariton_butterfly(cfg):
     p = cfg.parameters
     lat = _lattice_from(p)
-    if p["kind"] != "square":
-        raise ConfigError(["[lattice] the polaritonic Harper sweep is defined on the square lattice"])
     trunc = _build(qed_bloch.BasisTruncation, n_max=p["n_max"], j_max=0)
     if p["mode"] == "matrix":
         _build(trunc.dimension, fourier_dims=2)

@@ -12,7 +12,10 @@ import math
 from dataclasses import dataclass
 
 from .constants import ANGSTROM, CM2_DENSITY, EV, THZ
+from .eft import EftSetup
 from .errors import ConfigError
+from .lattice import BRAVAIS_KINDS
+from .response import DEFAULT_ETA_FRACTION, DEFAULT_GRID_POINTS, DEFAULT_GRID_SPAN
 
 COMMANDS = (
     "gas",
@@ -91,7 +94,7 @@ def _lattice_schema(schema):
     schema.add("lattice", "kind", str)
     schema.add("lattice", "a1_angstrom", _angstrom, check=_POS)
     schema.add("lattice", "a2_angstrom", _angstrom, check=_POS)
-    schema.add("lattice", "theta_deg", _deg, required=False, default=math.pi / 2.0)
+    schema.add("lattice", "theta_deg", _deg, required=False, default=None)
     return schema
 
 
@@ -103,9 +106,11 @@ def _cavity_schema(schema):
 
 
 def _grid_schema(schema):
-    schema.add("grid", "points", int, required=False, check=_INT_POS, default=4001)
-    schema.add("grid", "span", float, required=False, check=_POS, default=5.0)
-    schema.add("grid", "eta_fraction", float, required=False, check=_POS, default=0.01)
+    schema.add("grid", "points", int, required=False, check=_INT_POS,
+               default=DEFAULT_GRID_POINTS)
+    schema.add("grid", "span", float, required=False, check=_POS, default=DEFAULT_GRID_SPAN)
+    schema.add("grid", "eta_fraction", float, required=False, check=_POS,
+               default=DEFAULT_ETA_FRACTION)
     return schema
 
 
@@ -237,6 +242,9 @@ def parse_config(text):
         except (TypeError, ValueError):
             violations.append(f"[{section}] {key} = {raw!r} is not a valid value")
             continue
+        if isinstance(value, float) and not math.isfinite(value):
+            violations.append(f"[{section}] {key} = {raw!r} must be finite")
+            continue
         if check is not None:
             ok, msg = check
             if not ok(value):
@@ -260,8 +268,6 @@ def parse_config(text):
 
 def _cross_checks(command, params):
     """Validations spanning several keys (run after per-key conversion)."""
-    from .lattice import BRAVAIS_KINDS  # local import to avoid a cycle
-
     violations = []
     if command in ("butterfly", "polariton-butterfly", "mtg-check"):
         kind = params.get("kind")
@@ -277,6 +283,10 @@ def _cross_checks(command, params):
         if fmin is not None and fmax is not None and fmin >= fmax:
             violations.append("[sweep] flux_min must be below flux_max")
     if command == "polariton-butterfly":
+        if params.get("kind") != "square":
+            violations.append(
+                "[lattice] the polaritonic Harper sweep is defined on the square lattice"
+            )
         gmin, gmax = params.get("g_min"), params.get("g_max")
         if gmin is not None and gmax is not None and gmin >= gmax:
             violations.append("[sweep] g_min must be below g_max")
@@ -297,8 +307,6 @@ def _cross_checks(command, params):
         lam = params.get("lambda0")
         mr = params.get("mass_ratio", 1.0)
         if None not in (lz, n2d, n_el, lam):
-            from .eft import EftSetup
-
             # lambda0 = 1 is always inside the window, so the setup builds
             lam_max = EftSetup(
                 l_z=lz, n2d=n2d, n_electrons=n_el, lambda0=1.0, mass_ratio=mr

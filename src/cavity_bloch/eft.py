@@ -156,40 +156,16 @@ def eft_chi_aa(w_grid, eta, setup):
     return ResponseSample(w=w, value=re + 1j * im, eta=eta)
 
 
+def absorption_plateau(setup):
+    """Height 1/(4 c^2 eps0 L_z) of the eta -> 0+ absorption plateau."""
+    return 1.0 / (4.0 * C_LIGHT**2 * EPSILON_0 * setup.l_z)
+
+
 def eft_chi_aa_im_limit(w_grid, setup):
-    """eta -> 0+ imaginary part: flat absorption -sign(w)/(4 c^2 eps0 L_z)
+    """eta -> 0+ imaginary part: flat absorption -sign(w) absorption_plateau
     inside wt(kz) < |w| < sqrt(Lambda), zero elsewhere."""
     w = np.asarray(w_grid, dtype=float)
     wt = setup.omega_tilde_kz
     root_cut = math.sqrt(setup.cutoff)
-    plateau = 1.0 / (4.0 * C_LIGHT**2 * EPSILON_0 * setup.l_z)
     inside = (np.abs(w) > wt) & (np.abs(w) < root_cut)
-    return np.where(inside, -np.sign(w) * plateau, 0.0)
-
-
-def eft_chi_aa_mode_sum(w_grid, eta, setup, grid_points=400):
-    """Discrete in-plane mode-sum evaluation of the continuum response.
-
-    Midpoint sum of the single-mode propagator over a grid_points^2 Cartesian
-    kappa grid covering the disc c^2 kappa^2 <= Lambda - wt^2(kz); serves as
-    the independent oracle for eft_chi_aa.
-    """
-    w = np.asarray(w_grid, dtype=float)
-    wt_kz2 = setup.omega_tilde_kz**2
-    kappa_max = math.sqrt(setup.cutoff - wt_kz2) / C_LIGHT
-    if kappa_max <= 0.0:
-        return ResponseSample(w=w, value=np.zeros_like(w, dtype=complex), eta=eta)
-    edges = np.linspace(-kappa_max, kappa_max, grid_points + 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    cell = (edges[1] - edges[0]) ** 2
-    kx, ky = np.meshgrid(centers, centers, indexing="ij")
-    kappa2 = kx**2 + ky**2
-    mask = C_LIGHT**2 * kappa2 <= setup.cutoff - wt_kz2
-    wt_modes = np.sqrt(C_LIGHT**2 * kappa2[mask] + wt_kz2)
-    pref = cell / (4.0 * math.pi**2) / (2.0 * EPSILON_0 * setup.l_z)
-    value = np.zeros_like(w, dtype=complex)
-    for start in range(0, wt_modes.size, 8192):
-        block = wt_modes[start : start + 8192][:, None]
-        pair = 1.0 / (w[None, :] + block + 1j * eta) - 1.0 / (w[None, :] - block + 1j * eta)
-        value -= pref * np.sum(pair / block, axis=0)
-    return ResponseSample(w=w, value=value, eta=eta)
+    return np.where(inside, -np.sign(w) * absorption_plateau(setup), 0.0)

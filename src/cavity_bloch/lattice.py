@@ -14,10 +14,6 @@ from .errors import DomainError
 
 BRAVAIS_KINDS = ("oblique", "rectangular", "centered-rectangular", "hexagonal", "square")
 
-#: default angle for the centered-rectangular (rhombic) class; any
-#: a1 = a2 lattice with theta not in {60, 90} degrees realizes it
-CENTERED_RECT_THETA = math.radians(75.0)
-
 
 @dataclass(frozen=True)
 class Lattice2D:
@@ -152,7 +148,16 @@ _KIND_STARS = {
 }
 
 
+#: class angle of the kinds whose angle is not pi/2 when none is given; the
+#: centered-rectangular (rhombic) class takes 75 deg, though any a1 = a2
+#: lattice with theta not in {60, 90} deg realizes it.  Oblique has no class
+#: angle and keeps pi/2, which its check rejects.
+_CLASS_THETA = {"hexagonal": math.pi / 3.0, "centered-rectangular": math.radians(75.0)}
+
+
 def _check_kind(kind, lat, tol=1e-9):
+    if kind not in BRAVAIS_KINDS:
+        raise DomainError(f"unknown lattice kind {kind!r}; expected one of {BRAVAIS_KINDS}")
     eq = math.isclose(lat.a1, lat.a2, rel_tol=tol)
     right = math.isclose(lat.theta, math.pi / 2.0, rel_tol=tol)
     sixty = math.isclose(lat.theta, math.pi / 3.0, rel_tol=tol)
@@ -170,6 +175,18 @@ def _check_kind(kind, lat, tol=1e-9):
         raise DomainError("oblique potential requires a1 != a2 and theta != pi/2")
 
 
+def bravais_lattice(kind, a1, a2, theta=None):
+    """Lattice of Bravais class `kind`; theta (rad) defaults to the class angle.
+
+    An explicit theta must agree with the class, as must a1 and a2.
+    """
+    if theta is None:
+        theta = _CLASS_THETA.get(kind, math.pi / 2.0)
+    lat = Lattice2D(a1, a2, theta)
+    _check_kind(kind, lat)
+    return lat
+
+
 def bravais_cosine_potential(kind, v0, lat):
     """Cosine potential of one of the five 2D Bravais classes.
 
@@ -177,8 +194,6 @@ def bravais_cosine_potential(kind, v0, lat):
     real-space potential is V0 * sum_i cos(G_i . r).  Hexagonal adds the
     third star along b1 - b2.
     """
-    if kind not in BRAVAIS_KINDS:
-        raise DomainError(f"unknown lattice kind {kind!r}; expected one of {BRAVAIS_KINDS}")
     if v0 <= 0.0:
         raise DomainError("potential strength must be positive")
     _check_kind(kind, lat)

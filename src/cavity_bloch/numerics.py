@@ -32,48 +32,6 @@ def _laguerre_table(j_count, a_count, x):
     return out
 
 
-def laguerre_assoc(j, a, x):
-    """Associated Laguerre polynomial L_j^(a)(x) by stable upward recurrence.
-
-    Parameters
-    ----------
-    j : int
-        Degree, j >= 0.
-    a : int
-        Integer order, a >= -j.
-    x : float
-        Argument, x >= 0.
-    """
-    if j < 0:
-        raise DomainError(f"laguerre degree must be >= 0, got {j}")
-    if x < 0.0 or not math.isfinite(x):
-        raise DomainError(f"laguerre argument must be finite and >= 0, got {x}")
-    if a < -j:
-        raise DomainError(f"laguerre order must be >= -j = {-j}, got {a}")
-    if a >= 0:
-        table = _laguerre_table(j + 1, a + 1, float(x))
-        return float(table[j, a])
-    # negative integer order: L_j^(-m)(x) = (-x)^m (j-m)!/j! L_{j-m}^{(m)}(x), m <= j
-    m = -a
-    table = _laguerre_table(j - m + 1, m + 1, float(x))
-    ratio = math.exp(math.lgamma(j - m + 1.0) - math.lgamma(j + 1.0))
-    return float((-x) ** m * ratio * table[j - m, m])
-
-
-def displacement_matrix_element(i, j, alpha):
-    """Fock matrix element <i|D(alpha)|j> of the displacement operator."""
-    if i < 0 or j < 0:
-        raise DomainError("Fock indices must be >= 0")
-    alpha = complex(alpha)
-    if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
-        raise DomainError("displacement amplitude must be finite")
-    x = abs(alpha) ** 2
-    if i >= j:
-        ratio = math.exp(0.5 * (math.lgamma(j + 1.0) - math.lgamma(i + 1.0)))
-        return ratio * alpha ** (i - j) * math.exp(-0.5 * x) * laguerre_assoc(j, i - j, x)
-    return (-1.0) ** (j - i) * np.conj(displacement_matrix_element(j, i, alpha))
-
-
 def displacement_matrix(dim, alpha):
     """Truncated dim x dim displacement matrix {<i|D(alpha)|j>}.
 

@@ -172,20 +172,9 @@ def write_json(envelope, path):
     return path
 
 
-def _scatter_columns(table):
-    """Pick the (x, y) columns for the scatter: last two numeric columns."""
-    numeric = [
-        idx
-        for idx in range(len(table.columns))
-        if table.rows and isinstance(table.rows[0][idx], (int, float))
-    ]
-    if len(numeric) < 2:
-        raise CavityBlochError("scatter export needs at least two numeric columns")
-    return numeric[0], numeric[-1]
-
-
 def _scatter_points(payload):
-    """(x label, y label, x, y) of the scatter plot of a payload."""
+    """(x label, y label, x, y) of the scatter plot of a payload: the first
+    column against the last."""
     if isinstance(payload, SpectrumPayload):
         blocks = list(payload.blocks())
         if not blocks:
@@ -193,13 +182,17 @@ def _scatter_points(payload):
         x = np.repeat([axis for axis, _, _ in blocks], [eigs.size for _, _, eigs in blocks])
         y = np.concatenate([eigs for _, _, eigs in blocks])
         return payload.columns[0], payload.columns[-1], x, y
-    table = _table_of(payload)
-    if not table.rows:
+    if not isinstance(payload, TablePayload):
+        raise CavityBlochError(f"cannot plot payload of type {type(payload).__name__}")
+    if not payload.rows:
         raise CavityBlochError("nothing to plot")
-    ix, iy = _scatter_columns(table)
-    x = np.array([row[ix] for row in table.rows], dtype=float)
-    y = np.array([row[iy] for row in table.rows], dtype=float)
-    return table.columns[ix], table.columns[iy], x, y
+    try:
+        x = np.array([row[0] for row in payload.rows], dtype=float)
+        y = np.array([row[-1] for row in payload.rows], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise CavityBlochError(
+            f"scatter export needs numeric first and last columns: {exc}") from exc
+    return payload.columns[0], payload.columns[-1], x, y
 
 
 def write_svg_scatter(envelope, path, window=None):

@@ -200,6 +200,21 @@ def _fourier_lattice_matrix(diagonal, terms):
     return mat
 
 
+def _coupling_terms(pot, k_x, trunc, phase_scale, amplitude, reduce_m):
+    """(shift, phases, block) of each Fourier coefficient V_{dn,dm} of `pot`.
+
+    phases[n] = exp(-i phase_scale G_{dm,dn} (k_x + G^x_{(n+n')/2})) and
+    block = V_{dn,dm} <phi_i|D(amplitude(dn, dm))|phi_j>; the shift is (dn,)
+    with reduce_m (m summed out) and (dn, dm) otherwise.
+    """
+    lat = pot.lattice
+    j_count = trunc.j_max + 1
+    for (dn, dm), v in pot.coefficients.items():
+        theta = phase_scale * lat.g_oblique(dm, dn) * _half_index_kx(lat, k_x, trunc, dn)
+        block = v * displacement_matrix(j_count, amplitude(dn, dm))
+        yield ((dn,) if reduce_m else (dn, dm)), np.exp(-1j * theta), block
+
+
 def assemble_central_matrix(pot, params, k_x, k_w, trunc, reduce_m=False):
     """QED-Bloch central-equation matrix for a 2D crystal in field + cavity.
 
@@ -212,18 +227,14 @@ def assemble_central_matrix(pot, params, k_x, k_w, trunc, reduce_m=False):
     becomes redundant.
     """
     lat = pot.lattice
-    j_count = trunc.j_max + 1
     trunc.dimension(fourier_dims=1 if reduce_m else 2)
-    ladder = HBAR * params.big_omega * (np.arange(j_count) + 0.5)
+    ladder = HBAR * params.big_omega * (np.arange(trunc.j_max + 1) + 0.5)
     # G^v A^{k_x}_s = (m_p/M) hbar G_{dm,dn} (k_x + G^x_s) / (2 omega_c m_e)
     scale = params.mp_over_m * HBAR / (2.0 * params.omega_c * M_ELECTRON)
-    terms = []
-    for (dn, dm), v in pot.coefficients.items():
-        theta = scale * lat.g_oblique(dm, dn) * _half_index_kx(lat, k_x, trunc, dn)
-        block = v * displacement_matrix(j_count, alpha_matrix(dn, dm, lat, params))
-        terms.append(((dn,) if reduce_m else (dn, dm), np.exp(-1j * theta), block))
+    terms = _coupling_terms(pot, k_x, trunc, scale,
+                            lambda dn, dm: alpha_matrix(dn, dm, lat, params), reduce_m)
     if reduce_m:
-        return _fourier_lattice_matrix(np.broadcast_to(ladder, (trunc.n_count, j_count)), terms)
+        return _fourier_lattice_matrix(np.broadcast_to(ladder, (trunc.n_count, ladder.size)), terms)
 
     n_vals = np.arange(-trunc.n_max, trunc.n_max + 1)
     g_w = lat.g_oblique(n_vals[None, :], n_vals[:, None]) / (math.sqrt(2.0) * params.omega_c)
@@ -231,28 +242,22 @@ def assemble_central_matrix(pot, params, k_x, k_w, trunc, reduce_m=False):
     return _fourier_lattice_matrix(kinetic[:, :, None] + ladder, terms)
 
 
-def assemble_llb_matrix(pot, omega_c, k_x, trunc, mass_ratio=1.0):
+def assemble_llb_matrix(pot, omega_c, k_x, trunc):
     """No-quantized-field central equation: Landau levels x Bloch waves.
 
-    Basis (n, i): diagonal hbar omega_c (i + 1/2); couplings
-    V_{dn,m'} exp(-i hbar (k_x + G^x_{(n+n')/2}) G_{m',dn} / (m omega_c))
+    The omega_p -> 0 limit of the reduced central equation.  Basis (n, i):
+    diagonal hbar omega_c (i + 1/2); couplings
+    V_{dn,m'} exp(-i hbar (k_x + G^x_{(n+n')/2}) G_{m',dn} / (m_e omega_c))
     <phi_i|D(beta_{dn,m'})|phi_j>, summed over the potential's m' content.
     """
     if omega_c <= 0.0:
         raise DomainError("cyclotron frequency must be positive")
     lat = pot.lattice
-    mass = mass_ratio * M_ELECTRON
-    j_count = trunc.j_max + 1
     trunc.dimension(fourier_dims=1)
-    ladder = HBAR * omega_c * (np.arange(j_count) + 0.5)
-    scale = math.sqrt(HBAR / (2.0 * mass * omega_c))
-    terms = []
-    for (dn, dm), v in pot.coefficients.items():
-        g_ob = lat.g_oblique(dm, dn)
-        beta = scale * (-lat.g_x(dn) - 1j * g_ob)
-        theta = HBAR * _half_index_kx(lat, k_x, trunc, dn) * g_ob / (mass * omega_c)
-        terms.append(((dn,), np.exp(-1j * theta), v * displacement_matrix(j_count, beta)))
-    return _fourier_lattice_matrix(np.broadcast_to(ladder, (trunc.n_count, j_count)), terms)
+    ladder = HBAR * omega_c * (np.arange(trunc.j_max + 1) + 0.5)
+    terms = _coupling_terms(pot, k_x, trunc, HBAR / (M_ELECTRON * omega_c),
+                            lambda dn, dm: beta_matrix(dn, dm, lat, omega_c), reduce_m=True)
+    return _fourier_lattice_matrix(np.broadcast_to(ladder, (trunc.n_count, ladder.size)), terms)
 
 
 def harper_hopping(flux, v_amplitude):
@@ -262,19 +267,18 @@ def harper_hopping(flux, v_amplitude):
     return v_amplitude * math.exp(-0.5 * math.pi / flux)
 
 
-def harper_matrix(flux, kx_a, n_max):
+def harper_matrix(flux, kx_a, n_max, hop=1.0, onsite=1.0):
     """Dimensionless Harper chain at crystal momentum k_x (kx_a = k_x * a).
 
-    E U_n = U_{n-1} + U_{n+1} + 2 cos(2 pi (Phi0/Phi)(kx_a/2pi + n)) U_n over
-    |n| <= n_max.
+    E U_n = hop (U_{n-1} + U_{n+1}) + 2 onsite cos(2 pi (Phi0/Phi)(kx_a/2pi + n)) U_n
+    over |n| <= n_max.
     """
     if flux <= 0.0:
         raise DomainError("flux ratio must be positive")
     n_vals = np.arange(-n_max, n_max + 1)
-    diag = 2.0 * np.cos(2.0 * math.pi / flux * (kx_a / (2.0 * math.pi) + n_vals))
-    mat = np.diag(diag)
-    off = np.ones(len(n_vals) - 1)
-    return mat + np.diag(off, 1) + np.diag(off, -1)
+    diag = 2.0 * onsite * np.cos(2.0 * math.pi / flux * (kx_a / (2.0 * math.pi) + n_vals))
+    off = hop * np.ones(len(n_vals) - 1)
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
 def harper_eigvals(flux, kx_a, n_max):
@@ -291,19 +295,21 @@ def harper_bloch_matrix(p, q, kappa, theta):
 
     Diagonal 2 cos(2 pi p r / q + theta); every forward hop carries the chain
     Bloch phase e^{i kappa}, wrapping modulo q (q = 1 and q = 2, where both
-    neighbors alias onto one element, come out automatically).
+    neighbors alias onto one element, come out automatically).  kappa and
+    theta broadcast against each other; the result is a (..., q, q) stack.
     """
     if q < 1 or p < 1:
         raise DomainError("need positive integers p, q")
     if math.gcd(p, q) != 1:
         raise DomainError("p/q must be in lowest terms")
+    kappa, theta = np.broadcast_arrays(np.asarray(kappa, dtype=float),
+                                       np.asarray(theta, dtype=float))
     r = np.arange(q)
-    mat = np.zeros((q, q), dtype=np.complex128)
-    np.fill_diagonal(mat, 2.0 * np.cos(2.0 * math.pi * p / q * r + theta))
-    fwd = np.exp(1j * kappa)
-    for idx in range(q):
-        mat[idx, (idx + 1) % q] += fwd
-        mat[idx, (idx - 1) % q] += np.conj(fwd)
+    mat = np.zeros(kappa.shape + (q, q), dtype=np.complex128)
+    mat[..., r, r] = 2.0 * np.cos(2.0 * math.pi * p / q * r + theta[..., None])
+    fwd = np.exp(1j * kappa)[..., None]
+    mat[..., r, (r + 1) % q] += fwd
+    mat[..., r, (r - 1) % q] += np.conj(fwd)
     return mat
 
 
@@ -343,22 +349,9 @@ def harper_bloch_union(p, q, samples=200000):
     idx = np.arange(samples)
     kappa = (idx + 0.5) / samples * (2.0 * math.pi)
     theta = np.mod((idx + 0.5) * golden, 1.0) * (2.0 * math.pi)
-    if q == 1:
-        return np.sort(2.0 * np.cos(kappa) + 2.0 * np.cos(theta))
-    r = np.arange(q)
-    out = []
-    for start in range(0, samples, 20000):
-        ka = kappa[start : start + 20000]
-        th = theta[start : start + 20000]
-        mats = np.zeros((ka.size, q, q), dtype=np.complex128)
-        diag = 2.0 * np.cos(2.0 * math.pi * p / q * r[None, :] + th[:, None])
-        for i in range(q):
-            mats[:, i, i] = diag[:, i]
-        fwd = np.exp(1j * ka)
-        for i in range(q):
-            mats[:, i, (i + 1) % q] += fwd
-            mats[:, i, (i - 1) % q] += np.conj(fwd)
-        out.append(np.linalg.eigvalsh(mats).ravel())
+    out = [np.linalg.eigvalsh(harper_bloch_matrix(p, q, kappa[start : start + 20000],
+                                                  theta[start : start + 20000])).ravel()
+           for start in range(0, samples, 20000)]
     return np.sort(np.concatenate(out))
 
 
@@ -462,9 +455,6 @@ def polariton_harper_eigvals(flux, g, kx_a, kw_scaled, trunc, a1, v0, mode="auto
     if g < 0.0:
         raise DomainError("coupling must be >= 0")
     tau1, tau2 = polariton_hoppings(flux, g)
-    n_vals = np.arange(-trunc.n_max, trunc.n_max + 1)
-    phase_arg = 2.0 * math.pi / (flux * (1.0 + g * g)) * (kx_a / (2.0 * math.pi) + n_vals)
-
     chosen = mode
     if mode == "auto":
         chosen = (
@@ -474,12 +464,12 @@ def polariton_harper_eigvals(flux, g, kx_a, kw_scaled, trunc, a1, v0, mode="auto
         )
 
     if chosen == "reduced":
-        mat = np.diag(2.0 * tau2 * np.cos(phase_arg))
-        off = tau1 * np.ones(len(n_vals) - 1)
-        mat = mat + np.diag(off, 1) + np.diag(off, -1)
-        return hermitian_eigvals(mat), "reduced"
+        chain = harper_matrix(flux * (1.0 + g * g), kx_a, trunc.n_max, hop=tau1, onsite=tau2)
+        return hermitian_eigvals(chain), "reduced"
 
     trunc.dimension(fourier_dims=2)
+    n_vals = np.arange(-trunc.n_max, trunc.n_max + 1)
+    phase_arg = 2.0 * math.pi / (flux * (1.0 + g * g)) * (kx_a / (2.0 * math.pi) + n_vals)
     kinetic = [
         min(polariton_scaled_kinetic(flux, g, kw_scaled, int(m), a1, v0), DIAG_SAFE_CAP)
         for m in n_vals

@@ -116,27 +116,6 @@ def optical_conductivity(w_grid, eta, setup):
     return ConductivitySample(w=w, value=drude + cavity, eta=eta)
 
 
-def conductivity_real_imag_closed_form(w_grid, eta, setup):
-    """Real and imaginary parts of sigma(w) from the explicit closed forms.
-
-    Kept separate from optical_conductivity (which uses complex arithmetic)
-    so the two routes can check each other.
-    """
-    w = np.asarray(w_grid, dtype=float)
-    wp = setup.omega_p
-    wt = setup.omega_tilde
-    d2 = w**2 + eta**2
-    plus = (w + wt) ** 2 + eta**2
-    minus = (w - wt) ** 2 + eta**2
-    re = EPSILON_0 * eta * wp**2 / d2 - eta * EPSILON_0 * wp**4 / (2.0 * wt * d2) * (
-        (2.0 * w + wt) / plus - (2.0 * w - wt) / minus
-    )
-    im = EPSILON_0 * w * wp**2 / d2 - EPSILON_0 * wp**4 / (2.0 * wt * d2) * (
-        (w**2 - eta**2 + w * wt) / plus - (w**2 - eta**2 - w * wt) / minus
-    )
-    return re, im
-
-
 def dc_suppression(gamma):
     """Drude-peak suppression: sigma_dc/sigma0_dc = 1 - gamma, and the
     companion effective-mass ratio m*(gamma)/m* = 1/(1 - gamma)."""
@@ -150,21 +129,3 @@ def dc_suppression(gamma):
 def absorption_rate(w, chi_aa_im, j_ext):
     """Absorbed power W = -w Im[chi^A_A(w)] |J_ext|^2."""
     return -np.asarray(w, dtype=float) * np.asarray(chi_aa_im, dtype=float) * abs(j_ext) ** 2
-
-
-def kramers_kronig_real(sample):
-    """Real part reconstructed from Im via a principal-value Hilbert transform.
-
-    Odd-symmetric trapezoid with exclusion of the pole point; adequate at the
-    percent level on the default grids.
-    """
-    w = sample.w
-    im = sample.value.imag
-    re = np.empty_like(w)
-    for idx, w0 in enumerate(w):
-        integrand = np.zeros_like(w)
-        mask = np.ones_like(w, dtype=bool)
-        mask[idx] = False
-        integrand[mask] = im[mask] / (w[mask] - w0)
-        re[idx] = np.trapezoid(integrand, w) / math.pi
-    return re

@@ -57,9 +57,10 @@ from cavity_bloch.response import (
     chi_mixed,
     dc_suppression,
     default_grid,
-    kramers_kronig_real,
     optical_conductivity,
 )
+
+from oracles import kramers_kronig_real
 
 A = 2e-10
 SQUARE = Lattice2D(A, A, math.pi / 2)

@@ -1,21 +1,25 @@
 """Config parsing, dispatch, export and determinism tests for the CLI."""
 
+import contextlib
 import functools
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavity_bloch import cli, output, qed_bloch
-from cavity_bloch.config import parse_config
+from cavity_bloch import cli, config, output, qed_bloch
+from cavity_bloch.config import COMMANDS, FORMATS, parse_config
 from cavity_bloch.errors import ConfigError, NumericalError
+from cavity_bloch.lattice import BRAVAIS_KINDS
 
 GAS_CONFIG = """
 [run]
@@ -586,6 +590,53 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert f"config error: [grid] unknown key {name!r} for command 'eft'" in err
 
+    @pytest.mark.parametrize("value", ["inf", "1e400", "-inf"])
+    def test_non_finite_value_is_config_error(self, tmp_path, capsys, value):
+        # an infinite cavity frequency used to raise ZeroDivisionError
+        text = GAS_CONFIG.replace("{fmt}", "csv").replace("0.208", value)
+        assert self.run_main(tmp_path, "gas", text) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: [cavity] cavity_thz = {value!r} must be finite" in err
+
+    @pytest.mark.parametrize("kind, degrees", [
+        ("hexagonal", 75), ("square", 75), ("centered-rectangular", 90),
+    ])
+    def test_theta_contradicting_class_is_config_error(self, tmp_path, capsys, kind, degrees):
+        text = (OBLIQUE_BUTTERFLY_CONFIG
+                .replace("kind = oblique", f"kind = {kind}\ntheta_deg = {degrees}")
+                .replace("a2_angstrom = 3.0", "a2_angstrom = 2.0"))
+        assert self.run_main(tmp_path, "butterfly", text) == cli.EXIT_CONFIG
+        assert f"config error: {kind} potential requires" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("kind, degrees", [("hexagonal", 60), ("square", 90)])
+    def test_theta_default_is_class_angle(self, tmp_path, kind, degrees):
+        base = (OBLIQUE_BUTTERFLY_CONFIG.replace("kind = oblique", f"kind = {kind}")
+                .replace("a2_angstrom = 3.0", "a2_angstrom = 2.0"))
+        explicit = base.replace(f"kind = {kind}", f"kind = {kind}\ntheta_deg = {degrees}")
+        outputs = []
+        for text in (base, explicit):
+            assert self.run_main(tmp_path, "butterfly", text) == cli.EXIT_OK
+            outputs.append((tmp_path / "out.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_mtg_contradicting_class_is_config_error(self, tmp_path, capsys):
+        text = MTG_CONFIG.replace("a2_angstrom = 2.0", "a2_angstrom = 3.0")
+        assert self.run_main(tmp_path, "mtg-check", text) == cli.EXIT_CONFIG
+        assert "config error: square potential requires" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_polariton_butterfly_off_square_reports_every_violation(self, tmp_path, capsys):
+        text = (POLARITON_MATRIX_CONFIG.replace("kind = square", "kind = hexagonal")
+                .replace("g_min = 0.5", "g_min = 1.0"))
+        lattice = "[lattice] the polaritonic Harper sweep is defined on the square lattice"
+        window = "[sweep] g_min must be below g_max"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text.format(path="out.csv"))
+        assert err.value.violations == [lattice, window]
+        assert self.run_main(tmp_path, "polariton-butterfly", text) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {lattice}\nconfig error: {window}\n"
+
 
 class TestScatterFormat:
     @pytest.mark.parametrize("command", sorted(UNPLOTTABLE_BODIES))
@@ -644,3 +695,63 @@ class TestParseConfigProperty:
             parse_config(text)
         except ConfigError:
             pass
+
+
+#: values a valid config may hold for some keys; every sweep, basis and grid
+#: size stays small so one example runs in milliseconds
+_MAIN_VALUES = {
+    "kind": BRAVAIS_KINDS,
+    "a1_angstrom": ("2.0", "3.0"),
+    "a2_angstrom": ("2.0", "3.0"),
+    "theta_deg": ("60", "75", "90", "110"),
+    "density_cm2": ("1.3e12", "1e9"),
+    "points": ("1", "2", "4"),
+    "kx_points": ("1", "3", "4"),
+    "kw_points": ("1", "2"),
+    "n_max": ("1", "3"),
+    "j_max": ("0", "2"),
+    "scaling": ("raw-joules", "harper-scaled"),
+    "mode": ("auto", "matrix", "reduced"),
+    "n_electrons": ("1", "1e6"),
+    "lambda0": ("1", "1.2"),
+    "p": ("1", "3"),
+}
+#: keys whose default is a large size, so they are never left out
+_SIZE_KEYS = ("points", "kx_points", "kw_points", "n_max")
+_ANY_VALUE = ("0.05", "0.5", "1", "2.0", "7.5")
+_BAD_VALUE = ("0", "-1", "nan", "inf", "1e400", "x", "")
+
+
+@st.composite
+def _cli_configs(draw):
+    """(command, INI text without its [output] section) over the command's
+    schema keys, each left out, valid or invalid."""
+    command = draw(st.sampled_from(COMMANDS))
+    sections = {}
+    for section, key in config._schema_for(command).keys:
+        good = st.sampled_from(_MAIN_VALUES.get(key, _ANY_VALUE))
+        choices = [good, good, st.sampled_from(_BAD_VALUE)]
+        if key not in _SIZE_KEYS:
+            choices.append(st.none())
+        value = draw(st.one_of(choices))
+        if value is not None:
+            sections.setdefault(section, []).append(f"{key} = {value}")
+    body = "".join(f"[{section}]\n" + "\n".join(lines) + "\n"
+                   for section, lines in sections.items())
+    return command, f"[run]\ncommand = {command}\n{body}"
+
+
+class TestMainProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(_cli_configs(), st.sampled_from(FORMATS + ("png",)))
+    def test_documented_exit_codes_only(self, drawn, fmt):
+        command, text = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "run.ini"
+            cfg.write_text(f"{text}[output]\npath = {Path(tmp) / 'out'}\nformat = {fmt}\n")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main([command, "--config", str(cfg)])
+        assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERICAL, cli.EXIT_IO)
+        assert "Traceback" not in err.getvalue()
+

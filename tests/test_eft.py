@@ -11,17 +11,19 @@ from scipy.integrate import quad
 from cavity_bloch.constants import C_LIGHT, EPSILON_0, E_CHARGE, HBAR, M_ELECTRON
 from cavity_bloch.eft import (
     EftSetup,
+    absorption_plateau,
     casimir_pressure,
     chemical_potential,
     effective_coupling,
     eft_chi_aa,
     eft_chi_aa_im_limit,
-    eft_chi_aa_mode_sum,
     landau_pole,
     renormalized_mass,
     zero_point_energy_per_area,
 )
 from cavity_bloch.errors import DomainError, StabilityError
+
+from oracles import eft_chi_aa_mode_sum
 
 
 def keller_eft(lambda0=2.0, n_electrons=1.3e10):
@@ -203,6 +205,7 @@ class TestEftResponse:
         assert im[0] == pytest.approx(plateau, rel=1e-14)
         assert im[4] == pytest.approx(-plateau, rel=1e-14)
         assert im[2] == 0.0 and im[5] == 0.0
+        assert absorption_plateau(setup) == plateau
 
     def test_eta_extrapolation_to_plateau(self):
         setup = keller_eft(lambda0=4.0)

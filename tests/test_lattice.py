@@ -10,6 +10,7 @@ from cavity_bloch.errors import DomainError
 from cavity_bloch.lattice import (
     Lattice2D,
     bravais_cosine_potential,
+    bravais_lattice,
     direct_vectors,
     field_for_flux_ratio,
     flux_ratio,
@@ -167,3 +168,38 @@ class TestCosinePotential:
 
         with pytest.raises(DomainError):
             FourierPotential(coefficients={(1, 0): 1.0 + 0j}, lattice=square())
+
+
+class TestBravaisLattice:
+    @pytest.mark.parametrize("kind, a2, theta", [
+        ("square", 2.0, math.pi / 2), ("rectangular", 3.0, math.pi / 2),
+        ("hexagonal", 2.0, math.pi / 3), ("centered-rectangular", 2.0, math.radians(75.0)),
+    ])
+    def test_class_angle_by_default(self, kind, a2, theta):
+        lat = bravais_lattice(kind, 2.0 * ANGSTROM, a2 * ANGSTROM)
+        assert lat == Lattice2D(2.0 * ANGSTROM, a2 * ANGSTROM, theta)
+
+    def test_oblique_has_no_class_angle(self):
+        with pytest.raises(DomainError, match="oblique potential requires"):
+            bravais_lattice("oblique", 2e-10, 3e-10)
+        assert bravais_lattice("oblique", 2e-10, 3e-10, math.radians(80.0)).theta == (
+            math.radians(80.0))
+
+    @pytest.mark.parametrize("kind, degrees", [
+        ("hexagonal", 75.0), ("square", 75.0), ("centered-rectangular", 90.0),
+        ("centered-rectangular", 60.0), ("rectangular", 80.0),
+    ])
+    def test_explicit_angle_must_agree_with_class(self, kind, degrees):
+        a2 = 3e-10 if kind == "rectangular" else 2e-10
+        with pytest.raises(DomainError, match=f"{kind} potential requires"):
+            bravais_lattice(kind, 2e-10, a2, math.radians(degrees))
+
+    def test_explicit_angle_kept(self):
+        lat = bravais_lattice("centered-rectangular", 2e-10, 2e-10, math.radians(80.0))
+        assert lat.theta == math.radians(80.0)
+
+    def test_lengths_must_agree_with_class(self):
+        with pytest.raises(DomainError, match="hexagonal potential requires"):
+            bravais_lattice("hexagonal", 2e-10, 3e-10)
+        with pytest.raises(DomainError, match="unknown lattice kind"):
+            bravais_lattice("nonsense", 2e-10, 2e-10)

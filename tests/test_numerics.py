@@ -9,11 +9,11 @@ from scipy.linalg import expm
 from cavity_bloch.errors import DomainError, NumericalError
 from cavity_bloch.numerics import (
     displacement_matrix,
-    displacement_matrix_element,
     hermitian_eigvals,
     hermiticity_residual,
-    laguerre_assoc,
 )
+
+from oracles import displacement_matrix_element, laguerre_assoc
 
 
 def laguerre_series(j, a, x):

@@ -206,3 +206,26 @@ class TestSpectrumWriters:
                             written(output.write_json, env, tmp_path / "c.json"),
                             written(output.write_svg_scatter, env, tmp_path / "c.svg")])
         assert outputs[0] == outputs[1]
+
+
+class TestScatterPoints:
+    def test_table_plots_first_column_against_last(self, tmp_path):
+        rows = [[1.0, "a", 5.0], [2.0, "b", 7.0]]
+        payload = output.TablePayload(columns=["x[1]", "label[name]", "y[1]"], rows=rows)
+        x_label, y_label, x, y = output._scatter_points(payload)
+        assert (x_label, y_label) == ("x[1]", "y[1]")
+        assert x.tolist() == [1.0, 2.0] and y.tolist() == [5.0, 7.0]
+
+    def test_scalars_cannot_be_plotted(self, tmp_path):
+        env = output.ResultEnvelope(config_text="cfg", command="gas",
+                                    payload=output.ScalarPayload(values={"a[1]": 1.0}))
+        with pytest.raises(CavityBlochError, match="cannot plot payload of type ScalarPayload"):
+            output.write_svg_scatter(env, tmp_path / "s.svg")
+        assert not (tmp_path / "s.svg").exists()
+
+    def test_non_numeric_table_is_an_export_error(self, tmp_path):
+        payload = output.TablePayload(columns=["name[name]", "value[1]"], rows=[["a", 1.0]])
+        env = output.ResultEnvelope(config_text="cfg", command="landau", payload=payload)
+        with pytest.raises(CavityBlochError, match="numeric first and last columns"):
+            output.write_svg_scatter(env, tmp_path / "s.svg")
+

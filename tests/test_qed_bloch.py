@@ -19,11 +19,7 @@ from cavity_bloch.lattice import (
     bravais_cosine_potential,
     field_for_flux_ratio,
 )
-from cavity_bloch.numerics import (
-    displacement_matrix_element,
-    hermitian_eigvals,
-    hermiticity_residual,
-)
+from cavity_bloch.numerics import hermitian_eigvals, hermiticity_residual
 from cavity_bloch.qed_bloch import (
     DIAG_SAFE_CAP,
     BasisTruncation,
@@ -36,6 +32,7 @@ from cavity_bloch.qed_bloch import (
     harper_eigvals,
     harper_exact_bands,
     harper_hopping,
+    harper_bloch_matrix,
     harper_bloch_union,
     landau_polariton_branches,
     landau_polariton_energy,
@@ -48,6 +45,8 @@ from cavity_bloch.qed_bloch import (
     spectral_gaps,
     sweep,
 )
+
+from oracles import displacement_matrix_element
 
 A = 2e-10
 SQUARE = Lattice2D(A, A, math.pi / 2)
@@ -530,8 +529,47 @@ class TestHarper:
         assert union.min() == pytest.approx(bands[0, 0], abs=1e-3)
         assert union.max() == pytest.approx(bands[-1, 1], abs=1e-3)
 
+    def test_bloch_matrix_stack_matches_explicit_fill(self):
+        # every (kappa, theta) of a broadcast stack holds the q x q reduction
+        # written out hop by hop; q = 1 and 2 alias both hops onto one entry
+        rng = np.random.default_rng(7)
+        kappa = rng.uniform(0.0, 2.0 * math.pi, (3, 1))
+        theta = rng.uniform(0.0, 2.0 * math.pi, 4)
+        for p, q in ((1, 1), (1, 2), (2, 5)):
+            stack = harper_bloch_matrix(p, q, kappa, theta)
+            assert stack.shape == (3, 4, q, q)
+            for i, j in itertools.product(range(3), range(4)):
+                ref = np.zeros((q, q), dtype=complex)
+                for r in range(q):
+                    ref[r, r] += 2.0 * math.cos(2.0 * math.pi * p * r / q + theta[j])
+                    ref[r, (r + 1) % q] += cmath.exp(1j * kappa[i, 0])
+                    ref[r, (r - 1) % q] += cmath.exp(-1j * kappa[i, 0])
+                assert np.max(np.abs(stack[i, j] - ref)) < 1e-14
+        one = harper_bloch_matrix(1, 1, 0.4, 1.1)
+        assert one.shape == (1, 1)
+        assert one[0, 0].real == pytest.approx(2.0 * math.cos(0.4) + 2.0 * math.cos(1.1))
+
 
 class TestPolaritonHarper:
+    def test_reduced_mode_is_anisotropic_harper_chain(self):
+        # reduced mode: t1/S on the bonds and 2 (t2/S) cos(...) on the sites,
+        # at the renormalized reciprocal flux (Phi0/Phi)/(1 + g^2)
+        trunc = BasisTruncation(n_max=6)
+        flux, g, kxa = 0.7, 0.9, 0.4
+        tau1, tau2 = polariton_hoppings(flux, g)
+        ref = np.zeros((trunc.n_count, trunc.n_count))
+        for idx, n in enumerate(range(-trunc.n_max, trunc.n_max + 1)):
+            ref[idx, idx] = 2.0 * tau2 * math.cos(
+                2.0 * math.pi / (flux * (1.0 + g * g)) * (kxa / (2.0 * math.pi) + n)
+            )
+            if idx + 1 < trunc.n_count:
+                ref[idx, idx + 1] = ref[idx + 1, idx] = tau1
+        vals, mode = polariton_harper_eigvals(
+            flux, g, kxa, 0.0, trunc, a1=A, v0=3.0 * EV, mode="reduced"
+        )
+        assert mode == "reduced"
+        assert np.max(np.abs(vals - np.linalg.eigvalsh(ref))) < 1e-12
+
     def test_harper_limit_small_g(self):
         trunc = BasisTruncation(n_max=20)
         for flux in (0.5, 1.0):

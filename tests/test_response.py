@@ -17,12 +17,12 @@ from cavity_bloch.response import (
     chi_ea_time_kernel,
     chi_jj,
     chi_mixed,
-    conductivity_real_imag_closed_form,
     dc_suppression,
     default_grid,
-    kramers_kronig_real,
     optical_conductivity,
 )
+
+from oracles import conductivity_real_imag_closed_form, kramers_kronig_real
 
 WT = 1.4e12
 VOLUME = 2e-9
