@@ -22,7 +22,6 @@ from .lattice import (
     flux_ratio,
     mtg_flux_condition,
 )
-from .numerics import hermitian_eigvals
 from .output import ResultEnvelope, ScalarPayload, SpectrumPayload, TablePayload, export
 
 EXIT_OK = 0
@@ -201,22 +200,23 @@ def _run_butterfly(cfg):
 
     if scaling == "harper-scaled":
 
-        def assembler(flux, kx_a):
-            return qed_bloch.harper_eigvals(flux, kx_a, trunc.n_max)
+        def assembler(flux, kx_points):
+            return qed_bloch.harper_matrix(flux, kx_points, trunc.n_max)
 
         unit = "scaled[1]"
     else:
         _build(trunc.dimension, fourier_dims=1)
 
-        def assembler(flux, kx_a):
-            b = field_for_flux_ratio(lat, flux)
-            w_c = landau.cyclotron_frequency(b)
-            mat = qed_bloch.assemble_llb_matrix(pot, w_c, kx_a / lat.a1, trunc)
-            return hermitian_eigvals(mat) / EV
+        def assembler(flux, kx_points):
+            w_c = landau.cyclotron_frequency(field_for_flux_ratio(lat, flux))
+            return (qed_bloch.assemble_llb_matrix(pot, w_c, kx_a / lat.a1, trunc)
+                    for kx_a in kx_points)
 
         unit = "energy[eV]"
 
     grid = qed_bloch.sweep(assembler, flux_values, kx_grid)
+    if scaling != "harper-scaled":
+        grid.eigenvalues = [[eigs / EV for eigs in row] for row in grid.eigenvalues]
     return _spectrum_payload(grid, ["flux_ratio[1]", "k_index[1]", "eig_index[1]", unit])
 
 
@@ -237,12 +237,10 @@ def _run_polariton_butterfly(cfg):
         g_values = g_values.copy()
         g_values[0] = 1e-12  # continuous Harper limit, transform singular at exactly 0
 
-    def assembler(g, k):
-        kx_a, kw_scaled = k
-        return qed_bloch.polariton_harper_eigvals(
-            p["flux_ratio"], g, kx_a, kw_scaled, trunc, a1=lat.a1, v0=p["v0_ev"],
-            mode=p["mode"],
-        )[0]
+    def assembler(g, k_points):
+        return (qed_bloch.polariton_harper_matrix(p["flux_ratio"], g, kx_a, kw_scaled, trunc,
+                                                  a1=lat.a1, v0=p["v0_ev"], mode=p["mode"])[0]
+                for kx_a, kw_scaled in k_points)
 
     grid = qed_bloch.sweep(assembler, g_values, k_grid)
     return _spectrum_payload(grid, ["coupling_g[1]", "k_index[1]", "eig_index[1]", "scaled[1]"])

@@ -162,17 +162,17 @@ def _check_kind(kind, lat, tol=1e-9):
     right = math.isclose(lat.theta, math.pi / 2.0, rel_tol=tol)
     sixty = math.isclose(lat.theta, math.pi / 3.0, rel_tol=tol)
     if kind == "square" and not (eq and right):
-        raise DomainError("square potential requires a1 = a2 and theta = pi/2")
+        raise DomainError("square lattice requires a1 = a2 and theta = pi/2")
     if kind == "rectangular" and not (right and not eq):
-        raise DomainError("rectangular potential requires a1 != a2 and theta = pi/2")
+        raise DomainError("rectangular lattice requires a1 != a2 and theta = pi/2")
     if kind == "hexagonal" and not (eq and sixty):
-        raise DomainError("hexagonal potential requires a1 = a2 and theta = pi/3")
+        raise DomainError("hexagonal lattice requires a1 = a2 and theta = pi/3")
     if kind == "centered-rectangular" and not (eq and not right and not sixty):
         raise DomainError(
-            "centered-rectangular potential requires a1 = a2 and theta not in {60, 90} deg"
+            "centered-rectangular lattice requires a1 = a2 and theta not in {60, 90} deg"
         )
     if kind == "oblique" and (eq or right):
-        raise DomainError("oblique potential requires a1 != a2 and theta != pi/2")
+        raise DomainError("oblique lattice requires a1 != a2 and theta != pi/2")
 
 
 def bravais_lattice(kind, a1, a2, theta=None):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR, M_ELECTRON, E_CHARGE
-from .errors import CavityBlochError, DomainError, NumericalError
+from .errors import CavityBlochError, DomainError, NumericalError, StackSolveError
 from .numerics import displacement_matrix, hermitian_eigvals
 
 #: scaled diagonal beyond which a polariton-lattice state is treated as
@@ -271,18 +271,25 @@ def harper_matrix(flux, kx_a, n_max, hop=1.0, onsite=1.0):
     """Dimensionless Harper chain at crystal momentum k_x (kx_a = k_x * a).
 
     E U_n = hop (U_{n-1} + U_{n+1}) + 2 onsite cos(2 pi (Phi0/Phi)(kx_a/2pi + n)) U_n
-    over |n| <= n_max.
+    over |n| <= n_max.  kx_a may be an array; the result is then a
+    (..., 2 n_max + 1, 2 n_max + 1) stack, one chain per k_x.
     """
     if flux <= 0.0:
         raise DomainError("flux ratio must be positive")
     n_vals = np.arange(-n_max, n_max + 1)
+    kx_a = np.asarray(kx_a, dtype=float)[..., None]
     diag = 2.0 * onsite * np.cos(2.0 * math.pi / flux * (kx_a / (2.0 * math.pi) + n_vals))
-    off = hop * np.ones(len(n_vals) - 1)
-    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    idx = np.arange(n_vals.size)
+    mat = np.zeros(diag.shape + (n_vals.size,))
+    mat[..., idx, idx] = diag
+    mat[..., idx[1:], idx[:-1]] = hop
+    mat[..., idx[:-1], idx[1:]] = hop
+    return mat
 
 
 def harper_eigvals(flux, kx_a, n_max):
-    """Ascending scaled Harper eigenvalues at one k point.
+    """Ascending scaled Harper eigenvalues at one k point, or at each of an
+    array of them (one row per k_x).
 
     Unscaled square-lattice energies follow as E = hbar omega_c / 2 +
     harper_hopping(flux, V) * eigenvalue.
@@ -431,9 +438,9 @@ def matrix_mode_informative(flux, g, a1, v0, kw_scaled=0.0):
     return rung <= MATRIX_KINETIC_WINDOW
 
 
-def polariton_harper_eigvals(flux, g, kx_a, kw_scaled, trunc, a1, v0, mode="auto"):
-    """Eigenvalues of the polaritonic Harper problem, ascending, scaled by
-    S(Phi,g) = t1 + t2 and measured from the lowest polariton level.
+def polariton_harper_matrix(flux, g, kx_a, kw_scaled, trunc, a1, v0, mode="auto"):
+    """Matrix of the polaritonic Harper problem, in units of S(Phi,g) = t1 + t2
+    and measured from the lowest polariton level; returns (matrix, mode_used).
 
     mode="matrix": explicit (n, m) lattice with the scaled kinetic diagonal;
     sound when that diagonal fits in float64 (order-one flux).
@@ -444,9 +451,11 @@ def polariton_harper_eigvals(flux, g, kx_a, kw_scaled, trunc, a1, v0, mode="auto
     mode="auto": reduced below G_REDUCED_THRESHOLD or when the matrix-mode
     diagonal would not be numerically sound, matrix otherwise.
 
-    Returns (eigenvalues, mode_used).  g -> 0 is continuous in reduced mode
-    (both hoppings -> 1/2, the Harper spectrum halved); the 1 + g^-2 overflow
-    never occurs because the kinetic term is evaluated through g^2/(1+g^2).
+    At kw_scaled = 0 the (n, m) lattice H obeys H* = P H P exactly, with P
+    the parity m -> -m: the m hops carry e^{+-i phase_arg[n]} and the kinetic
+    diagonal is even in m.  So S = (1 + iP)/sqrt(2) is unitary and
+    S^H H S = Re H - Im(H) P is real symmetric with the spectrum of H; that
+    real matrix is returned.  Otherwise H itself is.
     """
     if mode not in ("auto", "matrix", "reduced"):
         raise DomainError(f"unknown mode {mode!r}")
@@ -465,24 +474,44 @@ def polariton_harper_eigvals(flux, g, kx_a, kw_scaled, trunc, a1, v0, mode="auto
 
     if chosen == "reduced":
         chain = harper_matrix(flux * (1.0 + g * g), kx_a, trunc.n_max, hop=tau1, onsite=tau2)
-        return hermitian_eigvals(chain), "reduced"
+        return chain, chosen
 
     trunc.dimension(fourier_dims=2)
+    n_count = trunc.n_count
     n_vals = np.arange(-trunc.n_max, trunc.n_max + 1)
     phase_arg = 2.0 * math.pi / (flux * (1.0 + g * g)) * (kx_a / (2.0 * math.pi) + n_vals)
-    kinetic = [
-        min(polariton_scaled_kinetic(flux, g, kw_scaled, int(m), a1, v0), DIAG_SAFE_CAP)
-        for m in n_vals
-    ]
+    ms = range(trunc.n_max + 1) if kw_scaled == 0.0 else n_vals
+    kinetic = np.array([min(polariton_scaled_kinetic(flux, g, kw_scaled, int(m), a1, v0),
+                            DIAG_SAFE_CAP) for m in ms])
+    if kw_scaled == 0.0:
+        kinetic = np.concatenate([kinetic[:0:-1], kinetic])  # even in m
     # (n, m) lattice of 1x1 blocks: kinetic[m] on the diagonal, tau1 hops
     # along n, tau2 e^{+-i phase_arg[n]} hops along m
-    diagonal = np.broadcast_to(np.array(kinetic)[:, None], (trunc.n_count,) * 2 + (1,))
-    hop_n = np.full(trunc.n_count, tau1)
+    diagonal = np.broadcast_to(kinetic[:, None], (n_count,) * 2 + (1,))
+    hop_n = np.full(n_count, tau1)
     hop_m = tau2 * np.exp(1j * phase_arg)
     one = np.ones((1, 1))
     terms = [((1, 0), hop_n, one), ((-1, 0), hop_n, one),
              ((0, -1), hop_m, one), ((0, 1), hop_m.conj(), one)]
-    return hermitian_eigvals(_fourier_lattice_matrix(diagonal, terms)), "matrix"
+    mat = _fourier_lattice_matrix(diagonal, terms)
+    if kw_scaled != 0.0:
+        return mat, chosen
+    # Im(H) P: the m columns of Im H reversed inside each n block
+    im_p = mat.imag.reshape((n_count,) * 4)[..., ::-1].reshape(mat.shape)
+    return mat.real - im_p, chosen
+
+
+def polariton_harper_eigvals(flux, g, kx_a, kw_scaled, trunc, a1, v0, mode="auto"):
+    """Eigenvalues of the polaritonic Harper problem, ascending, scaled by
+    S(Phi,g) = t1 + t2 and measured from the lowest polariton level.
+
+    Returns (eigenvalues, mode_used); the modes are those of
+    polariton_harper_matrix.  g -> 0 is continuous in reduced mode (both
+    hoppings -> 1/2, the Harper spectrum halved); the 1 + g^-2 overflow never
+    occurs because the kinetic term is evaluated through g^2/(1+g^2).
+    """
+    mat, chosen = polariton_harper_matrix(flux, g, kx_a, kw_scaled, trunc, a1, v0, mode)
+    return hermitian_eigvals(mat), chosen
 
 
 @dataclass
@@ -495,13 +524,67 @@ class SpectrumGrid:
     failures: list
 
 
-def sweep(assembler, axis_values, k_grid):
-    """Run `assembler(axis_value, k) -> ascending eigenvalues` over an axis
-    and a k grid, axis value by axis value, k point by k point.
+#: a stack of matrices solved by one eigensolver call holds at most this many
+#: bytes (a single larger matrix is solved alone): 32 Harper chains of dim 61
+#: fit, two complex matrices of dim 183 do not, so RSS stays flat
+STACK_BYTES = 1 << 20
 
-    A point whose assembler raises a package error or a floating-point error
-    is recorded in SpectrumGrid.failures, keeps an empty eigenvalue array, and
-    the sweep continues; any other exception propagates.
+
+def _solve_axis(assembler, axis, k_grid, failures, label):
+    """Eigenvalues of every k point of one axis value (empty where it failed);
+    each failure is appended to `failures` as "<label>, k[<index>]: <message>"."""
+    row = [np.empty(0)] * len(k_grid)
+    stack = []  # (k index, matrix) pairs awaiting one eigensolver call
+
+    def fail(k_idx, message):
+        failures.append(f"{label}, k[{k_idx}]: {message}")
+
+    def solve():
+        if not stack:
+            return
+        mats = [mat for _, mat in stack]
+        failed = {}
+        try:
+            vals = hermitian_eigvals(mats[0][None] if len(mats) == 1 else np.stack(mats))
+        except StackSolveError as exc:
+            vals, failed = exc.values, exc.failures
+        except (CavityBlochError, FloatingPointError) as exc:
+            vals, failed = None, dict.fromkeys(range(len(stack)), str(exc))
+        for idx, (k_idx, _) in enumerate(stack):
+            if idx in failed:
+                fail(k_idx, failed[idx])
+            else:
+                row[k_idx] = vals[idx]
+        stack.clear()
+
+    k_idx = 0
+    while k_idx < len(k_grid):
+        try:
+            for mat in assembler(axis, k_grid[k_idx:]):
+                if stack and (mat.shape != stack[0][1].shape or mat.dtype != stack[0][1].dtype
+                              or (len(stack) + 1) * mat.nbytes > STACK_BYTES):
+                    solve()
+                stack.append((k_idx, mat))
+                k_idx += 1
+            break
+        except (CavityBlochError, FloatingPointError) as exc:
+            solve()  # first, so failures stay in k order
+            fail(k_idx, str(exc))
+            k_idx += 1
+    solve()
+    return row
+
+
+def sweep(assembler, axis_values, k_grid):
+    """Solve `assembler(axis_value, k_points)` -- an iterable of one Hermitian
+    matrix per k point, in order -- over an axis, axis value by axis value.
+
+    Consecutive matrices of equal shape and dtype are solved as one stack of
+    at most STACK_BYTES by `hermitian_eigvals`.  A point whose matrix the
+    assembler cannot build (it raises a package error or a floating-point
+    error) or whose solve fails is recorded in SpectrumGrid.failures and keeps
+    an empty eigenvalue array; the assembler is then handed the k points after
+    it.  Any other exception propagates.
     """
     axis_values = np.asarray(axis_values, dtype=float)
     if axis_values.size == 0:
@@ -509,17 +592,9 @@ def sweep(assembler, axis_values, k_grid):
     if np.any(np.diff(axis_values) < 0.0):
         raise DomainError("sweep axis must be monotone")
     k_grid = list(k_grid)
-    eigenvalues = []
     failures = []
-    for a_idx, axis in enumerate(axis_values):
-        row = []
-        for k_idx, k in enumerate(k_grid):
-            try:
-                row.append(np.asarray(assembler(axis, k)))
-            except (CavityBlochError, FloatingPointError) as exc:
-                row.append(np.empty(0))
-                failures.append(f"axis[{a_idx}]={axis:g}, k[{k_idx}]: {exc}")
-        eigenvalues.append(row)
+    eigenvalues = [_solve_axis(assembler, axis, k_grid, failures, f"axis[{a_idx}]={axis:g}")
+                   for a_idx, axis in enumerate(axis_values)]
     return SpectrumGrid(
         axis_values=axis_values,
         k_labels=[tuple(np.atleast_1d(k)) for k in k_grid],

@@ -43,6 +43,7 @@ from cavity_bloch.qed_bloch import (
     harper_eigvals,
     harper_exact_bands,
     harper_hopping,
+    harper_matrix,
     landau_polariton_branches,
     midpoint_kx_grid,
     polariton_harper_eigvals,
@@ -146,8 +147,8 @@ class TestAcceptance:
         assert union.max() == pytest.approx(4.0, abs=2e-4)
         assert not spectral_gaps(union, 1e-3)
         # 300-point flux sweep at n_max = 30 stays inside the budget
-        def assembler(flux, kxa):
-            return harper_eigvals(flux, kxa, 30)
+        def assembler(flux, kx_points):
+            return harper_matrix(flux, kx_points, 30)
 
         grid = sweep(assembler, np.linspace(0.01, 2.0, 300), midpoint_kx_grid(SQUARE, 32))
         assert not grid.failures

@@ -514,10 +514,10 @@ class TestMainExitCodes:
         # an oblique lattice needs theta != 90 deg, the theta_deg default
         code = self.run_main(tmp_path, "butterfly", OBLIQUE_BUTTERFLY_CONFIG)
         assert code == cli.EXIT_CONFIG
-        assert "config error: oblique potential requires" in capsys.readouterr().err
+        assert "config error: oblique lattice requires" in capsys.readouterr().err
 
     def test_sweep_failures_reported(self, tmp_path, capsys, monkeypatch):
-        harper = qed_bloch.harper_eigvals
+        harper = qed_bloch.harper_matrix
         fluxes = [0.01 + i * (2.0 - 0.01) / 4 for i in range(5)]
 
         def failing_at_one_flux(flux, kx_a, n_max):
@@ -525,7 +525,7 @@ class TestMainExitCodes:
                 raise NumericalError("synthetic failure")
             return harper(flux, kx_a, n_max)
 
-        monkeypatch.setattr(qed_bloch, "harper_eigvals", failing_at_one_flux)
+        monkeypatch.setattr(qed_bloch, "harper_matrix", failing_at_one_flux)
         text = BUTTERFLY_CONFIG.format(path="{path}", points=5, threads=1)
         assert self.run_main(tmp_path, "butterfly", text) == cli.EXIT_NUMERICAL
         rows = [line.split(",") for line in (tmp_path / "out.csv").read_text().splitlines()[1:]]
@@ -606,7 +606,7 @@ class TestMainExitCodes:
                 .replace("kind = oblique", f"kind = {kind}\ntheta_deg = {degrees}")
                 .replace("a2_angstrom = 3.0", "a2_angstrom = 2.0"))
         assert self.run_main(tmp_path, "butterfly", text) == cli.EXIT_CONFIG
-        assert f"config error: {kind} potential requires" in capsys.readouterr().err
+        assert f"config error: {kind} lattice requires" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("kind, degrees", [("hexagonal", 60), ("square", 90)])
@@ -623,7 +623,7 @@ class TestMainExitCodes:
     def test_mtg_contradicting_class_is_config_error(self, tmp_path, capsys):
         text = MTG_CONFIG.replace("a2_angstrom = 2.0", "a2_angstrom = 3.0")
         assert self.run_main(tmp_path, "mtg-check", text) == cli.EXIT_CONFIG
-        assert "config error: square potential requires" in capsys.readouterr().err
+        assert "config error: square lattice requires" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
     def test_polariton_butterfly_off_square_reports_every_violation(self, tmp_path, capsys):

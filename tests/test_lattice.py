@@ -180,7 +180,7 @@ class TestBravaisLattice:
         assert lat == Lattice2D(2.0 * ANGSTROM, a2 * ANGSTROM, theta)
 
     def test_oblique_has_no_class_angle(self):
-        with pytest.raises(DomainError, match="oblique potential requires"):
+        with pytest.raises(DomainError, match="oblique lattice requires"):
             bravais_lattice("oblique", 2e-10, 3e-10)
         assert bravais_lattice("oblique", 2e-10, 3e-10, math.radians(80.0)).theta == (
             math.radians(80.0))
@@ -191,7 +191,7 @@ class TestBravaisLattice:
     ])
     def test_explicit_angle_must_agree_with_class(self, kind, degrees):
         a2 = 3e-10 if kind == "rectangular" else 2e-10
-        with pytest.raises(DomainError, match=f"{kind} potential requires"):
+        with pytest.raises(DomainError, match=f"{kind} lattice requires"):
             bravais_lattice(kind, 2e-10, a2, math.radians(degrees))
 
     def test_explicit_angle_kept(self):
@@ -199,7 +199,7 @@ class TestBravaisLattice:
         assert lat.theta == math.radians(80.0)
 
     def test_lengths_must_agree_with_class(self):
-        with pytest.raises(DomainError, match="hexagonal potential requires"):
+        with pytest.raises(DomainError, match="hexagonal lattice requires"):
             bravais_lattice("hexagonal", 2e-10, 3e-10)
         with pytest.raises(DomainError, match="unknown lattice kind"):
             bravais_lattice("nonsense", 2e-10, 2e-10)

@@ -6,12 +6,17 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from cavity_bloch.errors import DomainError, NumericalError
+from cavity_bloch import numerics
+from cavity_bloch.constants import ANGSTROM, EV
+from cavity_bloch.errors import DomainError, NumericalError, StackSolveError
+from cavity_bloch.landau import cyclotron_frequency
+from cavity_bloch.lattice import bravais_cosine_potential, bravais_lattice, field_for_flux_ratio
 from cavity_bloch.numerics import (
     displacement_matrix,
     hermitian_eigvals,
     hermiticity_residual,
 )
+from cavity_bloch.qed_bloch import BasisTruncation, assemble_llb_matrix, harper_matrix
 
 from oracles import displacement_matrix_element, laguerre_assoc
 
@@ -174,3 +179,79 @@ class TestHermitianEigvals:
     def test_residual_measure(self):
         assert hermiticity_residual(np.eye(4)) == 0.0
         assert hermiticity_residual(np.array([[0.0, 1.0], [0.0, 0.0]])) == pytest.approx(1.0)
+
+
+def llb_stack(count):
+    """`count` complex hexagonal LLB matrices (dim 3 * 7) at one flux, varying k_x."""
+    lat = bravais_lattice("hexagonal", 2.0 * ANGSTROM, 2.0 * ANGSTROM)
+    pot = bravais_cosine_potential("hexagonal", 3.0 * EV, lat)
+    w_c = cyclotron_frequency(field_for_flux_ratio(lat, 0.7))
+    trunc = BasisTruncation(n_max=3, j_max=2)
+    return np.stack([assemble_llb_matrix(pot, w_c, kxa / lat.a1, trunc)
+                     for kxa in np.linspace(-3.0, 3.0, count)])
+
+
+class TestStackedEigvals:
+    @pytest.mark.parametrize("stack", [
+        harper_matrix(0.83, np.linspace(-3.0, 3.0, 7), 10),
+        llb_stack(5),
+    ], ids=["real-harper", "complex-llb"])
+    def test_stack_bitwise_equals_single_solves(self, stack):
+        vals = hermitian_eigvals(stack)
+        assert vals.shape == stack.shape[:-1]
+        for mat, eigs in zip(stack, vals):
+            assert np.array_equal(eigs, hermitian_eigvals(mat))
+
+    def test_residual_per_matrix(self):
+        stack = llb_stack(3)
+        res = hermiticity_residual(stack)
+        assert res.shape == (3,)
+        assert np.array_equal(res, [hermiticity_residual(mat) for mat in stack])
+
+    def test_non_hermitian_matrix_fails_only_its_own_point(self):
+        stack = llb_stack(4)
+        stack[2, 0, 1] += 1e-3 * np.max(np.abs(stack[2]))
+        with pytest.raises(NumericalError) as single:
+            hermitian_eigvals(stack[2])
+        with pytest.raises(StackSolveError) as caught:
+            hermitian_eigvals(stack)
+        assert caught.value.failures == {2: str(single.value)}
+        assert "matrix is not Hermitian" in str(single.value)
+        assert np.all(np.isnan(caught.value.values[2]))
+        for idx in (0, 1, 3):
+            assert np.array_equal(caught.value.values[idx], hermitian_eigvals(stack[idx]))
+
+    def test_linalg_error_on_stack_falls_back_to_single_solves(self, monkeypatch):
+        stack = harper_matrix(1.4, np.linspace(-2.0, 2.0, 5), 6)
+        want = [hermitian_eigvals(mat) for mat in stack]
+        eigvalsh = np.linalg.eigvalsh
+        ndims = []
+
+        def stacked_call_fails(m):
+            ndims.append(m.ndim)
+            if m.ndim > 2:
+                raise np.linalg.LinAlgError("synthetic non-convergence")
+            return eigvalsh(m)
+
+        monkeypatch.setattr(numerics.np.linalg, "eigvalsh", stacked_call_fails)
+        vals = hermitian_eigvals(stack)
+        assert ndims == [3] + [2] * 5
+        assert np.array_equal(vals, want)
+
+    def test_non_finite_stack_falls_back_and_fails_per_matrix(self, monkeypatch):
+        stack = harper_matrix(1.4, np.linspace(-2.0, 2.0, 3), 6)
+        eigvalsh = np.linalg.eigvalsh
+
+        def second_matrix_nan(m):
+            vals = eigvalsh(m)
+            if m.ndim > 2:
+                vals[1, 0] = np.nan
+            elif np.array_equal(m, stack[1]):
+                vals[0] = np.nan
+            return vals
+
+        monkeypatch.setattr(numerics.np.linalg, "eigvalsh", second_matrix_nan)
+        with pytest.raises(StackSolveError) as caught:
+            hermitian_eigvals(stack)
+        assert list(caught.value.failures) == [1]
+        assert caught.value.failures[1].startswith("non-finite eigenvalues")

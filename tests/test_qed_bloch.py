@@ -34,6 +34,7 @@ from cavity_bloch.qed_bloch import (
     harper_hopping,
     harper_bloch_matrix,
     harper_bloch_union,
+    harper_matrix,
     landau_polariton_branches,
     landau_polariton_energy,
     midpoint_kx_grid,
@@ -678,6 +679,71 @@ def window_end_for(flux, g_max, n_points=40, kx_points=32):
     return coupling_window_end(g_values, counts)
 
 
+def record_calls(monkeypatch, name):
+    """(args, result) of every call to qed_bloch.`name` from now on."""
+    original = getattr(qed_bloch, name)
+    seen = []
+
+    def wrapper(*args):
+        out = original(*args)
+        seen.append((args, out))
+        return out
+
+    monkeypatch.setattr(qed_bloch, name, wrapper)
+    return seen
+
+
+class TestPolaritonRealRoute:
+    """At kw_scaled = 0 the matrix mode is solved in the real form
+    S^H H S = Re H - Im(H) P, with P the parity m -> -m."""
+
+    N_MAX = 4
+    V0 = 1.5 * EV
+
+    def solve(self, flux, g, kx_a, kw_scaled=0.0):
+        return polariton_harper_eigvals(flux, g, kx_a, kw_scaled,
+                                        BasisTruncation(n_max=self.N_MAX), a1=A, v0=self.V0,
+                                        mode="matrix")
+
+    def parity(self):
+        n_count = 2 * self.N_MAX + 1
+        return np.arange(n_count**2).reshape(n_count, n_count)[:, ::-1].ravel()
+
+    def test_complex_matrix_obeys_parity_exactly(self, monkeypatch):
+        built = record_calls(monkeypatch, "_fourier_lattice_matrix")
+        perm = self.parity()
+        for flux, g, kx_a in ((0.97, 0.5, 0.3), (1.3, 1.0, -2.1), (0.7, 2.0, 1.1)):
+            self.solve(flux, g, kx_a)
+            h = built[-1][1]
+            assert np.iscomplexobj(h)
+            assert np.array_equal(h.conj(), h[perm][:, perm])
+
+    def test_kinetic_diagonal_mirrors_per_m_evaluation(self, monkeypatch):
+        built = record_calls(monkeypatch, "_fourier_lattice_matrix")
+        flux, g = 1.3, 0.8
+        self.solve(flux, g, 0.41)
+        per_m = [min(polariton_scaled_kinetic(flux, g, 0.0, m, A, self.V0), DIAG_SAFE_CAP)
+                 for m in range(-self.N_MAX, self.N_MAX + 1)]
+        diag = np.diag(built[-1][1]).real.reshape(2 * self.N_MAX + 1, -1)
+        assert np.array_equal(diag, np.broadcast_to(per_m, diag.shape))
+
+    def test_solver_receives_real_matrix_with_the_complex_spectrum(self, monkeypatch):
+        built = record_calls(monkeypatch, "_fourier_lattice_matrix")
+        solved = record_calls(monkeypatch, "hermitian_eigvals")
+        for flux, g, kx_a in ((0.97, 0.3, 0.0), (0.97, 1.0, 2.5), (1.3, 0.8, 0.41),
+                              (0.6, 1.7, -1.3)):
+            vals, mode = self.solve(flux, g, kx_a)
+            assert mode == "matrix"
+            assert solved[-1][0][0].dtype == np.float64
+            want = np.linalg.eigvalsh(built[-1][1])
+            assert np.max(np.abs(vals - want)) <= 1e-12 * (want[-1] - want[0])
+
+    def test_nonzero_kw_keeps_complex_route(self, monkeypatch):
+        solved = record_calls(monkeypatch, "hermitian_eigvals")
+        self.solve(1.3, 0.8, 0.41, kw_scaled=0.3 / A)
+        assert np.iscomplexobj(solved[-1][0][0])
+
+
 class TestPolaritonWindows:
     def test_small_flux_window(self):
         end = window_end_for(5e-3, 0.14)
@@ -690,18 +756,18 @@ class TestPolaritonWindows:
 
 class TestSweep:
     def test_single_point_matches_direct(self):
-        def assembler(flux, kxa):
-            return harper_eigvals(flux, kxa, 8)
+        def assembler(flux, kx_points):
+            return harper_matrix(flux, kx_points, 8)
 
         grid = sweep(assembler, [1.0], [0.3])
         direct = harper_eigvals(1.0, 0.3, 8)
         assert np.array_equal(grid.eigenvalues[0][0], direct)
 
     def test_failures_recorded_not_raised(self):
-        def assembler(flux, kxa):
+        def assembler(flux, kx_points):
             if flux > 1.0:
                 raise DomainError("synthetic failure")
-            return harper_eigvals(flux, kxa, 4)
+            return harper_matrix(flux, kx_points, 4)
 
         grid = sweep(assembler, [0.5, 1.5], [0.1, 0.2])
         assert len(grid.failures) == 2
@@ -709,13 +775,58 @@ class TestSweep:
         assert grid.eigenvalues[1][0].size == 0
 
     def test_programming_errors_propagate(self):
-        def assembler(flux, kxa):
+        def assembler(flux, kx_points):
             if flux > 1.0:
                 raise TypeError("synthetic bug")
-            return harper_eigvals(flux, kxa, 4)
+            return harper_matrix(flux, kx_points, 4)
 
         with pytest.raises(TypeError, match="synthetic bug"):
             sweep(assembler, [0.5, 1.5], [0.1, 0.2])
+
+    def test_harper_chains_solved_as_one_stack(self, monkeypatch):
+        solved = record_calls(monkeypatch, "hermitian_eigvals")
+        kx_grid = midpoint_kx_grid(SQUARE, 32)
+        grid = sweep(lambda flux, kx_points: harper_matrix(flux, kx_points, 30), [0.6, 1.1],
+                     kx_grid)
+        assert [args[0].shape for args, _ in solved] == [(32, 61, 61)] * 2
+        for row, flux in zip(grid.eigenvalues, (0.6, 1.1)):
+            for eigs, kxa in zip(row, kx_grid):
+                assert np.array_equal(eigs, harper_eigvals(flux, kxa, 30))
+
+    def test_stack_bytes_bound_the_stack(self, monkeypatch):
+        # two complex matrices of dim 183 exceed the budget: one solve each
+        solved = record_calls(monkeypatch, "hermitian_eigvals")
+        mat = np.diag(np.arange(183.0)).astype(np.complex128)
+        sweep(lambda _axis, k_points: (mat for _ in k_points), [1.0], [0.1, 0.2, 0.3])
+        assert [args[0].shape for args, _ in solved] == [(1, 183, 183)] * 3
+
+    def test_failed_solve_fails_only_its_point(self):
+        def assembler(flux, kx_points):
+            stack = harper_matrix(flux, kx_points, 4)
+            stack[1, 0, 1] += 1.0  # not Hermitian
+            return stack
+
+        grid = sweep(assembler, [0.5], [0.1, 0.2, 0.3])
+        assert len(grid.failures) == 1
+        assert grid.failures[0].startswith("axis[0]=0.5, k[1]: matrix is not Hermitian")
+        assert grid.eigenvalues[0][1].size == 0
+        for k_idx in (0, 2):
+            assert np.array_equal(grid.eigenvalues[0][k_idx],
+                                  harper_eigvals(0.5, [0.1, 0.2, 0.3][k_idx], 4))
+
+    def test_assembly_failure_fails_only_its_point(self):
+        def assembler(flux, kx_points):
+            for kxa in kx_points:
+                if kxa == 0.2:
+                    raise DomainError("synthetic failure")
+                yield harper_matrix(flux, kxa, 4)
+
+        grid = sweep(assembler, [0.5, 1.5], [0.1, 0.2, 0.3])
+        assert grid.failures == ["axis[0]=0.5, k[1]: synthetic failure",
+                                 "axis[1]=1.5, k[1]: synthetic failure"]
+        for row, flux in zip(grid.eigenvalues, (0.5, 1.5)):
+            assert row[1].size == 0
+            assert np.array_equal(row[2], harper_eigvals(flux, 0.3, 4))
 
     def test_band_counting_helpers(self):
         values = [0.0, 0.01, 0.02, 1.0, 1.01, 2.5]
