@@ -144,7 +144,7 @@ _KIND_STARS = {
     "rectangular": ((1, 0), (0, 1)),
     "oblique": ((1, 0), (0, 1)),
     "centered-rectangular": ((1, 0), (0, 1)),
-    "hexagonal": ((1, 0), (0, 1), (1, -1)),
+    "hexagonal": ((1, 0), (0, 1), (1, 1)),
 }
 
 
@@ -191,8 +191,9 @@ def bravais_cosine_potential(kind, v0, lat):
     """Cosine potential of one of the five 2D Bravais classes.
 
     Each cosine star contributes V0/2 at (n, m) and (-n, -m), so the
-    real-space potential is V0 * sum_i cos(G_i . r).  Hexagonal adds the
-    third star along b1 - b2.
+    real-space potential is V0 * sum_i cos(G_i . r).  Every class puts a star
+    on b1 and on b2; hexagonal adds the third first-shell star b1 + b2 (b1
+    and b2 meet at 120 deg, so b1 - b2 would be a second-shell vector).
     """
     if v0 <= 0.0:
         raise DomainError("potential strength must be positive")

@@ -163,6 +163,36 @@ class TestCosinePotential:
         with pytest.raises(DomainError):
             bravais_cosine_potential("nonsense", EV, square())
 
+    @staticmethod
+    def rotation(degrees):
+        c, s = math.cos(math.radians(degrees)), math.sin(math.radians(degrees))
+        return np.array([[c, -s], [s, c]])
+
+    @staticmethod
+    def mirror(degrees):
+        """Reflection across the line through the origin at `degrees` from x."""
+        c, s = math.cos(math.radians(2 * degrees)), math.sin(math.radians(2 * degrees))
+        return np.array([[c, s], [s, -c]])
+
+    @pytest.mark.parametrize("kind, a2, theta_deg, group", [
+        ("hexagonal", 2.0, 60.0, [("C6", 60.0), ("x -> -x", 90.0), ("y -> -y", 0.0)]),
+        ("square", 2.0, 90.0, [("C4", 90.0)]),
+        ("rectangular", 3.0, 90.0, [("x -> -x", 90.0), ("y -> -y", 0.0)]),
+        ("centered-rectangular", 2.0, 75.0, [("a1/a2 bisector", 37.5)]),
+        ("oblique", 3.0, 70.0, [("C2", 180.0)]),
+    ])
+    def test_potential_invariant_under_point_group(self, kind, a2, theta_deg, group):
+        # real_space is the oracle: V(R r) = V(r) at random points for every
+        # generator R of the class's point group
+        lat = Lattice2D(2 * ANGSTROM, a2 * ANGSTROM, math.radians(theta_deg))
+        pot = bravais_cosine_potential(kind, 3.0 * EV, lat)
+        r = np.random.default_rng(22).uniform(-5.0, 5.0, size=(2, 200)) * ANGSTROM
+        before = pot.real_space(r[0], r[1])
+        for name, degrees in group:
+            op = self.rotation(degrees) if name.startswith("C") else self.mirror(degrees)
+            after = pot.real_space(*(op @ r))
+            assert np.max(np.abs(after - before)) < 1e-12 * 3.0 * EV, name
+
     def test_reality_enforced(self):
         from cavity_bloch.lattice import FourierPotential
 
