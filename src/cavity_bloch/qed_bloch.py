@@ -180,16 +180,18 @@ def _half_index_kx(lat, k_x, trunc, dn):
 
 def _fourier_lattice_matrix(diagonal, terms):
     """Dense matrix on the Fourier-lattice x level basis, row-major in
-    (n, [m,] level).
+    (n, [m,] level); float64 when every term is real, complex128 otherwise.
 
     `diagonal` has shape (n_count,)*d + (j_count,).  Each term
     (shift, phases, block) adds phases[n] * block[i, j] at
     ((n, ..., i), (n - shift[0], ..., j)) wherever the shifted Fourier
     indices stay inside the window; the phases depend on n only.
     """
+    terms = list(terms)
+    real = all(np.isrealobj(phases) and np.isrealobj(block) for _, phases, block in terms)
     shape = diagonal.shape
     n_count = shape[0]
-    mat = np.zeros((diagonal.size, diagonal.size), dtype=np.complex128)
+    mat = np.zeros((diagonal.size, diagonal.size), dtype=np.float64 if real else np.complex128)
     np.fill_diagonal(mat, diagonal.ravel())
     view = mat.reshape(shape + shape)
     level = slice(None)
@@ -200,19 +202,61 @@ def _fourier_lattice_matrix(diagonal, terms):
     return mat
 
 
+#: largest distance of 2 a2 cos(theta) / a1 from an integer that still counts
+#: as one: the class angles pi/2 and pi/3 miss 0 and 1 by rounding only
+MIRROR_TOL = 1e-12
+
+
+def _x_mirror(pot):
+    """c = 2 a2 cos(theta) / a1 if `pot` is symmetric under x -> -x, else None.
+
+    The mirror maps the reciprocal vector (dn, dm) to (-dn, dm - c dn), a
+    lattice vector only for integer c.  With V_{-G} = conj(V_G) the symmetry
+    reads V_{dn, c dn - dm} = conj(V_{dn, dm}) for every coefficient, checked
+    exactly; G_{c dn - dm, dn} = -G_{dm, dn} then holds analytically.
+    """
+    lat = pot.lattice
+    ratio = 2.0 * lat.a2 * math.cos(lat.theta) / lat.a1
+    c = round(ratio)
+    if abs(ratio - c) > MIRROR_TOL:
+        return None
+    coeff = pot.coefficients
+    if all(coeff.get((dn, c * dn - dm)) == np.conj(v) for (dn, dm), v in coeff.items()):
+        return c
+    return None
+
+
 def _coupling_terms(pot, k_x, trunc, phase_scale, amplitude, reduce_m):
     """(shift, phases, block) of each Fourier coefficient V_{dn,dm} of `pot`.
 
     phases[n] = exp(-i phase_scale G_{dm,dn} (k_x + G^x_{(n+n')/2})) and
     block = V_{dn,dm} <phi_i|D(amplitude(dn, dm))|phi_j>; the shift is (dn,)
     with reduce_m (m summed out) and (dn, dm) otherwise.
+
+    With reduce_m and an x -> -x mirror (_x_mirror), the partner
+    (dn, c dn - dm) has -G, so its phases, its amplitude (alpha and beta are
+    real multiples of -G^x_dn and -i G) and its V are the complex conjugates
+    of the first member's, and both add at the shift (dn,).  The pair is
+    yielded from one member as the two real terms 2 Re(phases) Re(block) and
+    -2 Im(phases) Im(block).  A coefficient that is its own partner
+    (2 dm = c dn) adds the mean of its term and the conjugate: weight 1 in
+    place of 2.  The matrix is then real by construction.
     """
     lat = pot.lattice
     j_count = trunc.j_max + 1
+    c = _x_mirror(pot) if reduce_m else None
     for (dn, dm), v in pot.coefficients.items():
+        if c is not None and c * dn - dm < dm:
+            continue  # yielded with its partner
         theta = phase_scale * lat.g_oblique(dm, dn) * _half_index_kx(lat, k_x, trunc, dn)
+        phases = np.exp(-1j * theta)
         block = v * displacement_matrix(j_count, amplitude(dn, dm))
-        yield ((dn,) if reduce_m else (dn, dm)), np.exp(-1j * theta), block
+        if c is None:
+            yield ((dn,) if reduce_m else (dn, dm)), phases, block
+        else:
+            weight = 1.0 if c * dn - dm == dm else 2.0
+            yield (dn,), weight * phases.real, block.real
+            yield (dn,), -weight * phases.imag, block.imag
 
 
 def assemble_central_matrix(pot, params, k_x, k_w, trunc, reduce_m=False):
@@ -224,7 +268,9 @@ def assemble_central_matrix(pot, params, k_x, k_w, trunc, reduce_m=False):
     With reduce_m=True the matrix is projected on the zero-Bloch-phase sector
     of the w-Fourier lattice (basis (n, j), couplings summed over dm) -- the
     sector that survives the no-quantized-field limit, where the m index
-    becomes redundant.
+    becomes redundant.  That reduced matrix is real (float64) when the
+    potential has an x -> -x mirror (_coupling_terms); otherwise, and always
+    without reduce_m, it is complex.
     """
     lat = pot.lattice
     trunc.dimension(fourier_dims=1 if reduce_m else 2)
@@ -249,6 +295,8 @@ def assemble_llb_matrix(pot, omega_c, k_x, trunc):
     diagonal hbar omega_c (i + 1/2); couplings
     V_{dn,m'} exp(-i hbar (k_x + G^x_{(n+n')/2}) G_{m',dn} / (m_e omega_c))
     <phi_i|D(beta_{dn,m'})|phi_j>, summed over the potential's m' content.
+    Real (float64) when the potential has an x -> -x mirror (square,
+    rectangular and hexagonal cosine potentials), complex otherwise.
     """
     if omega_c <= 0.0:
         raise DomainError("cyclotron frequency must be positive")
@@ -526,7 +574,8 @@ class SpectrumGrid:
 
 #: a stack of matrices solved by one eigensolver call holds at most this many
 #: bytes (a single larger matrix is solved alone): 32 Harper chains of dim 61
-#: fit, two complex matrices of dim 183 do not, so RSS stays flat
+#: and three real matrices of dim 183 fit, two complex ones of dim 183 do not,
+#: so RSS stays flat
 STACK_BYTES = 1 << 20
 
 
@@ -534,53 +583,67 @@ def _solve_axis(assembler, axis, k_grid, failures, label):
     """Eigenvalues of every k point of one axis value (empty where it failed);
     each failure is appended to `failures` as "<label>, k[<index>]: <message>"."""
     row = [np.empty(0)] * len(k_grid)
-    stack = []  # (k index, matrix) pairs awaiting one eigensolver call
+    pending = []  # (count, n, n) stacks of consecutive k points awaiting one solve
+    start = 0  # k index of the first pending matrix
 
     def fail(k_idx, message):
         failures.append(f"{label}, k[{k_idx}]: {message}")
 
     def solve():
-        if not stack:
+        nonlocal start
+        if not pending:
             return
-        mats = [mat for _, mat in stack]
+        stack = pending[0] if len(pending) == 1 else np.concatenate(pending)
+        pending.clear()
         failed = {}
         try:
-            vals = hermitian_eigvals(mats[0][None] if len(mats) == 1 else np.stack(mats))
+            vals = hermitian_eigvals(stack)
         except StackSolveError as exc:
             vals, failed = exc.values, exc.failures
         except (CavityBlochError, FloatingPointError) as exc:
             vals, failed = None, dict.fromkeys(range(len(stack)), str(exc))
-        for idx, (k_idx, _) in enumerate(stack):
+        for idx in range(len(stack)):
             if idx in failed:
-                fail(k_idx, failed[idx])
+                fail(start + idx, failed[idx])
             else:
-                row[k_idx] = vals[idx]
-        stack.clear()
+                row[start + idx] = vals[idx]
+        start += len(stack)
 
-    k_idx = 0
-    while k_idx < len(k_grid):
+    def queue(mats):
+        """Queue a (count, n, n) stack as slices, solving each full stack."""
+        while len(mats):
+            per_call = max(1, STACK_BYTES // mats[0].nbytes)
+            if pending and (mats.shape[1:] != pending[0].shape[1:]
+                            or mats.dtype != pending[0].dtype
+                            or sum(map(len, pending)) == per_call):
+                solve()
+            room = per_call - sum(map(len, pending))
+            pending.append(mats[:room])
+            mats = mats[room:]
+
+    while start < len(k_grid):  # nothing is pending here
         try:
-            for mat in assembler(axis, k_grid[k_idx:]):
-                if stack and (mat.shape != stack[0][1].shape or mat.dtype != stack[0][1].dtype
-                              or (len(stack) + 1) * mat.nbytes > STACK_BYTES):
-                    solve()
-                stack.append((k_idx, mat))
-                k_idx += 1
+            mats = assembler(axis, k_grid[start:])
+            # an array is already a stack: it is solved as slices of itself
+            for stack in [mats] if isinstance(mats, np.ndarray) else (m[None] for m in mats):
+                queue(stack)
             break
         except (CavityBlochError, FloatingPointError) as exc:
             solve()  # first, so failures stay in k order
-            fail(k_idx, str(exc))
-            k_idx += 1
+            fail(start, str(exc))
+            start += 1
     solve()
     return row
 
 
 def sweep(assembler, axis_values, k_grid):
     """Solve `assembler(axis_value, k_points)` -- an iterable of one Hermitian
-    matrix per k point, in order -- over an axis, axis value by axis value.
+    matrix per k point, in order, or one (len(k_points), n, n) array of
+    them -- over an axis, axis value by axis value.
 
     Consecutive matrices of equal shape and dtype are solved as one stack of
-    at most STACK_BYTES by `hermitian_eigvals`.  A point whose matrix the
+    at most STACK_BYTES by `hermitian_eigvals`; an array from the assembler
+    is handed over as slices of itself, not copied.  A point whose matrix the
     assembler cannot build (it raises a package error or a floating-point
     error) or whose solve fails is recorded in SpectrumGrid.failures and keeps
     an empty eigenvalue array; the assembler is then handed the k points after

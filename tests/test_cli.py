@@ -12,11 +12,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavity_bloch import cli, config, output, qed_bloch
+from cavity_bloch import cli, config, numerics, output, qed_bloch
 from cavity_bloch.config import COMMANDS, FORMATS, parse_config
 from cavity_bloch.errors import ConfigError, NumericalError
 from cavity_bloch.lattice import BRAVAIS_KINDS
@@ -636,6 +637,33 @@ class TestMainExitCodes:
         assert err.value.violations == [lattice, window]
         assert self.run_main(tmp_path, "polariton-butterfly", text) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {lattice}\nconfig error: {window}\n"
+
+
+class TestSolverRoute:
+    @pytest.mark.parametrize("kind, lengths, dtype", [
+        ("square", "a2_angstrom = 2.0", np.float64),
+        ("hexagonal", "a2_angstrom = 2.0", np.float64),
+        ("oblique", "a2_angstrom = 3.0\ntheta_deg = 70", np.complex128),
+    ])
+    def test_raw_joules_stacks_take_the_structure_route(self, tmp_path, monkeypatch, kind,
+                                                        lengths, dtype):
+        # lattices with an x -> -x mirror reach the eigensolver as real stacks
+        dtypes = []
+        solve = numerics.hermitian_eigvals
+
+        def recording(m):
+            dtypes.append(np.asarray(m).dtype)
+            return solve(m)
+
+        for module in (numerics, qed_bloch):  # qed_bloch binds its own name
+            monkeypatch.setattr(module, "hermitian_eigvals", recording)
+        text = (OBLIQUE_BUTTERFLY_CONFIG.replace("kind = oblique", f"kind = {kind}")
+                .replace("a2_angstrom = 3.0", lengths)
+                .replace("\npoints = 2", "\npoints = 2\nscaling = raw-joules"))
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(text.format(path=tmp_path / "out.csv"))
+        assert cli.main(["butterfly", "--config", str(cfg)]) == cli.EXIT_OK
+        assert dtypes and set(dtypes) == {np.dtype(dtype)}
 
 
 class TestScatterFormat:

@@ -15,6 +15,7 @@ from cavity_bloch.constants import EV, HBAR, M_ELECTRON
 from cavity_bloch.errors import DomainError
 from cavity_bloch.landau import cyclotron_frequency
 from cavity_bloch.lattice import (
+    FourierPotential,
     Lattice2D,
     bravais_cosine_potential,
     field_for_flux_ratio,
@@ -367,26 +368,47 @@ class TestFourierLatticeOracle:
     """Every assembled entry against the docstring formulas, loop by loop.
 
     Hexagonal puts two cosine stars on each dn != 0; oblique has an
-    irrational G_{m,n} mixing and a nonzero G^x on both stars.
+    irrational G_{m,n} mixing and a nonzero G^x on both stars.  The LLB and
+    reduced central matrices of potentials with an x -> -x mirror are built
+    real from mirror pairs; the oracle sums every coefficient as a complex
+    number, so it checks the pairing.
     """
 
     LATTICES = {
+        "square": Lattice2D(A, A, math.pi / 2.0),
+        "rectangular": Lattice2D(A, 1.3 * A, math.pi / 2.0),
         "hexagonal": Lattice2D(A, A, math.pi / 3.0),
         "oblique": Lattice2D(A, 1.3 * A, math.radians(70.0)),
+        "centered-rectangular": Lattice2D(A, A, math.radians(75.0)),
     }
+    #: square potentials with the b2 or the b1 cosine shifted by a phase: the
+    #: first keeps the x -> -x mirror with complex V, the second breaks it
+    SHIFTED = {"square-shifted-b2": (0, 1), "square-shifted-b1": (1, 0)}
+    #: potentials whose LLB and reduced central matrices are real
+    MIRROR = ("square", "rectangular", "hexagonal", "square-shifted-b2")
+    KINDS = tuple(LATTICES) + tuple(SHIFTED)
     N_MAX, J_MAX = 3, 2
 
     def setup_for(self, kind):
-        lat = self.LATTICES[kind]
-        pot = bravais_cosine_potential(kind, 3.0 * EV, lat)
+        lat = self.LATTICES.get(kind, self.LATTICES["square"])
+        pot = bravais_cosine_potential(kind if kind in self.LATTICES else "square", 3.0 * EV, lat)
+        if kind in self.SHIFTED:
+            dn, dm = self.SHIFTED[kind]
+            coeff = dict(pot.coefficients)
+            coeff[(dn, dm)] = 1.5 * EV * cmath.exp(0.4j)
+            coeff[(-dn, -dm)] = 1.5 * EV * cmath.exp(-0.4j)
+            pot = FourierPotential(coefficients=coeff, lattice=lat)
         w_c = cyclotron_frequency(field_for_flux_ratio(lat, 0.7))
         return lat, pot, w_c, BasisTruncation(n_max=self.N_MAX, j_max=self.J_MAX)
+
+    def expected_dtype(self, kind, reduce_m=True):
+        return np.float64 if kind in self.MIRROR and reduce_m else np.complex128
 
     @staticmethod
     def gx_half(lat, n, n_pr):
         return 2.0 * math.pi * ((n + n_pr) / 2.0) / lat.a1
 
-    @pytest.mark.parametrize("kind", ["hexagonal", "oblique"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_llb_entries(self, kind):
         lat, pot, w_c, trunc = self.setup_for(kind)
         k_x = 0.37 / lat.a1
@@ -406,10 +428,12 @@ class TestFourierLatticeOracle:
             return value
 
         ref = loop_matrix(self.N_MAX, 1, self.J_MAX + 1, entry)
-        assert_entrywise_close(assemble_llb_matrix(pot, w_c, k_x, trunc), ref)
+        mat = assemble_llb_matrix(pot, w_c, k_x, trunc)
+        assert mat.dtype == self.expected_dtype(kind)
+        assert_entrywise_close(mat, ref)
 
     @pytest.mark.parametrize("reduce_m", [True, False])
-    @pytest.mark.parametrize("kind", ["hexagonal", "oblique"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_central_entries(self, kind, reduce_m):
         lat, pot, w_c, trunc = self.setup_for(kind)
         params = polariton_params(0.6 * w_c, w_c)
@@ -444,7 +468,20 @@ class TestFourierLatticeOracle:
 
         ref = loop_matrix(self.N_MAX, 1 if reduce_m else 2, self.J_MAX + 1, entry)
         mat = assemble_central_matrix(pot, params, k_x, k_w, trunc, reduce_m=reduce_m)
+        assert mat.dtype == self.expected_dtype(kind, reduce_m)
         assert_entrywise_close(mat, ref)
+
+    @pytest.mark.parametrize("kind, c", [("square", 0), ("rectangular", 0), ("hexagonal", 1),
+                                         ("square-shifted-b2", 0)])
+    def test_mirror_partner_negates_g(self, kind, c):
+        # the partner (dn, c dn - dm) of every coefficient is a coefficient
+        # with the conjugate V, and G_{c dn - dm, dn} = -G_{dm, dn}
+        lat, pot, _, _ = self.setup_for(kind)
+        assert 2.0 * lat.a2 * math.cos(lat.theta) / lat.a1 == pytest.approx(c, abs=1e-15)
+        scale = max(abs(lat.g_oblique(dm, dn)) for dn, dm in pot.coefficients)
+        for (dn, dm), v in pot.coefficients.items():
+            assert pot.coefficients[(dn, c * dn - dm)] == np.conj(v)
+            assert abs(lat.g_oblique(c * dn - dm, dn) + lat.g_oblique(dm, dn)) <= 1e-15 * scale
 
     def test_polariton_matrix_mode_entries(self, monkeypatch):
         flux, g, kx_a, kw_scaled, v0 = 1.3, 0.8, 0.41, 0.3 / A, 1.5 * EV
@@ -785,13 +822,37 @@ class TestSweep:
 
     def test_harper_chains_solved_as_one_stack(self, monkeypatch):
         solved = record_calls(monkeypatch, "hermitian_eigvals")
+        built = []
+
+        def assembler(flux, kx_points):
+            built.append(harper_matrix(flux, kx_points, 30))
+            return built[-1]
+
         kx_grid = midpoint_kx_grid(SQUARE, 32)
-        grid = sweep(lambda flux, kx_points: harper_matrix(flux, kx_points, 30), [0.6, 1.1],
-                     kx_grid)
+        grid = sweep(assembler, [0.6, 1.1], kx_grid)
         assert [args[0].shape for args, _ in solved] == [(32, 61, 61)] * 2
+        # views of the assembler's own arrays, not copies
+        assert all(args[0].base is stack for (args, _), stack in zip(solved, built))
         for row, flux in zip(grid.eigenvalues, (0.6, 1.1)):
             for eigs, kxa in zip(row, kx_grid):
                 assert np.array_equal(eigs, harper_eigvals(flux, kxa, 30))
+
+    def test_array_larger_than_the_budget_is_solved_in_slices(self, monkeypatch):
+        # 40 real chains of dim 61 exceed STACK_BYTES: 35 of them, then 5,
+        # each a view of the assembler's array
+        solved = record_calls(monkeypatch, "hermitian_eigvals")
+        built = []
+
+        def assembler(flux, kx_points):
+            built.append(harper_matrix(flux, kx_points, 30))
+            return built[-1]
+
+        kx_grid = midpoint_kx_grid(SQUARE, 40)
+        grid = sweep(assembler, [0.6], kx_grid)
+        assert [args[0].shape[0] for args, _ in solved] == [35, 5]
+        assert all(args[0].base is built[0] for args, _ in solved)
+        for eigs, kxa in zip(grid.eigenvalues[0], kx_grid):
+            assert np.array_equal(eigs, harper_eigvals(0.6, kxa, 30))
 
     def test_stack_bytes_bound_the_stack(self, monkeypatch):
         # two complex matrices of dim 183 exceed the budget: one solve each
