@@ -583,67 +583,53 @@ def _solve_axis(assembler, axis, k_grid, failures, label):
     """Eigenvalues of every k point of one axis value (empty where it failed);
     each failure is appended to `failures` as "<label>, k[<index>]: <message>"."""
     row = [np.empty(0)] * len(k_grid)
-    pending = []  # (count, n, n) stacks of consecutive k points awaiting one solve
-    start = 0  # k index of the first pending matrix
+    stack = []  # (k index, matrix) pairs awaiting one eigensolver call
 
     def fail(k_idx, message):
         failures.append(f"{label}, k[{k_idx}]: {message}")
 
     def solve():
-        nonlocal start
-        if not pending:
+        if not stack:
             return
-        stack = pending[0] if len(pending) == 1 else np.concatenate(pending)
-        pending.clear()
+        mats = [mat for _, mat in stack]
         failed = {}
         try:
-            vals = hermitian_eigvals(stack)
+            vals = hermitian_eigvals(mats[0][None] if len(mats) == 1 else np.stack(mats))
         except StackSolveError as exc:
             vals, failed = exc.values, exc.failures
         except (CavityBlochError, FloatingPointError) as exc:
             vals, failed = None, dict.fromkeys(range(len(stack)), str(exc))
-        for idx in range(len(stack)):
+        for idx, (k_idx, _) in enumerate(stack):
             if idx in failed:
-                fail(start + idx, failed[idx])
+                fail(k_idx, failed[idx])
             else:
-                row[start + idx] = vals[idx]
-        start += len(stack)
+                row[k_idx] = vals[idx]
+        stack.clear()
 
-    def queue(mats):
-        """Queue a (count, n, n) stack as slices, solving each full stack."""
-        while len(mats):
-            per_call = max(1, STACK_BYTES // mats[0].nbytes)
-            if pending and (mats.shape[1:] != pending[0].shape[1:]
-                            or mats.dtype != pending[0].dtype
-                            or sum(map(len, pending)) == per_call):
-                solve()
-            room = per_call - sum(map(len, pending))
-            pending.append(mats[:room])
-            mats = mats[room:]
-
-    while start < len(k_grid):  # nothing is pending here
+    k_idx = 0
+    while k_idx < len(k_grid):
         try:
-            mats = assembler(axis, k_grid[start:])
-            # an array is already a stack: it is solved as slices of itself
-            for stack in [mats] if isinstance(mats, np.ndarray) else (m[None] for m in mats):
-                queue(stack)
+            for mat in assembler(axis, k_grid[k_idx:]):
+                if stack and (mat.shape != stack[0][1].shape or mat.dtype != stack[0][1].dtype
+                              or (len(stack) + 1) * mat.nbytes > STACK_BYTES):
+                    solve()
+                stack.append((k_idx, mat))
+                k_idx += 1
             break
         except (CavityBlochError, FloatingPointError) as exc:
             solve()  # first, so failures stay in k order
-            fail(start, str(exc))
-            start += 1
+            fail(k_idx, str(exc))
+            k_idx += 1
     solve()
     return row
 
 
 def sweep(assembler, axis_values, k_grid):
     """Solve `assembler(axis_value, k_points)` -- an iterable of one Hermitian
-    matrix per k point, in order, or one (len(k_points), n, n) array of
-    them -- over an axis, axis value by axis value.
+    matrix per k point, in order -- over an axis, axis value by axis value.
 
     Consecutive matrices of equal shape and dtype are solved as one stack of
-    at most STACK_BYTES by `hermitian_eigvals`; an array from the assembler
-    is handed over as slices of itself, not copied.  A point whose matrix the
+    at most STACK_BYTES by `hermitian_eigvals`.  A point whose matrix the
     assembler cannot build (it raises a package error or a floating-point
     error) or whose solve fails is recorded in SpectrumGrid.failures and keeps
     an empty eigenvalue array; the assembler is then handed the k points after

@@ -182,13 +182,19 @@ class TestHermitianEigvals:
 
 
 def llb_stack(count):
-    """`count` complex hexagonal LLB matrices (dim 3 * 7) at one flux, varying k_x."""
-    lat = bravais_lattice("hexagonal", 2.0 * ANGSTROM, 2.0 * ANGSTROM)
-    pot = bravais_cosine_potential("hexagonal", 3.0 * EV, lat)
+    """`count` complex oblique LLB matrices (dim 3 * 7) at one flux, varying k_x.
+
+    Oblique has no x -> -x mirror, so its LLB matrices stay complex and the
+    stack takes the complex Hermitian route.
+    """
+    lat = bravais_lattice("oblique", 2.0 * ANGSTROM, 3.0 * ANGSTROM, math.radians(70.0))
+    pot = bravais_cosine_potential("oblique", 3.0 * EV, lat)
     w_c = cyclotron_frequency(field_for_flux_ratio(lat, 0.7))
     trunc = BasisTruncation(n_max=3, j_max=2)
-    return np.stack([assemble_llb_matrix(pot, w_c, kxa / lat.a1, trunc)
-                     for kxa in np.linspace(-3.0, 3.0, count)])
+    stack = np.stack([assemble_llb_matrix(pot, w_c, kxa / lat.a1, trunc)
+                      for kxa in np.linspace(-3.0, 3.0, count)])
+    assert stack.dtype == np.complex128
+    return stack
 
 
 class TestStackedEigvals:

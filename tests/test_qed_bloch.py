@@ -822,37 +822,13 @@ class TestSweep:
 
     def test_harper_chains_solved_as_one_stack(self, monkeypatch):
         solved = record_calls(monkeypatch, "hermitian_eigvals")
-        built = []
-
-        def assembler(flux, kx_points):
-            built.append(harper_matrix(flux, kx_points, 30))
-            return built[-1]
-
         kx_grid = midpoint_kx_grid(SQUARE, 32)
-        grid = sweep(assembler, [0.6, 1.1], kx_grid)
+        grid = sweep(lambda flux, kx_points: harper_matrix(flux, kx_points, 30), [0.6, 1.1],
+                     kx_grid)
         assert [args[0].shape for args, _ in solved] == [(32, 61, 61)] * 2
-        # views of the assembler's own arrays, not copies
-        assert all(args[0].base is stack for (args, _), stack in zip(solved, built))
         for row, flux in zip(grid.eigenvalues, (0.6, 1.1)):
             for eigs, kxa in zip(row, kx_grid):
                 assert np.array_equal(eigs, harper_eigvals(flux, kxa, 30))
-
-    def test_array_larger_than_the_budget_is_solved_in_slices(self, monkeypatch):
-        # 40 real chains of dim 61 exceed STACK_BYTES: 35 of them, then 5,
-        # each a view of the assembler's array
-        solved = record_calls(monkeypatch, "hermitian_eigvals")
-        built = []
-
-        def assembler(flux, kx_points):
-            built.append(harper_matrix(flux, kx_points, 30))
-            return built[-1]
-
-        kx_grid = midpoint_kx_grid(SQUARE, 40)
-        grid = sweep(assembler, [0.6], kx_grid)
-        assert [args[0].shape[0] for args, _ in solved] == [35, 5]
-        assert all(args[0].base is built[0] for args, _ in solved)
-        for eigs, kxa in zip(grid.eigenvalues[0], kx_grid):
-            assert np.array_equal(eigs, harper_eigvals(0.6, kxa, 30))
 
     def test_stack_bytes_bound_the_stack(self, monkeypatch):
         # two complex matrices of dim 183 exceed the budget: one solve each
