@@ -317,6 +317,9 @@ def main(argv=None):
     except OSError as exc:
         print(f"cannot read config {args.config}: {exc}", file=sys.stderr)
         return EXIT_IO
+    except UnicodeDecodeError as exc:
+        print(f"config error: {args.config} is not UTF-8: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
     try:
         cfg = parse_config(text)

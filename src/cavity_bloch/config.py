@@ -188,7 +188,7 @@ def format_violations(command, fmt):
 def parse_config(text):
     """Parse and fully validate a config; raises ConfigError listing every violation."""
     violations = []
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # values are read verbatim
     try:
         parser.read_file(io.StringIO(text))
     except configparser.Error as exc:
@@ -282,6 +282,9 @@ def _cross_checks(command, params):
         fmin, fmax = params.get("flux_min"), params.get("flux_max")
         if fmin is not None and fmax is not None and fmin >= fmax:
             violations.append("[sweep] flux_min must be below flux_max")
+        emin, emax = params.get("emin_ev"), params.get("emax_ev")
+        if emin is not None and emax is not None and emin >= emax:
+            violations.append("[plot] emin_ev must be below emax_ev")
     if command == "polariton-butterfly":
         if params.get("kind") != "square":
             violations.append(

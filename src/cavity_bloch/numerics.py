@@ -3,7 +3,7 @@
 All physics modules funnel their eigenproblems through
 :func:`hermitian_eigvals`, which solves one matrix or a stack of them with
 one LAPACK call routed by dtype, so determinism and Hermiticity policy live
-in one place.
+in one place; a stack is solved whole or not at all.
 """
 
 import hashlib
@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, StackSolveError
+from .errors import DomainError, NumericalError
 
 #: largest relative Hermiticity residual a matrix may have; LAPACK reads only
 #: its lower triangle, so a larger asymmetry would be silently dropped
@@ -82,8 +82,23 @@ def _fingerprint(m):
     return hashlib.sha256(np.ascontiguousarray(m).tobytes()).hexdigest()[:16]
 
 
-def _solve_one(m, res):
-    """Eigenvalues of one matrix whose residual is `res`, or NumericalError."""
+def hermitian_eigvals(m):
+    """All eigenvalues of a Hermitian matrix, or of each matrix of a
+    (..., n, n) stack: ascending (LAPACK order) and deterministic.
+
+    One ``eigvalsh`` call solves the input, real input by the real symmetric
+    LAPACK route and complex input by the Hermitian one; a stack's
+    eigenvalues are bitwise those of its matrices solved alone.  LAPACK reads
+    only the lower triangle, so no symmetrized copy is made; instead the
+    input is rejected if any matrix's residual exceeds ``HERMITICITY_RTOL``.
+
+    The input is solved whole or not at all: a rejected matrix, a LAPACK
+    failure or a non-finite eigenvalue raises NumericalError.
+    """
+    m = np.asarray(m)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
+        raise DomainError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    res = np.max(hermiticity_residual(m))
     if res > HERMITICITY_RTOL:
         raise NumericalError(
             f"matrix is not Hermitian: residual {res:.3e} > {HERMITICITY_RTOL:.0e} "
@@ -98,44 +113,3 @@ def _solve_one(m, res):
     if not np.all(np.isfinite(vals)):
         raise NumericalError(f"non-finite eigenvalues (fingerprint {_fingerprint(m)})")
     return vals
-
-
-def hermitian_eigvals(m):
-    """All eigenvalues of a Hermitian matrix, or of each matrix of a
-    (..., n, n) stack: ascending (LAPACK order) and deterministic.
-
-    A stack is solved by one ``eigvalsh`` call, real input by the real
-    symmetric LAPACK route and complex input by the Hermitian one; a stack's
-    eigenvalues are bitwise those of its matrices solved alone.  LAPACK reads
-    only the lower triangle, so no symmetrized copy is made; instead a matrix
-    whose residual exceeds ``HERMITICITY_RTOL`` is rejected.
-
-    A single matrix that fails raises NumericalError.  When a stack has a
-    rejected matrix, or its call raises LinAlgError or returns non-finite
-    values, each matrix is solved alone, and failed ones raise one
-    StackSolveError that also carries the eigenvalues of the others.
-    """
-    m = np.asarray(m)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
-        raise DomainError(f"expected a square matrix or a stack of them, got shape {m.shape}")
-    res = hermiticity_residual(m)
-    if m.ndim == 2:
-        return _solve_one(m, res)
-    if np.all(res <= HERMITICITY_RTOL):
-        try:
-            vals = np.linalg.eigvalsh(m)
-        except np.linalg.LinAlgError:
-            vals = None
-        if vals is not None and np.all(np.isfinite(vals)):
-            return vals
-    n = m.shape[-1]
-    values = np.full((res.size, n), np.nan)
-    failures = {}
-    for idx, (mat, r) in enumerate(zip(m.reshape(-1, n, n), res.ravel())):
-        try:
-            values[idx] = _solve_one(mat, r)
-        except NumericalError as exc:
-            failures[idx] = str(exc)
-    if failures:
-        raise StackSolveError(values, failures)
-    return values.reshape(m.shape[:-1])

@@ -117,6 +117,16 @@ def _format_cell(value):
     return str(value)
 
 
+def _write_text(path, text, label):
+    """Write `text` to `path` as UTF-8, line ends untranslated; returns the path."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise CavityBlochError(f"cannot write {label} to {path}: {exc}") from exc
+    return path
+
+
 def write_csv(envelope, path):
     """Deterministic CSV: header row with units, one row per record."""
     payload = envelope.payload
@@ -130,13 +140,7 @@ def write_csv(envelope, path):
         table = _table_of(payload)
         chunks = [",".join(table.columns)]
         chunks += [",".join(_format_cell(v) for v in row) for row in table.rows]
-    text = "\n".join(chunks) + "\n"
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise CavityBlochError(f"cannot write CSV to {path}: {exc}") from exc
-    return path
+    return _write_text(path, "\n".join(chunks) + "\n", "CSV")
 
 
 def _json_rows(payload, depth):
@@ -158,18 +162,12 @@ def _json_rows(payload, depth):
 
 
 def write_json(envelope, path):
-    text = json.dumps(envelope.to_jsonable(), indent=1, sort_keys=True)
+    text = json.dumps(envelope.to_jsonable(), indent=1, sort_keys=True) + "\n"
     if isinstance(envelope.payload, SpectrumPayload):
         head, _, tail = text.rpartition(json.dumps(ROWS_SLOT))
         line = head[head.rfind("\n") + 1:]
         text = head + _json_rows(envelope.payload, len(line) - len(line.lstrip(" "))) + tail
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            handle.write("\n")
-    except OSError as exc:
-        raise CavityBlochError(f"cannot write JSON to {path}: {exc}") from exc
-    return path
+    return _write_text(path, text, "JSON")
 
 
 def _scatter_points(payload):
@@ -242,13 +240,7 @@ def write_svg_scatter(envelope, path, window=None):
     parts += [f'<circle cx="{a:.2f}" cy="{b:.2f}" r="1" fill="black"/>'
               for a, b in zip(cx.tolist(), cy.tolist())]
     parts.append("</svg>")
-    text = "\n".join(parts) + "\n"
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-    except OSError as exc:
-        raise CavityBlochError(f"cannot write SVG to {path}: {exc}") from exc
-    return path
+    return _write_text(path, "\n".join(parts) + "\n", "SVG")
 
 
 def export(envelope, path, fmt, window=None):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR, M_ELECTRON, E_CHARGE
-from .errors import CavityBlochError, DomainError, NumericalError, StackSolveError
+from .errors import CavityBlochError, DomainError, NumericalError
 from .numerics import displacement_matrix, hermitian_eigvals
 
 #: scaled diagonal beyond which a polariton-lattice state is treated as
@@ -589,21 +589,25 @@ def _solve_axis(assembler, axis, k_grid, failures, label):
         failures.append(f"{label}, k[{k_idx}]: {message}")
 
     def solve():
+        """One eigensolver call for the pending stack; if it fails, each of its
+        matrices is solved alone, so that a failure stays with its own point."""
         if not stack:
             return
         mats = [mat for _, mat in stack]
-        failed = {}
         try:
             vals = hermitian_eigvals(mats[0][None] if len(mats) == 1 else np.stack(mats))
-        except StackSolveError as exc:
-            vals, failed = exc.values, exc.failures
         except (CavityBlochError, FloatingPointError) as exc:
-            vals, failed = None, dict.fromkeys(range(len(stack)), str(exc))
-        for idx, (k_idx, _) in enumerate(stack):
-            if idx in failed:
-                fail(k_idx, failed[idx])
+            if len(stack) == 1:
+                fail(stack[0][0], str(exc))
             else:
-                row[k_idx] = vals[idx]
+                for k_idx, mat in stack:
+                    try:
+                        row[k_idx] = hermitian_eigvals(mat)
+                    except (CavityBlochError, FloatingPointError) as err:
+                        fail(k_idx, str(err))
+        else:
+            for (k_idx, _), eigs in zip(stack, vals):
+                row[k_idx] = eigs
         stack.clear()
 
     k_idx = 0
@@ -629,11 +633,12 @@ def sweep(assembler, axis_values, k_grid):
     matrix per k point, in order -- over an axis, axis value by axis value.
 
     Consecutive matrices of equal shape and dtype are solved as one stack of
-    at most STACK_BYTES by `hermitian_eigvals`.  A point whose matrix the
-    assembler cannot build (it raises a package error or a floating-point
-    error) or whose solve fails is recorded in SpectrumGrid.failures and keeps
-    an empty eigenvalue array; the assembler is then handed the k points after
-    it.  Any other exception propagates.
+    at most STACK_BYTES by `hermitian_eigvals`, which solves a stack whole or
+    not at all; a stack that fails is solved again matrix by matrix.  A point
+    whose matrix the assembler cannot build (it raises a package error or a
+    floating-point error) or whose matrix fails alone is recorded in
+    SpectrumGrid.failures and keeps an empty eigenvalue array; the assembler
+    is then handed the k points after it.  Any other exception propagates.
     """
     axis_values = np.asarray(axis_values, dtype=float)
     if axis_values.size == 0:

@@ -638,6 +638,36 @@ class TestMainExitCodes:
         assert self.run_main(tmp_path, "polariton-butterfly", text) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == f"config error: {lattice}\nconfig error: {window}\n"
 
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        text = GAS_CONFIG.format(path=tmp_path / "gas.csv", fmt="csv")
+        cfg.write_bytes(b"# caf\xff\n" + text.encode())
+        assert cli.main(["gas", "--config", str(cfg)]) == cli.EXIT_CONFIG
+        assert f"config error: {cfg} is not UTF-8" in capsys.readouterr().err
+        assert not (tmp_path / "gas.csv").exists()
+
+    def test_percent_in_value_is_read_verbatim(self, tmp_path, capsys):
+        text = GAS_CONFIG.replace("{fmt}", "csv").replace("0.208", "1.0%")
+        assert self.run_main(tmp_path, "gas", text) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: [cavity] cavity_thz = '1.0%' is not a valid value" in err
+
+    def test_percent_in_output_path_names_the_file(self, tmp_path):
+        out = tmp_path / "o%(x)s.csv"
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(GAS_CONFIG.format(path=out, fmt="csv"))
+        assert cli.main(["gas", "--config", str(cfg)]) == cli.EXIT_OK
+        assert out.exists()
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_inverted_plot_window_is_config_error(self, tmp_path, capsys, fmt):
+        text = (BUTTERFLY_CONFIG.format(path="{path}", points=3, threads=1)
+                .replace("format = csv", f"format = {fmt}")
+                .replace("[output]", "[plot]\nemin_ev = 5\nemax_ev = 1\n\n[output]"))
+        assert self.run_main(tmp_path, "butterfly", text) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: [plot] emin_ev must be below emax_ev\n"
+        assert not (tmp_path / "out.csv").exists()
+
 
 class TestSolverRoute:
     @pytest.mark.parametrize("kind, lengths, dtype", [
@@ -747,7 +777,7 @@ _MAIN_VALUES = {
 #: keys whose default is a large size, so they are never left out
 _SIZE_KEYS = ("points", "kx_points", "kw_points", "n_max")
 _ANY_VALUE = ("0.05", "0.5", "1", "2.0", "7.5")
-_BAD_VALUE = ("0", "-1", "nan", "inf", "1e400", "x", "")
+_BAD_VALUE = ("0", "-1", "nan", "inf", "1e400", "x", "", "1%", "%(x)s")
 
 
 @st.composite

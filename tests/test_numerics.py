@@ -8,7 +8,7 @@ from scipy.linalg import expm
 
 from cavity_bloch import numerics
 from cavity_bloch.constants import ANGSTROM, EV
-from cavity_bloch.errors import DomainError, NumericalError, StackSolveError
+from cavity_bloch.errors import DomainError, NumericalError
 from cavity_bloch.landau import cyclotron_frequency
 from cavity_bloch.lattice import bravais_cosine_potential, bravais_lattice, field_for_flux_ratio
 from cavity_bloch.numerics import (
@@ -16,7 +16,7 @@ from cavity_bloch.numerics import (
     hermitian_eigvals,
     hermiticity_residual,
 )
-from cavity_bloch.qed_bloch import BasisTruncation, assemble_llb_matrix, harper_matrix
+from cavity_bloch.qed_bloch import BasisTruncation, assemble_llb_matrix, harper_matrix, sweep
 
 from oracles import displacement_matrix_element, laguerre_assoc
 
@@ -197,6 +197,11 @@ def llb_stack(count):
     return stack
 
 
+def sweep_stack(stack):
+    """The sweep of one axis value whose k points are the matrices of `stack`."""
+    return sweep(lambda _axis, k_points: stack[k_points[0]:], [1.0], range(len(stack)))
+
+
 class TestStackedEigvals:
     @pytest.mark.parametrize("stack", [
         harper_matrix(0.83, np.linspace(-3.0, 3.0, 7), 10),
@@ -214,18 +219,22 @@ class TestStackedEigvals:
         assert res.shape == (3,)
         assert np.array_equal(res, [hermiticity_residual(mat) for mat in stack])
 
+    # a stack is solved whole or not at all; the sweep re-solves a failed
+    # stack matrix by matrix, so each failure stays with its own point
+
     def test_non_hermitian_matrix_fails_only_its_own_point(self):
         stack = llb_stack(4)
         stack[2, 0, 1] += 1e-3 * np.max(np.abs(stack[2]))
+        with pytest.raises(NumericalError, match="matrix is not Hermitian"):
+            hermitian_eigvals(stack)
         with pytest.raises(NumericalError) as single:
             hermitian_eigvals(stack[2])
-        with pytest.raises(StackSolveError) as caught:
-            hermitian_eigvals(stack)
-        assert caught.value.failures == {2: str(single.value)}
+        grid = sweep_stack(stack)
+        assert grid.failures == [f"axis[0]=1, k[2]: {single.value}"]
         assert "matrix is not Hermitian" in str(single.value)
-        assert np.all(np.isnan(caught.value.values[2]))
+        assert grid.eigenvalues[0][2].size == 0
         for idx in (0, 1, 3):
-            assert np.array_equal(caught.value.values[idx], hermitian_eigvals(stack[idx]))
+            assert np.array_equal(grid.eigenvalues[0][idx], hermitian_eigvals(stack[idx]))
 
     def test_linalg_error_on_stack_falls_back_to_single_solves(self, monkeypatch):
         stack = harper_matrix(1.4, np.linspace(-2.0, 2.0, 5), 6)
@@ -240,12 +249,18 @@ class TestStackedEigvals:
             return eigvalsh(m)
 
         monkeypatch.setattr(numerics.np.linalg, "eigvalsh", stacked_call_fails)
-        vals = hermitian_eigvals(stack)
+        with pytest.raises(NumericalError, match="eigensolver failed to converge"):
+            hermitian_eigvals(stack)
+        ndims.clear()
+        grid = sweep_stack(stack)
         assert ndims == [3] + [2] * 5
-        assert np.array_equal(vals, want)
+        assert grid.failures == []
+        for eigs, single in zip(grid.eigenvalues[0], want):
+            assert np.array_equal(eigs, single)
 
     def test_non_finite_stack_falls_back_and_fails_per_matrix(self, monkeypatch):
         stack = harper_matrix(1.4, np.linspace(-2.0, 2.0, 3), 6)
+        want = [hermitian_eigvals(mat) for mat in stack]
         eigvalsh = np.linalg.eigvalsh
 
         def second_matrix_nan(m):
@@ -257,7 +272,13 @@ class TestStackedEigvals:
             return vals
 
         monkeypatch.setattr(numerics.np.linalg, "eigvalsh", second_matrix_nan)
-        with pytest.raises(StackSolveError) as caught:
+        with pytest.raises(NumericalError, match="non-finite eigenvalues"):
             hermitian_eigvals(stack)
-        assert list(caught.value.failures) == [1]
-        assert caught.value.failures[1].startswith("non-finite eigenvalues")
+        with pytest.raises(NumericalError) as single:
+            hermitian_eigvals(stack[1])
+        grid = sweep_stack(stack)
+        assert grid.failures == [f"axis[0]=1, k[1]: {single.value}"]
+        assert str(single.value).startswith("non-finite eigenvalues")
+        assert grid.eigenvalues[0][1].size == 0
+        for idx in (0, 2):
+            assert np.array_equal(grid.eigenvalues[0][idx], want[idx])
