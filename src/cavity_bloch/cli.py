@@ -194,23 +194,22 @@ def _run_butterfly(cfg):
     lat = _lattice_from(p)
     pot = _build(bravais_cosine_potential, p["kind"], p["v0_ev"], lat)
     trunc = _build(qed_bloch.BasisTruncation, n_max=p["n_max"], j_max=p["j_max"])
-    kx_grid = qed_bloch.midpoint_kx_grid(lat, p["kx_points"])
+    kx_grid = qed_bloch.midpoint_kx_grid(p["kx_points"])
     scaling = p.get("scaling") or "raw-joules"
     flux_values = np.linspace(p["flux_min"], p["flux_max"], p["points"])
 
     if scaling == "harper-scaled":
 
-        def assembler(flux, kx_points):
-            return qed_bloch.harper_matrix(flux, kx_points, trunc.n_max)
+        def assembler(flux, kx_a):
+            return qed_bloch.harper_matrix(flux, kx_a, trunc.n_max)
 
         unit = "scaled[1]"
     else:
         _build(trunc.dimension, fourier_dims=1)
 
-        def assembler(flux, kx_points):
+        def assembler(flux, kx_a):
             w_c = landau.cyclotron_frequency(field_for_flux_ratio(lat, flux))
-            return (qed_bloch.assemble_llb_matrix(pot, w_c, kx_a / lat.a1, trunc)
-                    for kx_a in kx_points)
+            return qed_bloch.assemble_llb_matrix(pot, w_c, kx_a / lat.a1, trunc)
 
         unit = "energy[eV]"
 
@@ -226,7 +225,7 @@ def _run_polariton_butterfly(cfg):
     trunc = _build(qed_bloch.BasisTruncation, n_max=p["n_max"], j_max=0)
     if p["mode"] == "matrix":
         _build(trunc.dimension, fourier_dims=2)
-    kx_grid = qed_bloch.midpoint_kx_grid(lat, p["kx_points"])
+    kx_grid = qed_bloch.midpoint_kx_grid(p["kx_points"])
     kw_count = p["kw_points"]
     kw_grid = [0.0] if kw_count == 1 else list(
         np.linspace(0.0, 2.0 * math.pi / lat.a1, kw_count, endpoint=False)
@@ -237,10 +236,10 @@ def _run_polariton_butterfly(cfg):
         g_values = g_values.copy()
         g_values[0] = 1e-12  # continuous Harper limit, transform singular at exactly 0
 
-    def assembler(g, k_points):
-        return (qed_bloch.polariton_harper_matrix(p["flux_ratio"], g, kx_a, kw_scaled, trunc,
-                                                  a1=lat.a1, v0=p["v0_ev"], mode=p["mode"])[0]
-                for kx_a, kw_scaled in k_points)
+    def assembler(g, k):
+        kx_a, kw_scaled = k
+        return qed_bloch.polariton_harper_matrix(p["flux_ratio"], g, kx_a, kw_scaled, trunc,
+                                                 a1=lat.a1, v0=p["v0_ev"], mode=p["mode"])[0]
 
     grid = qed_bloch.sweep(assembler, g_values, k_grid)
     return _spectrum_payload(grid, ["coupling_g[1]", "k_index[1]", "eig_index[1]", "scaled[1]"])

@@ -285,6 +285,11 @@ def _cross_checks(command, params):
         emin, emax = params.get("emin_ev"), params.get("emax_ev")
         if emin is not None and emax is not None and emin >= emax:
             violations.append("[plot] emin_ev must be below emax_ev")
+        # the scale t(flux) of harper-scaled output changes along the sweep,
+        # so an eV window has no one value in its units
+        if scaling == "harper-scaled" and (emin is not None or emax is not None):
+            violations.append("[plot] emin_ev/emax_ev apply to eV output only, "
+                              "not to scaling = harper-scaled")
     if command == "polariton-butterfly":
         if params.get("kind") != "square":
             violations.append(

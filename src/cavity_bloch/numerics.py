@@ -92,13 +92,16 @@ def hermitian_eigvals(m):
     only the lower triangle, so no symmetrized copy is made; instead the
     input is rejected if any matrix's residual exceeds ``HERMITICITY_RTOL``.
 
-    The input is solved whole or not at all: a rejected matrix, a LAPACK
-    failure or a non-finite eigenvalue raises NumericalError.
+    The input is solved whole or not at all: a non-finite entry, a rejected
+    matrix, a LAPACK failure or a non-finite eigenvalue raises NumericalError.
     """
     m = np.asarray(m)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
         raise DomainError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     res = np.max(hermiticity_residual(m))
+    # a non-finite entry makes the residual NaN, which no bound rejects
+    if not np.isfinite(res):
+        raise NumericalError(f"non-finite matrix entries (fingerprint {_fingerprint(m)})")
     if res > HERMITICITY_RTOL:
         raise NumericalError(
             f"matrix is not Hermitian: residual {res:.3e} > {HERMITICITY_RTOL:.0e} "

@@ -596,49 +596,45 @@ def _solve_axis(assembler, axis, k_grid, failures, label):
         mats = [mat for _, mat in stack]
         try:
             vals = hermitian_eigvals(mats[0][None] if len(mats) == 1 else np.stack(mats))
-        except (CavityBlochError, FloatingPointError) as exc:
-            if len(stack) == 1:
-                fail(stack[0][0], str(exc))
-            else:
-                for k_idx, mat in stack:
-                    try:
-                        row[k_idx] = hermitian_eigvals(mat)
-                    except (CavityBlochError, FloatingPointError) as err:
-                        fail(k_idx, str(err))
-        else:
-            for (k_idx, _), eigs in zip(stack, vals):
-                row[k_idx] = eigs
+        except (CavityBlochError, FloatingPointError):
+            vals = []
+            for k_idx, mat in stack:
+                try:
+                    vals.append(hermitian_eigvals(mat))
+                except (CavityBlochError, FloatingPointError) as exc:
+                    fail(k_idx, str(exc))
+                    vals.append(np.empty(0))
+        for (k_idx, _), eigs in zip(stack, vals):
+            row[k_idx] = eigs
         stack.clear()
 
-    k_idx = 0
-    while k_idx < len(k_grid):
+    for k_idx, k in enumerate(k_grid):
         try:
-            for mat in assembler(axis, k_grid[k_idx:]):
-                if stack and (mat.shape != stack[0][1].shape or mat.dtype != stack[0][1].dtype
-                              or (len(stack) + 1) * mat.nbytes > STACK_BYTES):
-                    solve()
-                stack.append((k_idx, mat))
-                k_idx += 1
-            break
+            mat = assembler(axis, k)
         except (CavityBlochError, FloatingPointError) as exc:
             solve()  # first, so failures stay in k order
             fail(k_idx, str(exc))
-            k_idx += 1
+            continue
+        if stack and (mat.shape != stack[0][1].shape or mat.dtype != stack[0][1].dtype
+                      or (len(stack) + 1) * mat.nbytes > STACK_BYTES):
+            solve()
+        stack.append((k_idx, mat))
     solve()
     return row
 
 
 def sweep(assembler, axis_values, k_grid):
-    """Solve `assembler(axis_value, k_points)` -- an iterable of one Hermitian
-    matrix per k point, in order -- over an axis, axis value by axis value.
+    """Solve `assembler(axis_value, k)` -- one Hermitian matrix per point --
+    over every axis value and every k of `k_grid`.
 
-    Consecutive matrices of equal shape and dtype are solved as one stack of
-    at most STACK_BYTES by `hermitian_eigvals`, which solves a stack whole or
-    not at all; a stack that fails is solved again matrix by matrix.  A point
+    The sweep alone decides what is solved together: consecutive matrices of
+    one axis value with equal shape and dtype are solved as one stack of at
+    most STACK_BYTES by `hermitian_eigvals`, which solves a stack whole or not
+    at all; a stack that fails is solved again matrix by matrix.  A point
     whose matrix the assembler cannot build (it raises a package error or a
     floating-point error) or whose matrix fails alone is recorded in
-    SpectrumGrid.failures and keeps an empty eigenvalue array; the assembler
-    is then handed the k points after it.  Any other exception propagates.
+    SpectrumGrid.failures and keeps an empty eigenvalue array.  Any other
+    exception propagates.
     """
     axis_values = np.asarray(axis_values, dtype=float)
     if axis_values.size == 0:
@@ -657,7 +653,7 @@ def sweep(assembler, axis_values, k_grid):
     )
 
 
-def midpoint_kx_grid(lat, points):
+def midpoint_kx_grid(points):
     """k_x * a1 values at midpoints of a uniform Brillouin-zone grid.
 
     Midpoints avoid the measure-zero band-touching momenta of even-q

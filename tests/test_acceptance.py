@@ -147,10 +147,10 @@ class TestAcceptance:
         assert union.max() == pytest.approx(4.0, abs=2e-4)
         assert not spectral_gaps(union, 1e-3)
         # 300-point flux sweep at n_max = 30 stays inside the budget
-        def assembler(flux, kx_points):
-            return harper_matrix(flux, kx_points, 30)
+        def assembler(flux, kxa):
+            return harper_matrix(flux, kxa, 30)
 
-        grid = sweep(assembler, np.linspace(0.01, 2.0, 300), midpoint_kx_grid(SQUARE, 32))
+        grid = sweep(assembler, np.linspace(0.01, 2.0, 300), midpoint_kx_grid(32))
         assert not grid.failures
         elapsed = time.perf_counter() - start
         assert elapsed < 120.0
@@ -159,7 +159,7 @@ class TestAcceptance:
     def test_criterion_4_polaritonic_butterfly_windows(self):
         start = time.perf_counter()
         trunc = BasisTruncation(n_max=30)
-        kxs = midpoint_kx_grid(SQUARE, 32)
+        kxs = midpoint_kx_grid(32)
         results = {}
         for flux, expected in ((5e-3, 0.07), (0.1, 0.35)):
             g_values = np.linspace(1e-4, 2.0 * expected, 40)

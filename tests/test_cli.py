@@ -537,6 +537,18 @@ class TestMainExitCodes:
         assert "numerical failure: 4 of 20 points failed" in err
         assert err.count("synthetic failure") == 4
 
+    def test_non_finite_llb_matrices_fail_as_such(self, tmp_path, capsys):
+        # at flux ~1e-150 the Laguerre table overflows into NaN matrix entries
+        text = (BUTTERFLY_CONFIG.format(path="{path}", points=2, threads=1)
+                .replace("flux_min = 0.01", "flux_min = 1e-150")
+                .replace("flux_max = 2.0", "flux_max = 2e-150")
+                .replace("scaling = harper-scaled", "scaling = raw-joules")
+                .replace("n_max = 10", "n_max = 2\nj_max = 3"))
+        assert self.run_main(tmp_path, "butterfly", text) == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "numerical failure: 8 of 8 points failed" in err
+        assert err.count(": non-finite matrix entries (fingerprint") == cli.FAILURES_SHOWN
+
     def test_raw_joules_basis_cap_is_config_error(self, tmp_path, capsys):
         # (2 n_max + 1)(j_max + 1) = 24461 basis states exceed the 20000 cap
         code = self.run_main(tmp_path, "butterfly", RAW_JOULES_CAP_CONFIG)
@@ -662,10 +674,23 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_inverted_plot_window_is_config_error(self, tmp_path, capsys, fmt):
         text = (BUTTERFLY_CONFIG.format(path="{path}", points=3, threads=1)
+                .replace("scaling = harper-scaled", "scaling = raw-joules")
                 .replace("format = csv", f"format = {fmt}")
                 .replace("[output]", "[plot]\nemin_ev = 5\nemax_ev = 1\n\n[output]"))
         assert self.run_main(tmp_path, "butterfly", text) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == "config error: [plot] emin_ev must be below emax_ev\n"
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("window", ["emin_ev = -1\nemax_ev = 1", "emax_ev = 1"])
+    def test_plot_window_on_harper_scaled_is_config_error(self, tmp_path, capsys, fmt, window):
+        # harper-scaled energies are in units of t(flux), which varies along the sweep
+        text = (BUTTERFLY_CONFIG.format(path="{path}", points=3, threads=1)
+                .replace("format = csv", f"format = {fmt}")
+                .replace("[output]", f"[plot]\n{window}\n\n[output]"))
+        assert self.run_main(tmp_path, "butterfly", text) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == ("config error: [plot] emin_ev/emax_ev apply to eV "
+                                           "output only, not to scaling = harper-scaled\n")
         assert not (tmp_path / "out.csv").exists()
 
 

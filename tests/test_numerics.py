@@ -176,6 +176,15 @@ class TestHermitianEigvals:
         with pytest.raises(NumericalError, match="fingerprint"):
             hermitian_eigvals(bad)
 
+    @pytest.mark.parametrize("bad", [
+        np.diag([1.0, 2.0, np.nan]),
+        np.array([[1.0, np.inf], [np.inf, 2.0]]),
+    ], ids=["nan-diagonal", "inf-off-diagonal"])
+    def test_non_finite_entries_rejected(self, bad):
+        # their residual is NaN, which passes any `>` bound
+        with pytest.raises(NumericalError, match=r"non-finite matrix entries \(fingerprint"):
+            hermitian_eigvals(bad)
+
     def test_residual_measure(self):
         assert hermiticity_residual(np.eye(4)) == 0.0
         assert hermiticity_residual(np.array([[0.0, 1.0], [0.0, 0.0]])) == pytest.approx(1.0)
@@ -199,7 +208,7 @@ def llb_stack(count):
 
 def sweep_stack(stack):
     """The sweep of one axis value whose k points are the matrices of `stack`."""
-    return sweep(lambda _axis, k_points: stack[k_points[0]:], [1.0], range(len(stack)))
+    return sweep(lambda _axis, k_idx: stack[k_idx], [1.0], range(len(stack)))
 
 
 class TestStackedEigvals:
@@ -282,3 +291,15 @@ class TestStackedEigvals:
         assert grid.eigenvalues[0][1].size == 0
         for idx in (0, 2):
             assert np.array_equal(grid.eigenvalues[0][idx], want[idx])
+
+    def test_non_finite_matrix_fails_only_its_own_point(self):
+        stack = llb_stack(4)
+        stack[1, 2, 2] = np.nan
+        with pytest.raises(NumericalError) as single:
+            hermitian_eigvals(stack[1])
+        assert str(single.value).startswith("non-finite matrix entries")
+        grid = sweep_stack(stack)
+        assert grid.failures == [f"axis[0]=1, k[1]: {single.value}"]
+        assert grid.eigenvalues[0][1].size == 0
+        for idx in (0, 2, 3):
+            assert np.array_equal(grid.eigenvalues[0][idx], hermitian_eigvals(stack[idx]))

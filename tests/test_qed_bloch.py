@@ -273,7 +273,7 @@ class TestAssembly:
         flux = 1.0
         _, w_c = square_setup(flux)
         pot = self.potential()
-        kxs = midpoint_kx_grid(SQUARE, 8)
+        kxs = midpoint_kx_grid(8)
         supports = []
         for n_max in (20, 30):
             union = np.concatenate(
@@ -322,7 +322,7 @@ class TestAssembly:
                 union = np.concatenate(
                     [
                         hermitian_eigvals(assemble_llb_matrix(pot, w_c, kxa / lat.a1, trunc))
-                        for kxa in midpoint_kx_grid(lat, 8)
+                        for kxa in midpoint_kx_grid(8)
                     ]
                 )
                 band = np.sort(union) - 0.5 * HBAR * w_c
@@ -536,7 +536,7 @@ class TestHarper:
         # sign map
         flux = 1.0 / 3.0
         union = np.sort(
-            np.concatenate([harper_eigvals(flux, kxa, 20) for kxa in midpoint_kx_grid(SQUARE, 48)])
+            np.concatenate([harper_eigvals(flux, kxa, 20) for kxa in midpoint_kx_grid(48)])
         )
         assert np.max(np.abs(union + union[::-1])) < 1e-6
 
@@ -554,7 +554,7 @@ class TestHarper:
         for p, q in ((1, 3), (1, 5)):
             bands = harper_exact_bands(p, q)
             union = np.concatenate(
-                [harper_eigvals(q / p, kxa, 30) for kxa in midpoint_kx_grid(SQUARE, 16)]
+                [harper_eigvals(q / p, kxa, 30) for kxa in midpoint_kx_grid(16)]
             )
             inside = np.zeros(union.shape, dtype=bool)
             for lo, hi in bands:
@@ -677,7 +677,7 @@ class TestPolaritonHarper:
         # above; the residual is the open-boundary m-quantization offset
         flux, g = 1.0, 0.05
         trunc = BasisTruncation(n_max=8)
-        kxs = midpoint_kx_grid(SQUARE, 24)
+        kxs = midpoint_kx_grid(24)
         red = np.concatenate(
             [
                 polariton_harper_eigvals(
@@ -700,7 +700,7 @@ class TestPolaritonHarper:
 
 def window_end_for(flux, g_max, n_points=40, kx_points=32):
     trunc = BasisTruncation(n_max=30)
-    kxs = midpoint_kx_grid(SQUARE, kx_points)
+    kxs = midpoint_kx_grid(kx_points)
     g_values = np.linspace(1e-4, g_max, n_points)
     counts = []
     for g in g_values:
@@ -793,18 +793,18 @@ class TestPolaritonWindows:
 
 class TestSweep:
     def test_single_point_matches_direct(self):
-        def assembler(flux, kx_points):
-            return harper_matrix(flux, kx_points, 8)
+        def assembler(flux, kxa):
+            return harper_matrix(flux, kxa, 8)
 
         grid = sweep(assembler, [1.0], [0.3])
         direct = harper_eigvals(1.0, 0.3, 8)
         assert np.array_equal(grid.eigenvalues[0][0], direct)
 
     def test_failures_recorded_not_raised(self):
-        def assembler(flux, kx_points):
+        def assembler(flux, kxa):
             if flux > 1.0:
                 raise DomainError("synthetic failure")
-            return harper_matrix(flux, kx_points, 4)
+            return harper_matrix(flux, kxa, 4)
 
         grid = sweep(assembler, [0.5, 1.5], [0.1, 0.2])
         assert len(grid.failures) == 2
@@ -812,19 +812,18 @@ class TestSweep:
         assert grid.eigenvalues[1][0].size == 0
 
     def test_programming_errors_propagate(self):
-        def assembler(flux, kx_points):
+        def assembler(flux, kxa):
             if flux > 1.0:
                 raise TypeError("synthetic bug")
-            return harper_matrix(flux, kx_points, 4)
+            return harper_matrix(flux, kxa, 4)
 
         with pytest.raises(TypeError, match="synthetic bug"):
             sweep(assembler, [0.5, 1.5], [0.1, 0.2])
 
     def test_harper_chains_solved_as_one_stack(self, monkeypatch):
         solved = record_calls(monkeypatch, "hermitian_eigvals")
-        kx_grid = midpoint_kx_grid(SQUARE, 32)
-        grid = sweep(lambda flux, kx_points: harper_matrix(flux, kx_points, 30), [0.6, 1.1],
-                     kx_grid)
+        kx_grid = midpoint_kx_grid(32)
+        grid = sweep(lambda flux, kxa: harper_matrix(flux, kxa, 30), [0.6, 1.1], kx_grid)
         assert [args[0].shape for args, _ in solved] == [(32, 61, 61)] * 2
         for row, flux in zip(grid.eigenvalues, (0.6, 1.1)):
             for eigs, kxa in zip(row, kx_grid):
@@ -834,14 +833,40 @@ class TestSweep:
         # two complex matrices of dim 183 exceed the budget: one solve each
         solved = record_calls(monkeypatch, "hermitian_eigvals")
         mat = np.diag(np.arange(183.0)).astype(np.complex128)
-        sweep(lambda _axis, k_points: (mat for _ in k_points), [1.0], [0.1, 0.2, 0.3])
+        sweep(lambda _axis, _k: mat, [1.0], [0.1, 0.2, 0.3])
         assert [args[0].shape for args, _ in solved] == [(1, 183, 183)] * 3
 
+    def test_stacks_split_by_shape_and_dtype(self, monkeypatch):
+        # as polariton-butterfly under mode = auto with kw_points > 1: one row
+        # of (kx, kw) points mixes real chains and complex matrices
+        rng = np.random.default_rng(7)
+
+        def hermitian(dim, dtype):
+            a = rng.normal(size=(dim, dim)).astype(dtype)
+            if dtype == np.complex128:
+                a += 1j * rng.normal(size=(dim, dim))
+            return a + a.conj().T
+
+        kinds = [(5, np.float64), (5, np.float64), (5, np.complex128), (5, np.complex128),
+                 (7, np.float64), (5, np.float64)]
+        k_grid = [(0.1 * idx, 0.5 * (idx % 2)) for idx in range(len(kinds))]
+        mats = {k: hermitian(dim, dtype) for k, (dim, dtype) in zip(k_grid, kinds)}
+        solved = record_calls(monkeypatch, "hermitian_eigvals")
+        grid = sweep(lambda _g, k: mats[k], [1.0], k_grid)
+        assert [(args[0].shape, args[0].dtype) for args, _ in solved] == [
+            ((2, 5, 5), np.float64), ((2, 5, 5), np.complex128),
+            ((1, 7, 7), np.float64), ((1, 5, 5), np.float64),
+        ]
+        assert grid.k_labels == k_grid and not grid.failures
+        for k, eigs in zip(k_grid, grid.eigenvalues[0]):
+            assert np.array_equal(eigs, hermitian_eigvals(mats[k]))
+
     def test_failed_solve_fails_only_its_point(self):
-        def assembler(flux, kx_points):
-            stack = harper_matrix(flux, kx_points, 4)
-            stack[1, 0, 1] += 1.0  # not Hermitian
-            return stack
+        def assembler(flux, kxa):
+            mat = harper_matrix(flux, kxa, 4)
+            if kxa == 0.2:
+                mat[0, 1] += 1.0  # not Hermitian
+            return mat
 
         grid = sweep(assembler, [0.5], [0.1, 0.2, 0.3])
         assert len(grid.failures) == 1
@@ -852,11 +877,10 @@ class TestSweep:
                                   harper_eigvals(0.5, [0.1, 0.2, 0.3][k_idx], 4))
 
     def test_assembly_failure_fails_only_its_point(self):
-        def assembler(flux, kx_points):
-            for kxa in kx_points:
-                if kxa == 0.2:
-                    raise DomainError("synthetic failure")
-                yield harper_matrix(flux, kxa, 4)
+        def assembler(flux, kxa):
+            if kxa == 0.2:
+                raise DomainError("synthetic failure")
+            return harper_matrix(flux, kxa, 4)
 
         grid = sweep(assembler, [0.5, 1.5], [0.1, 0.2, 0.3])
         assert grid.failures == ["axis[0]=0.5, k[1]: synthetic failure",
