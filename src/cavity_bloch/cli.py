@@ -204,6 +204,7 @@ def _run_butterfly(cfg):
             return qed_bloch.harper_matrix(flux, kx_a, trunc.n_max)
 
         unit = "scaled[1]"
+        symmetric = True  # the Harper chain at -k_x is the reversed chain at k_x
     else:
         _build(trunc.dimension, fourier_dims=1)
 
@@ -212,8 +213,10 @@ def _run_butterfly(cfg):
             return qed_bloch.assemble_llb_matrix(pot, w_c, kx_a / lat.a1, trunc)
 
         unit = "energy[eV]"
+        symmetric = qed_bloch.c2_symmetric(pot)
 
-    grid = qed_bloch.sweep(assembler, flux_values, kx_grid)
+    partners = qed_bloch.c2_partners(kx_grid) if symmetric else None
+    grid = qed_bloch.sweep(assembler, flux_values, kx_grid, partners)
     if scaling != "harper-scaled":
         grid.eigenvalues = [[eigs / EV for eigs in row] for row in grid.eigenvalues]
     return _spectrum_payload(grid, ["flux_ratio[1]", "k_index[1]", "eig_index[1]", unit])
@@ -241,7 +244,9 @@ def _run_polariton_butterfly(cfg):
         return qed_bloch.polariton_harper_matrix(p["flux_ratio"], g, kx_a, kw_scaled, trunc,
                                                  a1=lat.a1, v0=p["v0_ev"], mode=p["mode"])[0]
 
-    grid = qed_bloch.sweep(assembler, g_values, k_grid)
+    # only the kw = 0 points pair up, where the matrix at -k_x is the one at
+    # k_x with its (n, m) order reversed
+    grid = qed_bloch.sweep(assembler, g_values, k_grid, qed_bloch.c2_partners(k_grid))
     return _spectrum_payload(grid, ["coupling_g[1]", "k_index[1]", "eig_index[1]", "scaled[1]"])
 
 

@@ -325,13 +325,15 @@ def harper_matrix(flux, kx_a, n_max, hop=1.0, onsite=1.0):
     if flux <= 0.0:
         raise DomainError("flux ratio must be positive")
     n_vals = np.arange(-n_max, n_max + 1)
+    size = n_vals.size
     kx_a = np.asarray(kx_a, dtype=float)[..., None]
     diag = 2.0 * onsite * np.cos(2.0 * math.pi / flux * (kx_a / (2.0 * math.pi) + n_vals))
-    idx = np.arange(n_vals.size)
-    mat = np.zeros(diag.shape + (n_vals.size,))
-    mat[..., idx, idx] = diag
-    mat[..., idx[1:], idx[:-1]] = hop
-    mat[..., idx[:-1], idx[1:]] = hop
+    mat = np.zeros(diag.shape + (size,))
+    # diagonal, upper and lower diagonal as basic slices of a flat view
+    flat = mat.reshape(diag.shape[:-1] + (size * size,))
+    flat[..., :: size + 1] = diag
+    flat[..., 1 :: size + 1] = hop
+    flat[..., size :: size + 1] = hop
     return mat
 
 
@@ -579,14 +581,16 @@ class SpectrumGrid:
 STACK_BYTES = 1 << 20
 
 
-def _solve_axis(assembler, axis, k_grid, failures, label):
-    """Eigenvalues of every k point of one axis value (empty where it failed);
-    each failure is appended to `failures` as "<label>, k[<index>]: <message>"."""
-    row = [np.empty(0)] * len(k_grid)
-    stack = []  # (k index, matrix) pairs awaiting one eigensolver call
+def _solve_axis(assembler, axis, k_grid, partners, failures, label):
+    """Eigenvalues of every k point of one axis value (empty where it failed).
 
-    def fail(k_idx, message):
-        failures.append(f"{label}, k[{k_idx}]: {message}")
+    Only the points that are their own partner are assembled and solved;
+    every other point shares its partner's array, and its failure.  Each
+    failure is appended to `failures` as "<label>, k[<index>]: <message>",
+    in k order."""
+    row = [np.empty(0)] * len(k_grid)
+    errors = {}  # k index of a solved point -> its failure message
+    stack = []  # (k index, matrix) pairs awaiting one eigensolver call
 
     def solve():
         """One eigensolver call for the pending stack; if it fails, each of its
@@ -602,28 +606,33 @@ def _solve_axis(assembler, axis, k_grid, failures, label):
                 try:
                     vals.append(hermitian_eigvals(mat))
                 except (CavityBlochError, FloatingPointError) as exc:
-                    fail(k_idx, str(exc))
+                    errors[k_idx] = str(exc)
                     vals.append(np.empty(0))
         for (k_idx, _), eigs in zip(stack, vals):
             row[k_idx] = eigs
         stack.clear()
 
     for k_idx, k in enumerate(k_grid):
+        if partners[k_idx] != k_idx:
+            continue  # shares its partner's spectrum
         try:
             mat = assembler(axis, k)
         except (CavityBlochError, FloatingPointError) as exc:
-            solve()  # first, so failures stay in k order
-            fail(k_idx, str(exc))
+            errors[k_idx] = str(exc)
             continue
         if stack and (mat.shape != stack[0][1].shape or mat.dtype != stack[0][1].dtype
                       or (len(stack) + 1) * mat.nbytes > STACK_BYTES):
             solve()
         stack.append((k_idx, mat))
     solve()
+    for k_idx, partner in enumerate(partners):
+        row[k_idx] = row[partner]
+        if partner in errors:
+            failures.append(f"{label}, k[{k_idx}]: {errors[partner]}")
     return row
 
 
-def sweep(assembler, axis_values, k_grid):
+def sweep(assembler, axis_values, k_grid, partners=None):
     """Solve `assembler(axis_value, k)` -- one Hermitian matrix per point --
     over every axis value and every k of `k_grid`.
 
@@ -635,6 +644,12 @@ def sweep(assembler, axis_values, k_grid):
     floating-point error) or whose matrix fails alone is recorded in
     SpectrumGrid.failures and keeps an empty eigenvalue array.  Any other
     exception propagates.
+
+    `partners` (c2_partners) names, per k point, the point whose spectrum it
+    shares: a point whose partner is another, earlier point is neither
+    assembled nor solved, and takes that point's eigenvalue array (the same
+    object) or its failure message, under its own k label.  None solves every
+    point.
     """
     axis_values = np.asarray(axis_values, dtype=float)
     if axis_values.size == 0:
@@ -642,8 +657,13 @@ def sweep(assembler, axis_values, k_grid):
     if np.any(np.diff(axis_values) < 0.0):
         raise DomainError("sweep axis must be monotone")
     k_grid = list(k_grid)
+    partners = range(len(k_grid)) if partners is None else list(partners)
+    if len(partners) != len(k_grid) or any(p > idx or partners[p] != p
+                                           for idx, p in enumerate(partners)):
+        raise DomainError("each k point's partner must be itself or an earlier, solved point")
     failures = []
-    eigenvalues = [_solve_axis(assembler, axis, k_grid, failures, f"axis[{a_idx}]={axis:g}")
+    eigenvalues = [_solve_axis(assembler, axis, k_grid, partners, failures,
+                               f"axis[{a_idx}]={axis:g}")
                    for a_idx, axis in enumerate(axis_values)]
     return SpectrumGrid(
         axis_values=axis_values,
@@ -658,11 +678,49 @@ def midpoint_kx_grid(points):
 
     Midpoints avoid the measure-zero band-touching momenta of even-q
     Hofstadter spectra, keeping gap counting well defined on finite grids.
+    The grid is exactly antisymmetric, k[points - 1 - i] == -k[i], with the
+    middle point of an odd grid exactly 0.0, so c2_partners pairs every point.
     """
     if points < 1:
         raise DomainError("need at least one k point")
     step = 2.0 * math.pi / points
-    return (-math.pi + (np.arange(points) + 0.5) * step).tolist()
+    half = (-math.pi + (np.arange(points // 2) + 0.5) * step).tolist()
+    return half + [0.0] * (points % 2) + [-k for k in reversed(half)]
+
+
+def c2_symmetric(pot):
+    """True if `pot` is symmetric under the C2 rotation r -> -r:
+    V_{-dn,-dm} == V_{dn,dm} exactly for every coefficient.
+
+    In the Landau gauge C2 maps k_x to -k_x.  The coefficient (-dn, -dm) has
+    -G and -G^x, so at -k_x and the reversed Fourier index it carries the
+    phases of (dn, dm) and the amplitude -beta (or -alpha); with
+    D(-beta) = P D(beta) P, P = diag((-1)^j), the LLB and reduced central
+    matrices obey A(-k_x) = U A(k_x) U^T with U = J (x) P, J reversing n.
+    Every bravais_cosine_potential passes; mirrors _x_mirror.
+    """
+    coeff = pot.coefficients
+    return all(coeff.get((-dn, -dm)) == v for (dn, dm), v in coeff.items())
+
+
+def c2_partners(k_grid):
+    """For each point of `k_grid`, the index of the point it shares its
+    spectrum with under C2 (k -> -k): the earlier point equal to -k exactly,
+    resolved to a point that is its own partner, else its own index.
+
+    A (kx, kw) tuple maps to (-kx, -kw).  Spectra agree at the partners of a
+    Harper chain (harper_matrix(F, -k) = J H(F, k) J, J reversing n), of the
+    polariton matrix at kw = 0 (the (n, m) order reversed) and of the LLB and
+    reduced central matrices of a c2_symmetric potential.
+    """
+    first = {}  # k as a tuple -> its first index
+    partners = []
+    for idx, k in enumerate(k_grid):
+        key = tuple(np.atleast_1d(k).tolist())
+        partner = first.get(tuple(-x for x in key))
+        partners.append(idx if partner is None else partners[partner])
+        first.setdefault(key, idx)
+    return partners
 
 
 def count_bands(values, gap_threshold):

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from cavity_bloch import cli, config, numerics, output, qed_bloch
 from cavity_bloch.config import COMMANDS, FORMATS, parse_config
 from cavity_bloch.errors import ConfigError, NumericalError
-from cavity_bloch.lattice import BRAVAIS_KINDS
+from cavity_bloch.lattice import BRAVAIS_KINDS, FourierPotential, bravais_cosine_potential
 
 GAS_CONFIG = """
 [run]
@@ -460,6 +460,22 @@ class TestCliProcess:
         assert r1.returncode == 0 and r2.returncode == 0, r1.stderr + r2.stderr
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_overflowing_sweep_reports_failures_without_warnings(self, tmp_path):
+        # at flux ~1e-150 the Laguerre table overflows: each point is reported
+        # as a failure, and numpy's RuntimeWarning stays off stderr
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(BUTTERFLY_CONFIG.format(path=tmp_path / "out.csv", points=2, threads=1)
+                       .replace("flux_min = 0.01", "flux_min = 1e-150")
+                       .replace("flux_max = 2.0", "flux_max = 2e-150")
+                       .replace("scaling = harper-scaled", "scaling = raw-joules")
+                       .replace("n_max = 10", "n_max = 2\nj_max = 3")
+                       .replace("kx_points = 4", "kx_points = 2"))
+        result = self.run_cli(["butterfly", "--config", str(cfg)], tmp_path)
+        assert result.returncode == cli.EXIT_NUMERICAL
+        assert "numerical failure: 4 of 4 points failed" in result.stderr
+        assert result.stderr.count(": non-finite matrix entries (fingerprint") == 4
+        assert "Warning" not in result.stderr
+
     def test_command_mismatch_rejected(self, tmp_path):
         cfg = tmp_path / "gas.ini"
         cfg.write_text(GAS_CONFIG.format(path="x.csv", fmt="csv"))
@@ -719,6 +735,85 @@ class TestSolverRoute:
         cfg.write_text(text.format(path=tmp_path / "out.csv"))
         assert cli.main(["butterfly", "--config", str(cfg)]) == cli.EXIT_OK
         assert dtypes and set(dtypes) == {np.dtype(dtype)}
+
+
+class TestC2Sweeps:
+    """Sweeps with C2 symmetry build and solve one point of each +-k_x pair;
+    the other point's rows repeat its partner's values."""
+
+    def run_counting(self, tmp_path, monkeypatch, command, text, builder):
+        """Exit code, the calls of qed_bloch.`builder`, and the CSV values per
+        (axis value, k index)."""
+        calls = []
+        original = getattr(qed_bloch, builder)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(qed_bloch, builder, counting)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(text.format(path=tmp_path / "out.csv"))
+        code = cli.main([command, "--config", str(cfg)])
+        values = {}
+        for line in (tmp_path / "out.csv").read_text().splitlines()[1:]:
+            axis, k_idx, _, value = line.split(",")
+            values.setdefault((axis, int(k_idx)), []).append(value)
+        return code, calls, values
+
+    @staticmethod
+    def raw_joules(kind, lengths):
+        return (OBLIQUE_BUTTERFLY_CONFIG.replace("kind = oblique", f"kind = {kind}")
+                .replace("a2_angstrom = 3.0", lengths)
+                .replace("\npoints = 2", "\npoints = 2\nscaling = raw-joules")
+                .replace("kx_points = 2", "kx_points = 4"))
+
+    @pytest.mark.parametrize("text, builder", [
+        (BUTTERFLY_CONFIG.format(path="{path}", points=2, threads=1), "harper_matrix"),
+        (raw_joules("square", "a2_angstrom = 2.0"), "assemble_llb_matrix"),
+        (raw_joules("oblique", "a2_angstrom = 3.0\ntheta_deg = 70"), "assemble_llb_matrix"),
+    ], ids=["harper-scaled", "raw-joules-square", "raw-joules-oblique"])
+    def test_butterfly_solves_one_point_per_pair(self, tmp_path, monkeypatch, text, builder):
+        code, calls, values = self.run_counting(tmp_path, monkeypatch, "butterfly", text,
+                                                builder)
+        assert code == cli.EXIT_OK
+        assert len(calls) == 2 * 2  # 2 flux values x 2 of the 4 k points
+        assert len(values) == 2 * 4
+        for axis in {axis for axis, _ in values}:
+            assert values[(axis, 3)] == values[(axis, 0)]
+            assert values[(axis, 2)] == values[(axis, 1)]
+
+    def test_raw_joules_without_c2_solves_every_point(self, tmp_path, monkeypatch):
+        # square lattice, b2 cosine shifted by a phase: the x -> -x mirror stays,
+        # C2 goes, and the +-k_x spectra differ
+        def shifted(kind, v0, lat):
+            pot = bravais_cosine_potential(kind, v0, lat)
+            coeff = dict(pot.coefficients)
+            coeff[(0, 1)] = 0.5 * v0 * np.exp(0.4j)
+            coeff[(0, -1)] = 0.5 * v0 * np.exp(-0.4j)
+            return FourierPotential(coefficients=coeff, lattice=lat)
+
+        monkeypatch.setattr(cli, "bravais_cosine_potential", shifted)
+        code, calls, values = self.run_counting(
+            tmp_path, monkeypatch, "butterfly", self.raw_joules("square", "a2_angstrom = 2.0"),
+            "assemble_llb_matrix")
+        assert code == cli.EXIT_OK
+        assert len(calls) == 2 * 4
+        for axis in {axis for axis, _ in values}:
+            assert values[(axis, 3)] != values[(axis, 0)]
+
+    def test_polariton_butterfly_pairs_the_kw_zero_points(self, tmp_path, monkeypatch):
+        # k = (kx, kw) over kx in {-pi/2, pi/2} and kw in {0, pi/a1}: only the
+        # two kw = 0 points form a pair, so 3 of the 4 points are built
+        text = POLARITON_MATRIX_CONFIG.replace("kx_points = 2", "kx_points = 2\nkw_points = 2")
+        code, calls, values = self.run_counting(tmp_path, monkeypatch, "polariton-butterfly",
+                                                text, "polariton_harper_matrix")
+        assert code == cli.EXIT_OK
+        assert len(calls) == 2 * 3
+        assert sum(args[3] == 0.0 for args in calls) == 2  # one kw = 0 point per g
+        for axis in {axis for axis, _ in values}:
+            assert values[(axis, 2)] == values[(axis, 0)]
+            assert values[(axis, 3)] != values[(axis, 1)]
 
 
 class TestScatterFormat:

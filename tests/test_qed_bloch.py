@@ -28,6 +28,7 @@ from cavity_bloch.qed_bloch import (
     assemble_central_matrix,
     assemble_llb_matrix,
     beta_matrix,
+    c2_partners,
     count_bands,
     coupling_window_end,
     harper_eigvals,
@@ -371,7 +372,8 @@ class TestFourierLatticeOracle:
     irrational G_{m,n} mixing and a nonzero G^x on both stars.  The LLB and
     reduced central matrices of potentials with an x -> -x mirror are built
     real from mirror pairs; the oracle sums every coefficient as a complex
-    number, so it checks the pairing.
+    number, so it checks the pairing.  The C2 checks show that the sweep may
+    take the spectrum at -k_x from the one at k_x.
     """
 
     LATTICES = {
@@ -483,6 +485,54 @@ class TestFourierLatticeOracle:
             assert pot.coefficients[(dn, c * dn - dm)] == np.conj(v)
             assert abs(lat.g_oblique(c * dn - dm, dn) + lat.g_oblique(dm, dn)) <= 1e-15 * scale
 
+    #: k_x a1 values of the C2 checks; -k_x a1 is built beside each
+    C2_KXA = (0.37, -1.2, 2.9)
+
+    def c2_image(self, mat):
+        """U A U^T with U = J (x) diag((-1)^j), J reversing the Fourier index n."""
+        n_count, j_count = 2 * self.N_MAX + 1, self.J_MAX + 1
+        sign = (-1.0) ** np.arange(j_count)
+        blocks = mat.reshape(n_count, j_count, n_count, j_count)[::-1, :, ::-1, :]
+        return (blocks * sign[:, None, None] * sign).reshape(mat.shape)
+
+    def assert_c2_image(self, kind, minus, mat):
+        # bitwise, except that the hexagonal mirror pairs are summed from the
+        # other member at -k_x, which reorders a rounding
+        image = self.c2_image(mat)
+        if kind == "hexagonal":
+            assert np.max(np.abs(minus - image)) <= 1e-15 * np.max(np.abs(mat))
+        else:
+            assert np.array_equal(minus, image)
+
+    @pytest.mark.parametrize("kind", tuple(LATTICES))
+    def test_llb_at_minus_kx_is_c2_image(self, kind):
+        lat, pot, w_c, trunc = self.setup_for(kind)
+        assert qed_bloch.c2_symmetric(pot)
+        for kx_a in self.C2_KXA:
+            mat = assemble_llb_matrix(pot, w_c, kx_a / lat.a1, trunc)
+            minus = assemble_llb_matrix(pot, w_c, -kx_a / lat.a1, trunc)
+            assert minus.dtype == mat.dtype == self.expected_dtype(kind)
+            self.assert_c2_image(kind, minus, mat)
+
+    @pytest.mark.parametrize("kind", tuple(LATTICES))
+    def test_reduced_central_at_minus_kx_is_c2_image(self, kind):
+        lat, pot, w_c, trunc = self.setup_for(kind)
+        params = polariton_params(0.6 * w_c, w_c)
+        for kx_a in self.C2_KXA:
+            mat = assemble_central_matrix(pot, params, kx_a / lat.a1, 0.0, trunc, reduce_m=True)
+            minus = assemble_central_matrix(pot, params, -kx_a / lat.a1, 0.0, trunc,
+                                            reduce_m=True)
+            self.assert_c2_image(kind, minus, mat)
+
+    def test_potential_without_c2_needs_every_kx(self):
+        # the b2-shifted square potential keeps the x -> -x mirror but not
+        # C2: its spectra at +-k_x differ, so the sweep must solve both
+        lat, pot, w_c, trunc = self.setup_for("square-shifted-b2")
+        assert not qed_bloch.c2_symmetric(pot)
+        plus = hermitian_eigvals(assemble_llb_matrix(pot, w_c, 0.37 / lat.a1, trunc))
+        minus = hermitian_eigvals(assemble_llb_matrix(pot, w_c, -0.37 / lat.a1, trunc))
+        assert np.max(np.abs(plus - minus)) > 1e-3 * (plus[-1] - plus[0])
+
     def test_polariton_matrix_mode_entries(self, monkeypatch):
         flux, g, kx_a, kw_scaled, v0 = 1.3, 0.8, 0.41, 0.3 / A, 1.5 * EV
         captured = []
@@ -560,6 +610,28 @@ class TestHarper:
             for lo, hi in bands:
                 inside |= (union >= lo - 1e-6) & (union <= hi + 1e-6)
             assert inside.mean() > 0.95
+
+    @pytest.mark.parametrize("kx_a", [0.37, [0.37, -1.2, 2.9], [[0.37, -1.2], [2.9, 0.0]]],
+                             ids=["scalar", "1-D", "2-D"])
+    def test_matrix_matches_diag_reference(self, kx_a):
+        flux, n_max, hop, onsite = 0.7, 6, 0.4, 1.3
+        n_vals = np.arange(-n_max, n_max + 1)
+        kx = np.asarray(kx_a, dtype=float)
+        mat = harper_matrix(flux, kx_a, n_max, hop=hop, onsite=onsite)
+        assert mat.shape == kx.shape + (n_vals.size,) * 2
+        bonds = np.full(n_vals.size - 1, hop)
+        for idx in np.ndindex(kx.shape):
+            diag = 2.0 * onsite * np.cos(2.0 * math.pi / flux * (kx[idx] / (2.0 * math.pi)
+                                                                 + n_vals))
+            ref = np.diag(diag) + np.diag(bonds, 1) + np.diag(bonds, -1)
+            assert np.array_equal(mat[idx], ref)
+
+    def test_chain_at_minus_kx_is_the_reversed_chain(self):
+        # harper_matrix(F, -k) = J harper_matrix(F, k) J with J reversing n
+        for flux in (0.3, 0.7, 1.9):
+            for kx_a in (0.37, -1.2, 2.9):
+                mat = harper_matrix(flux, kx_a, 30)
+                assert np.array_equal(harper_matrix(flux, -kx_a, 30), mat[::-1, ::-1])
 
     def test_bloch_union_matches_exact_support(self):
         union = harper_bloch_union(1, 3, samples=20000)
@@ -780,6 +852,19 @@ class TestPolaritonRealRoute:
         self.solve(1.3, 0.8, 0.41, kw_scaled=0.3 / A)
         assert np.iscomplexobj(solved[-1][0][0])
 
+    @pytest.mark.parametrize("mode", ["matrix", "reduced"])
+    def test_matrix_at_minus_kx_reverses_the_basis(self, mode):
+        # at kw = 0 the matrix at -k_x is K A K, K reversing the (n, m) order
+        # (the n order of the reduced chain)
+        trunc = BasisTruncation(n_max=self.N_MAX)
+        for flux, g, kx_a in ((0.97, 0.5, 0.3), (1.3, 1.0, -2.1), (0.7, 2.0, 1.1)):
+            mat, used = qed_bloch.polariton_harper_matrix(flux, g, kx_a, 0.0, trunc, A,
+                                                          self.V0, mode)
+            minus, _ = qed_bloch.polariton_harper_matrix(flux, g, -kx_a, 0.0, trunc, A,
+                                                         self.V0, mode)
+            assert used == mode
+            assert np.array_equal(minus, mat[::-1, ::-1])
+
 
 class TestPolaritonWindows:
     def test_small_flux_window(self):
@@ -889,8 +974,103 @@ class TestSweep:
             assert row[1].size == 0
             assert np.array_equal(row[2], harper_eigvals(flux, 0.3, 4))
 
+    def test_partner_points_are_never_assembled(self):
+        kx_grid = midpoint_kx_grid(8)
+        assembled = []
+
+        def assembler(flux, kxa):
+            assembled.append((flux, kxa))
+            return harper_matrix(flux, kxa, 12)
+
+        grid = sweep(assembler, [0.6, 1.1], kx_grid, c2_partners(kx_grid))
+        assert assembled == [(flux, kxa) for flux in (0.6, 1.1) for kxa in kx_grid[:4]]
+        assert grid.k_labels == [(kxa,) for kxa in kx_grid] and not grid.failures
+        for row, flux in zip(grid.eigenvalues, (0.6, 1.1)):
+            for k_idx in range(4):
+                assert np.array_equal(row[k_idx], harper_eigvals(flux, kx_grid[k_idx], 12))
+                assert row[7 - k_idx] is row[k_idx]  # shared, not copied
+                direct = harper_eigvals(flux, kx_grid[7 - k_idx], 12)
+                assert np.max(np.abs(row[7 - k_idx] - direct)) <= 1e-12 * (direct[-1] - direct[0])
+
+    def test_failure_at_a_kept_point_fails_its_partner(self):
+        # k = [a, b, 0, -b, -a]: the assembly fails at a, the solve at 0
+        kx_grid = midpoint_kx_grid(5)
+
+        def assembler(flux, kxa):
+            if kxa == kx_grid[0]:
+                raise DomainError("synthetic failure")
+            mat = harper_matrix(flux, kxa, 4)
+            if kxa == 0.0:
+                mat[0, 1] += 1.0  # not Hermitian
+            return mat
+
+        grid = sweep(assembler, [0.5], kx_grid, c2_partners(kx_grid))
+        assert [message.split(": ")[:2] for message in grid.failures] == [
+            ["axis[0]=0.5, k[0]", "synthetic failure"],
+            ["axis[0]=0.5, k[2]", "matrix is not Hermitian"],
+            ["axis[0]=0.5, k[4]", "synthetic failure"],
+        ]
+        row = grid.eigenvalues[0]
+        assert [eigs.size for eigs in row] == [0, 9, 0, 9, 0]
+        assert row[3] is row[1]
+
+    def test_no_partners_solves_every_point(self):
+        kx_grid = midpoint_kx_grid(4)
+        assembled = []
+
+        def assembler(flux, kxa):
+            assembled.append(kxa)
+            return harper_matrix(flux, kxa, 4)
+
+        grid = sweep(assembler, [0.5], kx_grid)
+        assert assembled == kx_grid
+        for eigs, kxa in zip(grid.eigenvalues[0], kx_grid):
+            assert np.array_equal(eigs, harper_eigvals(0.5, kxa, 4))
+
+    @pytest.mark.parametrize("partners", [[0, 0], [1, 1, 2], [0, 0, 1]])
+    def test_partner_must_be_an_earlier_solved_point(self, partners):
+        with pytest.raises(DomainError, match="partner"):
+            sweep(lambda flux, kxa: harper_matrix(flux, kxa, 4), [0.5], [0.1, -0.1, 0.2],
+                  partners)
+
     def test_band_counting_helpers(self):
         values = [0.0, 0.01, 0.02, 1.0, 1.01, 2.5]
         assert count_bands(values, 0.1) == 3
         gaps = spectral_gaps(values, 0.1)
         assert gaps == [(0.02, 1.0), (1.01, 2.5)]
+
+
+class TestC2Partners:
+    @pytest.mark.parametrize("points", [1, 2, 7, 32, 33])
+    def test_midpoint_grid_is_exactly_antisymmetric(self, points):
+        kx_grid = midpoint_kx_grid(points)
+        assert all(kx_grid[points - 1 - i] == -kx for i, kx in enumerate(kx_grid))
+        step = 2.0 * math.pi / points
+        assert kx_grid == pytest.approx([-math.pi + (i + 0.5) * step for i in range(points)],
+                                        abs=1e-15)
+        if points % 2:
+            middle = kx_grid[points // 2]
+            assert middle == 0.0 and math.copysign(1.0, middle) == 1.0
+
+    @pytest.mark.parametrize("points", [1, 2, 7, 32, 33])
+    def test_midpoint_grid_pairs_every_point(self, points):
+        half = list(range(points // 2))
+        assert c2_partners(midpoint_kx_grid(points)) == (
+            half + [points // 2] * (points % 2) + half[::-1])
+
+    def test_tuple_points_negate_as_a_whole(self):
+        # polariton-butterfly's (kx, kw) grid: only the kw = 0 points pair up
+        k_grid = [(kx, kw) for kx in (-0.5, 0.5) for kw in (0.0, 0.7)]
+        assert c2_partners(k_grid) == [0, 1, 0, 3]
+        assert c2_partners([(-0.5, -0.7), (0.5, 0.7)]) == [0, 0]
+
+    def test_points_without_partner_map_to_themselves(self):
+        assert c2_partners([0.1, 0.2, -0.3, 0.0]) == [0, 1, 2, 3]
+        # a point whose -k partner is itself a partner resolves to the solved one
+        assert c2_partners([0.4, -0.4, 0.4, 0.0, -0.0]) == [0, 0, 0, 3, 3]
+
+    @pytest.mark.parametrize("kind", ["square", "rectangular", "hexagonal", "oblique",
+                                      "centered-rectangular"])
+    def test_cosine_potentials_are_c2_symmetric(self, kind):
+        lat = TestFourierLatticeOracle.LATTICES[kind]
+        assert qed_bloch.c2_symmetric(bravais_cosine_potential(kind, 3.0 * EV, lat))
