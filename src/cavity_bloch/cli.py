@@ -1,6 +1,11 @@
 """Command-line entry point: `cavity-bloch <command> --config <file> ...`.
 
 Exit codes: 0 success, 2 invalid config, 3 numerical failure, 4 I/O failure.
+
+BLAS and LAPACK run on one thread unless the caller sets OPENBLAS_NUM_THREADS,
+GOTO_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS: a sweep's matrices
+(dim 61 to 441 at default sizes) gain no wall time from a second BLAS thread
+and spend twice the CPU on it; threads pay off only from about dim 700 up.
 """
 
 import argparse
@@ -8,6 +13,11 @@ import dataclasses
 import math
 import os
 import sys
+
+# BLAS reads its thread count when numpy loads it, so the pin precedes numpy
+if not any(name in os.environ for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                                           "OMP_NUM_THREADS", "MKL_NUM_THREADS")):
+    os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
 import numpy as np
 
@@ -189,6 +199,16 @@ def _spectrum_payload(grid, columns):
                            eigenvalues=grid.eigenvalues, failures=grid.failures)
 
 
+def _in_ev(row):
+    """The arrays (in joules) of one sweep row in eV, each distinct array
+    converted once: points that shared an array (C2 partners) still do."""
+    converted = {}  # id of an array in `row`, which keeps it alive -> it in eV
+    for eigs in row:
+        if id(eigs) not in converted:
+            converted[id(eigs)] = eigs / EV
+    return [converted[id(eigs)] for eigs in row]
+
+
 def _run_butterfly(cfg):
     p = cfg.parameters
     lat = _lattice_from(p)
@@ -218,7 +238,7 @@ def _run_butterfly(cfg):
     partners = qed_bloch.c2_partners(kx_grid) if symmetric else None
     grid = qed_bloch.sweep(assembler, flux_values, kx_grid, partners)
     if scaling != "harper-scaled":
-        grid.eigenvalues = [[eigs / EV for eigs in row] for row in grid.eigenvalues]
+        grid.eigenvalues = [_in_ev(row) for row in grid.eigenvalues]
     return _spectrum_payload(grid, ["flux_ratio[1]", "k_index[1]", "eig_index[1]", unit])
 
 

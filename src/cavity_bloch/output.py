@@ -52,13 +52,22 @@ class SpectrumPayload:
         """Number of (axis, k) points the sweep attempted."""
         return sum(len(per_axis) for per_axis in self.eigenvalues)
 
-    def blocks(self):
+    def blocks(self, convert=None):
         """(axis value, k index, eigenvalues) of every point that has any,
-        in row order."""
+        in row order, the eigenvalues as a float array or, given `convert`,
+        as convert(that array).
+
+        Points of one axis value that hold one array object (C2 partners)
+        share one result, so each distinct array is converted once.
+        """
         for axis, per_axis in zip(self.axis_values.tolist(), self.eigenvalues):
+            results = {}  # id of an array held by per_axis, which keeps it alive -> its result
             for k_idx, eigs in enumerate(per_axis):
                 if len(eigs):
-                    yield axis, k_idx, np.asarray(eigs, dtype=float)
+                    if id(eigs) not in results:
+                        values = np.asarray(eigs, dtype=float)
+                        results[id(eigs)] = values if convert is None else convert(values)
+                    yield axis, k_idx, results[id(eigs)]
 
     def to_jsonable(self):
         """The payload with ROWS_SLOT for its rows, which write_json fills."""
@@ -127,15 +136,19 @@ def _write_text(path, text, label):
     return path
 
 
+def _csv_lines(eigs):
+    """The "eig_index,value" texts of a point's CSV rows."""
+    return [f"{e_idx},{value!r}" for e_idx, value in enumerate(eigs.tolist())]
+
+
 def write_csv(envelope, path):
     """Deterministic CSV: header row with units, one row per record."""
     payload = envelope.payload
     if isinstance(payload, SpectrumPayload):
         chunks = [",".join(payload.columns)]
-        for axis, k_idx, eigs in payload.blocks():
+        for axis, k_idx, lines in payload.blocks(_csv_lines):
             prefix = f"{axis!r},{k_idx},"
-            chunks.append("\n".join([f"{prefix}{e_idx},{value!r}"
-                                     for e_idx, value in enumerate(eigs.tolist())]))
+            chunks.append(prefix + f"\n{prefix}".join(lines))
     else:
         table = _table_of(payload)
         chunks = [",".join(table.columns)]
@@ -148,14 +161,18 @@ def _json_rows(payload, depth):
     json.dumps(indent=1) lays out a list that opens on a line indented by
     `depth` spaces."""
     row, cell = "\n" + " " * (depth + 1), "\n" + " " * (depth + 2)
-    blocks = []
-    for axis, k_idx, eigs in payload.blocks():
-        prefix = f"[{cell}{json.dumps(axis)},{cell}{k_idx},{cell}"
+
+    def entries(eigs):
+        """Each row's text after its k index: eigen index, value, closing bracket."""
         # json spells non-finite floats NaN/Infinity where repr gives nan/inf
         values = eigs.tolist()
         texts = map(repr, values) if np.isfinite(eigs).all() else map(json.dumps, values)
-        blocks.append(f",{row}".join([f"{prefix}{e_idx},{cell}{text}{row}]"
-                                      for e_idx, text in enumerate(texts)]))
+        return [f"{e_idx},{cell}{text}{row}]" for e_idx, text in enumerate(texts)]
+
+    blocks = []
+    for axis, k_idx, texts in payload.blocks(entries):
+        prefix = f"[{cell}{json.dumps(axis)},{cell}{k_idx},{cell}"
+        blocks.append(prefix + f",{row}{prefix}".join(texts))
     if not blocks:
         return "[]"
     return f"[{row}" + f",{row}".join(blocks) + "\n" + " " * depth + "]"

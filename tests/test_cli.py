@@ -133,6 +133,35 @@ path = {path}
 format = csv
 """
 
+#: a raw-joules butterfly of four dim-183 Landau-level x Bloch solves
+RAW_JOULES_183_CONFIG = """
+[run]
+command = butterfly
+
+[lattice]
+kind = hexagonal
+a1_angstrom = 2.0
+a2_angstrom = 2.0
+v0_ev = 3.0
+
+[sweep]
+flux_min = 0.5
+flux_max = 1.0
+points = 2
+scaling = raw-joules
+
+[truncation]
+n_max = 30
+j_max = 2
+
+[kgrid]
+kx_points = 4
+
+[output]
+path = {path}
+format = csv
+"""
+
 POLARITON_MATRIX_CONFIG = """
 [run]
 command = polariton-butterfly
@@ -204,6 +233,20 @@ def env_with_src(env):
     """`env` with SRC in front of its PYTHONPATH."""
     rest = env.get("PYTHONPATH")
     return {**env, "PYTHONPATH": str(SRC) + (os.pathsep + rest if rest else "")}
+
+
+#: the variables any one of which, when set, gives the BLAS thread count
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+                         "MKL_NUM_THREADS")
+
+
+def python_with_blas(args, cwd=None, **blas):
+    """`python args` with, of the BLAS thread variables, only those in `blas`
+    set.  Importing cli sets them in this process too, so the child's are
+    always chosen here."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, cwd=cwd,
+                          env=env_with_src({**env, **blas}), timeout=600)
 
 
 MTG_CONFIG = """
@@ -460,6 +503,48 @@ class TestCliProcess:
         assert r1.returncode == 0 and r2.returncode == 0, r1.stderr + r2.stderr
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("text", [
+        RAW_JOULES_183_CONFIG,
+        RAW_JOULES_183_CONFIG.replace("kind = hexagonal", "kind = oblique")
+        .replace("a2_angstrom = 2.0", "a2_angstrom = 2.3\ntheta_deg = 75"),
+        POLARITON_MATRIX_CONFIG,
+    ], ids=["hexagonal-dim-183-real", "oblique-dim-183-complex", "polariton-matrix-dim-121"])
+    def test_csv_bytes_independent_of_blas_threads(self, tmp_path, text):
+        command = re.search(r"command = (\S+)", text).group(1)
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}.csv"
+            cfg = tmp_path / f"blas{threads}.ini"
+            cfg.write_text(text.format(path=out))
+            result = python_with_blas(["-m", "cavity_bloch.cli", command, "--config", str(cfg)],
+                                      tmp_path, OPENBLAS_NUM_THREADS=threads)
+            assert result.returncode == 0, result.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_default_blas_pin_fixes_rounding_of_larger_matrices(self, tmp_path):
+        # from about dim 170 (complex) or 225 (real) up, threaded LAPACK sums in
+        # another order, so the last digits follow the BLAS thread count; the
+        # default pin makes them independent of the machine's core count
+        cfg = tmp_path / "run.ini"
+        out = tmp_path / "out.csv"
+        cfg.write_text(POLARITON_MATRIX_CONFIG.format(path=out)
+                       .replace("n_max = 5", "n_max = 10"))  # dim 441
+        outputs = {}
+        for threads in (None, "1", "2"):
+            blas = {} if threads is None else {"OPENBLAS_NUM_THREADS": threads}
+            result = python_with_blas(
+                ["-m", "cavity_bloch.cli", "polariton-butterfly", "--config", str(cfg)], tmp_path,
+                **blas)
+            assert result.returncode == 0, result.stderr
+            outputs[threads] = out.read_bytes()
+        assert outputs[None] == outputs["1"]
+        one, two = (np.loadtxt(io.BytesIO(outputs[t]), delimiter=",", skiprows=1)
+                    for t in ("1", "2"))
+        assert np.array_equal(one[:, :3], two[:, :3])
+        width = one[:, 3].max() - one[:, 3].min()
+        assert np.abs(one[:, 3] - two[:, 3]).max() <= 1e-12 * width
+
     def test_overflowing_sweep_reports_failures_without_warnings(self, tmp_path):
         # at flux ~1e-150 the Laguerre table overflows: each point is reported
         # as a failure, and numpy's RuntimeWarning stays off stderr
@@ -515,6 +600,25 @@ class TestCliProcess:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
+
+    def test_cli_import_pins_one_blas_thread_unless_set(self):
+        def child(code, **blas):
+            result = python_with_blas(["-c", code], **blas)
+            assert result.returncode == 0, result.stderr
+            return json.loads(result.stdout)
+
+        # the package root loads no numpy, so `python -m cavity_bloch.cli`
+        # reaches the pin before BLAS is loaded
+        assert child("import json, sys, cavity_bloch; print(json.dumps('numpy' in sys.modules))") \
+            is False
+        probe = ("import json, os, cavity_bloch.cli; print(json.dumps([os.environ.get(name) "
+                 "for name in ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS')] + [len(os.listdir("
+                 "'/proc/self/task')) if os.path.isdir('/proc/self/task') else None]))")
+        openblas, omp, tasks = child(probe)
+        assert openblas == omp == "1"
+        assert tasks in (1, None)  # no BLAS worker thread was started
+        openblas, omp, _ = child(probe, OPENBLAS_NUM_THREADS="2")
+        assert (openblas, omp) == ("2", None)
 
 
 class TestMainExitCodes:

@@ -195,6 +195,29 @@ class TestSpectrumWriters:
         with pytest.raises(CavityBlochError, match="nothing to plot"):
             output.write_svg_scatter(env, tmp_path / "s.svg")
 
+    def test_shared_arrays_write_the_bytes_of_copies_and_lists(self, tmp_path):
+        # C2 partner points hold one array object, which the writers format
+        # once per axis value; equal copies and plain lists (whose asarray
+        # temporaries may reuse an id) must give the same bytes
+        a, b = np.array([-1.5, 0.25, 2.0]), np.array([-0.5, 1.0 / 3.0])
+        layouts = {
+            "shared": [[a, b, b, a], [b, a, a, b]],
+            "copies": [[a.copy(), b.copy(), b.copy(), a.copy()],
+                       [b.copy(), a.copy(), a.copy(), b.copy()]],
+            "lists": [[a.tolist(), b.tolist(), b.tolist(), a.tolist()],
+                      [b.tolist(), a.tolist(), a.tolist(), b.tolist()]],
+        }
+        files = {}
+        for name, eigenvalues in layouts.items():
+            env = spectrum_envelope([0.1, 0.2], [[a]])
+            env.payload.eigenvalues = eigenvalues
+            env.produced_at = "2000-01-01T00:00:00+00:00"
+            files[name] = (written(output.write_csv, env, tmp_path / "s.csv"),
+                           written(output.write_json, env, tmp_path / "s.json"))
+        assert files["shared"] == files["copies"] == files["lists"]
+        assert files["shared"][0] == reference_csv(env.payload)
+        assert files["shared"][1] == reference_json(env)
+
     def test_cli_spectra_at_one_and_two_threads(self, tmp_path):
         outputs = []
         cfg = parse_config(BUTTERFLY_CONFIG)
