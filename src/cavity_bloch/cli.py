@@ -2,10 +2,17 @@
 
 Exit codes: 0 success, 2 invalid config, 3 numerical failure, 4 I/O failure.
 
+A sweep splits its axis values across one process per CPU this process may
+run on (its affinity mask, which `taskset` narrows), at most one per axis
+value; see qed_bloch.sweep.  Every process solves what a one-process sweep
+solves, so output bytes do not depend on the split.
+
 BLAS and LAPACK run on one thread unless the caller sets OPENBLAS_NUM_THREADS,
 GOTO_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS: a sweep's matrices
 (dim 61 to 441 at default sizes) gain no wall time from a second BLAS thread
-and spend twice the CPU on it; threads pay off only from about dim 700 up.
+and spend twice the CPU on it.  The split already keeps every CPU busy, and
+two BLAS threads on top of it oversubscribe two CPUs: a dim-1681 sweep ran
+up to 14 times slower.
 """
 
 import argparse
@@ -328,8 +335,9 @@ def main(argv=None):
     parser.add_argument("--format", default=None, choices=FORMATS,
                         help="output format (overrides [output] format)")
     parser.add_argument("--threads", type=int, default=None,
-                        help="accepted and checked (>= 1) but selects nothing: the sweep is "
-                             "serial and output never depended on it "
+                        help="accepted and checked (>= 1) but selects nothing: a sweep "
+                             "runs one process per CPU this process may run on (taskset "
+                             "limits them), and output never depends on either "
                              "(default: CAVITY_BLOCH_THREADS or 1)")
     parser.add_argument("--seed", type=int, default=None,
                         help="seed recorded for sampled property runs")

@@ -45,7 +45,7 @@ class RunConfig:
     output_format: str
     source_text: str
     seed: int = 0
-    threads: int = 1  # checked (>= 1) but unused: the sweep is serial
+    threads: int = 1  # checked (>= 1) but unused: the sweep splits by CPU count
 
 
 class _Schema:

@@ -8,6 +8,11 @@ returns scaled dimensionless values.
 """
 
 import math
+import os
+import pickle
+import signal
+import threading
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -632,6 +637,97 @@ def _solve_axis(assembler, axis, k_grid, partners, failures, label):
     return row
 
 
+def _available_cpus():
+    """CPUs this process may run on: its affinity mask, which `taskset`
+    narrows; 1 where the platform has no fork or no affinity mask."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+class _ShareTraceback(Exception):
+    """The traceback text of an exception raised in a forked sweep process,
+    set as the cause of that exception where the sweep re-raises it."""
+
+
+def _deliver_share(solve_share, share, procs, read_fd, write_fd):
+    """Body of a forked sweep process: send solve_share(share, procs), or the
+    exception it raised, as one pickle through the pipe `write_fd`.  Ends the
+    process; never returns into the stack it was forked from."""
+    status = 1
+    try:
+        os.close(read_fd)
+        try:
+            message = ("rows", solve_share(share, procs))
+        except BaseException as exc:  # not swallowed: the parent re-raises it
+            message = ("error", exc, traceback.format_exc())
+        try:
+            data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+        except Exception:  # an exception whose arguments do not pickle
+            data = pickle.dumps(("error", RuntimeError(repr(message[1])), message[2]))
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _received_share(data, status, share, procs):
+    """The rows a forked sweep process sent, or the exception it raised."""
+    try:
+        message = pickle.loads(data) if status == 0 else None
+    except Exception:  # a share cut short, or an exception that does not unpickle
+        message = None
+    if message is None:
+        code = os.waitstatus_to_exitcode(status)
+        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+        raise NumericalError(f"the sweep process of axis[{share}::{procs}] ended "
+                             f"without delivering its rows ({how})")
+    if message[0] == "error":
+        raise message[1] from _ShareTraceback(message[2])
+    return message[1]
+
+
+def _forked_shares(solve_share, procs):
+    """solve_share(share, procs) for every share in range(procs), merged into
+    one dict: share 0 in this process, each other share in a forked child that
+    sends it back as one pickle through a pipe.  None, with the children
+    already started ended, if a fork fails.
+
+    Every child is reaped before this returns or raises; when this process's
+    own share, or reading a child's, raises, the other children are killed.
+    A child's exception is re-raised here with its type; a child that ends
+    without delivering its share raises NumericalError."""
+    children = []  # (pid, read end of its pipe, share) of each child not yet reaped
+    try:
+        for share in range(1, procs):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                return None
+            if pid == 0:
+                _deliver_share(solve_share, share, procs, read_fd, write_fd)
+            os.close(write_fd)  # so that the pipe ends when the child does
+            children.append((pid, os.fdopen(read_fd, "rb"), share))
+        shares = solve_share(0, procs)
+        while children:
+            pid, pipe, share = children[0]
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            shares.update(_received_share(data, status, share, procs))
+        return shares
+    finally:
+        for pid, pipe, _ in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def sweep(assembler, axis_values, k_grid, partners=None):
     """Solve `assembler(axis_value, k)` -- one Hermitian matrix per point --
     over every axis value and every k of `k_grid`.
@@ -650,6 +746,17 @@ def sweep(assembler, axis_values, k_grid, partners=None):
     assembled nor solved, and takes that point's eigenvalue array (the same
     object) or its failure message, under its own k label.  None solves every
     point.
+
+    The axis values are split across P processes, P the smaller of the CPUs
+    this process may run on (_available_cpus) and the number of axis values:
+    process r solves the axis indices equal to r mod P, this process share 0
+    and P - 1 forked children the others.  Each process solves the same
+    stacks as a serial sweep, so the result is bitwise the same for any P.
+    The sweep runs in this process alone when P is 1, when other threads run
+    (fork copies only the calling thread) and when a fork fails.  An
+    exception raised in a child is raised here with its type; a child that
+    ends without delivering its share raises NumericalError.  Every child is
+    reaped before the sweep returns or raises.
     """
     axis_values = np.asarray(axis_values, dtype=float)
     if axis_values.size == 0:
@@ -661,15 +768,31 @@ def sweep(assembler, axis_values, k_grid, partners=None):
     if len(partners) != len(k_grid) or any(p > idx or partners[p] != p
                                            for idx, p in enumerate(partners)):
         raise DomainError("each k point's partner must be itself or an earlier, solved point")
-    failures = []
-    eigenvalues = [_solve_axis(assembler, axis, k_grid, partners, failures,
-                               f"axis[{a_idx}]={axis:g}")
-                   for a_idx, axis in enumerate(axis_values)]
+
+    def solve_share(share, procs):
+        """{axis index: (row, its failures)} of the axis indices equal to
+        `share` mod `procs`."""
+        rows = {}
+        for a_idx in range(share, axis_values.size, procs):
+            axis = axis_values[a_idx]
+            failures = []
+            row = _solve_axis(assembler, axis, k_grid, partners, failures,
+                              f"axis[{a_idx}]={axis:g}")
+            rows[a_idx] = (row, failures)
+        return rows
+
+    procs = min(_available_cpus(), axis_values.size)
+    shares = None
+    if procs > 1 and threading.active_count() == 1:
+        shares = _forked_shares(solve_share, procs)
+    if shares is None:
+        shares = solve_share(0, 1)
+    rows = [shares[a_idx] for a_idx in range(axis_values.size)]
     return SpectrumGrid(
         axis_values=axis_values,
         k_labels=[tuple(np.atleast_1d(k)) for k in k_grid],
-        eigenvalues=eigenvalues,
-        failures=failures,
+        eigenvalues=[row for row, _ in rows],
+        failures=[message for _, failures in rows for message in failures],
     )
 
 

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -247,6 +248,17 @@ def python_with_blas(args, cwd=None, **blas):
     env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, cwd=cwd,
                           env=env_with_src({**env, **blas}), timeout=600)
+
+
+#: `python -c` program: the CLI with argv[2:], its sweeps split across
+#: argv[1] processes whatever the CPU count
+CLI_WITH_SWEEP_PROCESSES = """
+import sys
+import cavity_bloch.cli as cli
+processes = int(sys.argv[1])
+cli.qed_bloch._available_cpus = lambda: processes
+sys.exit(cli.main(sys.argv[2:]))
+"""
 
 
 MTG_CONFIG = """
@@ -510,17 +522,20 @@ class TestCliProcess:
         POLARITON_MATRIX_CONFIG,
     ], ids=["hexagonal-dim-183-real", "oblique-dim-183-complex", "polariton-matrix-dim-121"])
     def test_csv_bytes_independent_of_blas_threads(self, tmp_path, text):
+        # ... and of the number of processes the sweep is split across
         command = re.search(r"command = (\S+)", text).group(1)
         outputs = []
         for threads in ("1", "2"):
-            out = tmp_path / f"blas{threads}.csv"
-            cfg = tmp_path / f"blas{threads}.ini"
-            cfg.write_text(text.format(path=out))
-            result = python_with_blas(["-m", "cavity_bloch.cli", command, "--config", str(cfg)],
-                                      tmp_path, OPENBLAS_NUM_THREADS=threads)
-            assert result.returncode == 0, result.stderr
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
+            for processes in (1, 2):
+                out = tmp_path / f"blas{threads}-procs{processes}.csv"
+                cfg = tmp_path / f"blas{threads}-procs{processes}.ini"
+                cfg.write_text(text.format(path=out))
+                result = python_with_blas(
+                    ["-c", CLI_WITH_SWEEP_PROCESSES, str(processes), command, "--config",
+                     str(cfg)], tmp_path, OPENBLAS_NUM_THREADS=threads)
+                assert result.returncode == 0, result.stderr
+                outputs.append(out.read_bytes())
+        assert outputs == [outputs[0]] * 4
 
     def test_default_blas_pin_fixes_rounding_of_larger_matrices(self, tmp_path):
         # from about dim 170 (complex) or 225 (real) up, threaded LAPACK sums in
@@ -656,6 +671,25 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "numerical failure: 4 of 20 points failed" in err
         assert err.count("synthetic failure") == 4
+
+    def test_sweep_process_ending_early_is_numerical_failure(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # the forked process solving axis[1] is killed: no partial output
+        harper, parent = qed_bloch.harper_matrix, os.getpid()
+
+        def killed_in_child(flux, kx_a, n_max):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return harper(flux, kx_a, n_max)
+
+        monkeypatch.setattr(qed_bloch, "harper_matrix", killed_in_child)
+        monkeypatch.setattr(qed_bloch, "_available_cpus", lambda: 2)
+        text = BUTTERFLY_CONFIG.format(path="{path}", points=2, threads=1)
+        assert self.run_main(tmp_path, "butterfly", text) == cli.EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "numerical failure: the sweep process of axis[1::2] ended without delivering "
+            "its rows (killed by signal 9)\n")
+        assert not (tmp_path / "out.csv").exists()
 
     def test_non_finite_llb_matrices_fail_as_such(self, tmp_path, capsys):
         # at flux ~1e-150 the Laguerre table overflows into NaN matrix entries
@@ -845,20 +879,14 @@ class TestC2Sweeps:
     """Sweeps with C2 symmetry build and solve one point of each +-k_x pair;
     the other point's rows repeat its partner's values."""
 
-    def run_counting(self, tmp_path, monkeypatch, command, text, builder):
-        """Exit code, the calls of qed_bloch.`builder`, and the CSV values per
-        (axis value, k index)."""
-        calls = []
-        original = getattr(qed_bloch, builder)
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(qed_bloch, builder, counting)
+    def run_counting(self, tmp_path, call_log, command, text, builder):
+        """Exit code, the calls of qed_bloch.`builder` in every sweep process,
+        and the CSV values per (axis value, k index)."""
+        call_log.record(qed_bloch, builder)
         cfg = tmp_path / "run.ini"
         cfg.write_text(text.format(path=tmp_path / "out.csv"))
         code = cli.main([command, "--config", str(cfg)])
+        calls = call_log.entries()
         values = {}
         for line in (tmp_path / "out.csv").read_text().splitlines()[1:]:
             axis, k_idx, _, value = line.split(",")
@@ -877,9 +905,8 @@ class TestC2Sweeps:
         (raw_joules("square", "a2_angstrom = 2.0"), "assemble_llb_matrix"),
         (raw_joules("oblique", "a2_angstrom = 3.0\ntheta_deg = 70"), "assemble_llb_matrix"),
     ], ids=["harper-scaled", "raw-joules-square", "raw-joules-oblique"])
-    def test_butterfly_solves_one_point_per_pair(self, tmp_path, monkeypatch, text, builder):
-        code, calls, values = self.run_counting(tmp_path, monkeypatch, "butterfly", text,
-                                                builder)
+    def test_butterfly_solves_one_point_per_pair(self, tmp_path, call_log, text, builder):
+        code, calls, values = self.run_counting(tmp_path, call_log, "butterfly", text, builder)
         assert code == cli.EXIT_OK
         assert len(calls) == 2 * 2  # 2 flux values x 2 of the 4 k points
         assert len(values) == 2 * 4
@@ -887,7 +914,7 @@ class TestC2Sweeps:
             assert values[(axis, 3)] == values[(axis, 0)]
             assert values[(axis, 2)] == values[(axis, 1)]
 
-    def test_raw_joules_without_c2_solves_every_point(self, tmp_path, monkeypatch):
+    def test_raw_joules_without_c2_solves_every_point(self, tmp_path, monkeypatch, call_log):
         # square lattice, b2 cosine shifted by a phase: the x -> -x mirror stays,
         # C2 goes, and the +-k_x spectra differ
         def shifted(kind, v0, lat):
@@ -899,18 +926,18 @@ class TestC2Sweeps:
 
         monkeypatch.setattr(cli, "bravais_cosine_potential", shifted)
         code, calls, values = self.run_counting(
-            tmp_path, monkeypatch, "butterfly", self.raw_joules("square", "a2_angstrom = 2.0"),
+            tmp_path, call_log, "butterfly", self.raw_joules("square", "a2_angstrom = 2.0"),
             "assemble_llb_matrix")
         assert code == cli.EXIT_OK
         assert len(calls) == 2 * 4
         for axis in {axis for axis, _ in values}:
             assert values[(axis, 3)] != values[(axis, 0)]
 
-    def test_polariton_butterfly_pairs_the_kw_zero_points(self, tmp_path, monkeypatch):
+    def test_polariton_butterfly_pairs_the_kw_zero_points(self, tmp_path, call_log):
         # k = (kx, kw) over kx in {-pi/2, pi/2} and kw in {0, pi/a1}: only the
         # two kw = 0 points form a pair, so 3 of the 4 points are built
         text = POLARITON_MATRIX_CONFIG.replace("kx_points = 2", "kx_points = 2\nkw_points = 2")
-        code, calls, values = self.run_counting(tmp_path, monkeypatch, "polariton-butterfly",
+        code, calls, values = self.run_counting(tmp_path, call_log, "polariton-butterfly",
                                                 text, "polariton_harper_matrix")
         assert code == cli.EXIT_OK
         assert len(calls) == 2 * 3

@@ -2,8 +2,14 @@
 matrices, central-equation limits, Harper bands and the polaritonic windows."""
 
 import cmath
+import errno
 import itertools
 import math
+import os
+import re
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -12,7 +18,7 @@ from cavity_bloch import qed_bloch
 
 from cavity_bloch.cavity_gas import CavitySetup
 from cavity_bloch.constants import EV, HBAR, M_ELECTRON
-from cavity_bloch.errors import DomainError
+from cavity_bloch.errors import DomainError, NumericalError
 from cavity_bloch.landau import cyclotron_frequency
 from cavity_bloch.lattice import (
     FourierPotential,
@@ -905,11 +911,11 @@ class TestSweep:
         with pytest.raises(TypeError, match="synthetic bug"):
             sweep(assembler, [0.5, 1.5], [0.1, 0.2])
 
-    def test_harper_chains_solved_as_one_stack(self, monkeypatch):
-        solved = record_calls(monkeypatch, "hermitian_eigvals")
+    def test_harper_chains_solved_as_one_stack(self, call_log):
+        call_log.record(qed_bloch, "hermitian_eigvals", lambda mats: list(mats.shape))
         kx_grid = midpoint_kx_grid(32)
         grid = sweep(lambda flux, kxa: harper_matrix(flux, kxa, 30), [0.6, 1.1], kx_grid)
-        assert [args[0].shape for args, _ in solved] == [(32, 61, 61)] * 2
+        assert call_log.entries() == [[32, 61, 61]] * 2
         for row, flux in zip(grid.eigenvalues, (0.6, 1.1)):
             for eigs, kxa in zip(row, kx_grid):
                 assert np.array_equal(eigs, harper_eigvals(flux, kxa, 30))
@@ -974,16 +980,16 @@ class TestSweep:
             assert row[1].size == 0
             assert np.array_equal(row[2], harper_eigvals(flux, 0.3, 4))
 
-    def test_partner_points_are_never_assembled(self):
+    def test_partner_points_are_never_assembled(self, call_log):
         kx_grid = midpoint_kx_grid(8)
-        assembled = []
 
         def assembler(flux, kxa):
-            assembled.append((flux, kxa))
+            call_log.append([flux, kxa])
             return harper_matrix(flux, kxa, 12)
 
         grid = sweep(assembler, [0.6, 1.1], kx_grid, c2_partners(kx_grid))
-        assert assembled == [(flux, kxa) for flux in (0.6, 1.1) for kxa in kx_grid[:4]]
+        assert sorted(call_log.entries()) == [[flux, kxa] for flux in (0.6, 1.1)
+                                              for kxa in kx_grid[:4]]
         assert grid.k_labels == [(kxa,) for kxa in kx_grid] and not grid.failures
         for row, flux in zip(grid.eigenvalues, (0.6, 1.1)):
             for k_idx in range(4):
@@ -1038,6 +1044,155 @@ class TestSweep:
         assert count_bands(values, 0.1) == 3
         gaps = spectral_gaps(values, 0.1)
         assert gaps == [(0.02, 1.0), (1.01, 2.5)]
+
+
+class TestForkedSweep:
+    """The sweep split across forked processes (_available_cpus forced to 2
+    or 3) returns what the serial sweep returns, or raises what it raises."""
+
+    AXIS = [0.4, 0.6, 0.8, 1.1, 1.3]
+
+    @staticmethod
+    def sweep_in(monkeypatch, processes, *args):
+        monkeypatch.setattr(qed_bloch, "_available_cpus", lambda: processes)
+        return sweep(*args)
+
+    @pytest.mark.parametrize("processes", [2, 3])
+    def test_rows_equal_the_serial_rows(self, monkeypatch, call_log, processes):
+        kx_grid = midpoint_kx_grid(8)
+
+        def assembler(flux, kxa):
+            call_log.append(os.getpid())
+            return harper_matrix(flux, kxa, 12)
+
+        forked = self.sweep_in(monkeypatch, processes, assembler, self.AXIS, kx_grid,
+                               c2_partners(kx_grid))
+        assert len(set(call_log.entries())) == processes  # each process solved its share
+        serial = self.sweep_in(monkeypatch, 1, lambda flux, kxa: harper_matrix(flux, kxa, 12),
+                               self.AXIS, kx_grid, c2_partners(kx_grid))
+        assert not forked.failures and not serial.failures
+        assert np.array_equal(forked.axis_values, serial.axis_values)
+        for forked_row, serial_row in zip(forked.eigenvalues, serial.eigenvalues, strict=True):
+            for forked_eigs, serial_eigs in zip(forked_row, serial_row, strict=True):
+                assert np.array_equal(forked_eigs, serial_eigs)
+            for k_idx in range(4):
+                assert forked_row[7 - k_idx] is forked_row[k_idx]  # still shared
+
+    def test_failures_in_a_childs_share_keep_axis_and_k_order(self, monkeypatch):
+        # two processes: axis[1] and axis[3] are the child's share
+        def assembler(flux, kxa):
+            if (flux, kxa) in ((0.6, 0.2), (0.8, 0.1)):
+                raise DomainError("synthetic failure")
+            mat = harper_matrix(flux, kxa, 4)
+            if (flux, kxa) == (1.1, 0.3):
+                mat[0, 1] += 1.0  # not Hermitian
+            return mat
+
+        forked, serial = (self.sweep_in(monkeypatch, processes, assembler, self.AXIS,
+                                        [0.1, 0.2, 0.3]) for processes in (2, 1))
+        assert forked.failures == serial.failures
+        assert [message.split(": ")[:2] for message in forked.failures] == [
+            ["axis[1]=0.6, k[1]", "synthetic failure"],
+            ["axis[2]=0.8, k[0]", "synthetic failure"],
+            ["axis[3]=1.1, k[2]", "matrix is not Hermitian"],
+        ]
+        for forked_row, serial_row in zip(forked.eigenvalues, serial.eigenvalues, strict=True):
+            for forked_eigs, serial_eigs in zip(forked_row, serial_row, strict=True):
+                assert np.array_equal(forked_eigs, serial_eigs)
+
+    def test_exception_in_a_childs_share_reaches_the_caller(self, monkeypatch):
+        parent = os.getpid()
+
+        def assembler(flux, kxa):
+            if os.getpid() != parent:
+                raise TypeError(f"synthetic bug at {flux:g}")
+            return harper_matrix(flux, kxa, 4)
+
+        with pytest.raises(TypeError, match="synthetic bug at 0.6") as err:
+            self.sweep_in(monkeypatch, 2, assembler, self.AXIS, [0.1, 0.2])
+        assert "Traceback" in str(err.value.__cause__)  # the child's, as text
+
+    def test_exception_that_does_not_pickle_arrives_as_its_repr(self, monkeypatch):
+        parent = os.getpid()
+
+        def assembler(flux, kxa):
+            if os.getpid() != parent:
+                raise TypeError("synthetic bug", threading.Lock())
+            return harper_matrix(flux, kxa, 4)
+
+        with pytest.raises(RuntimeError, match=r"TypeError\('synthetic bug', <unlocked"):
+            self.sweep_in(monkeypatch, 2, assembler, self.AXIS, [0.1, 0.2])
+
+    @pytest.mark.parametrize("end", ["killed", "exit 0"])
+    def test_child_ending_mid_share_returns_no_grid(self, monkeypatch, end):
+        parent = os.getpid()
+
+        def assembler(flux, kxa):
+            if os.getpid() != parent and flux > 1.0:  # after axis[1], within the share
+                if end == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                os._exit(0)
+            return harper_matrix(flux, kxa, 4)
+
+        how = "killed by signal 9" if end == "killed" else "exit status 0"
+        with pytest.raises(NumericalError, match=re.escape(
+                f"the sweep process of axis[1::2] ended without delivering its rows ({how})")):
+            self.sweep_in(monkeypatch, 2, assembler, self.AXIS, [0.1, 0.2])
+
+    def test_exception_in_own_share_ends_the_children(self, monkeypatch):
+        parent = os.getpid()
+
+        def assembler(flux, kxa):
+            if os.getpid() == parent:
+                raise TypeError("synthetic bug")
+            time.sleep(60.0)
+            return harper_matrix(flux, kxa, 4)
+
+        start = time.perf_counter()
+        with pytest.raises(TypeError, match="synthetic bug"):
+            self.sweep_in(monkeypatch, 3, assembler, self.AXIS, [0.1, 0.2])
+        assert time.perf_counter() - start < 30.0  # the children were killed, not awaited
+
+    @pytest.mark.parametrize("failing_fork", [1, 2])
+    def test_failed_fork_runs_the_sweep_here(self, monkeypatch, call_log, failing_fork):
+        fork = os.fork
+        forks = []
+
+        def fork_failing_once(*args):
+            forks.append(None)
+            if len(forks) == failing_fork:
+                raise OSError(errno.EAGAIN, "synthetic fork failure")
+            return fork(*args)
+
+        def assembler(flux, kxa):
+            call_log.append(os.getpid())
+            return harper_matrix(flux, kxa, 4)
+
+        monkeypatch.setattr(os, "fork", fork_failing_once)
+        grid = self.sweep_in(monkeypatch, 3, assembler, self.AXIS, [0.1, 0.2])
+        # a child forked before the failure may have begun its share, but
+        # this process solved every point
+        assert call_log.entries().count(os.getpid()) == len(self.AXIS) * 2
+        assert not grid.failures
+        for row, flux in zip(grid.eigenvalues, self.AXIS, strict=True):
+            for eigs, kxa in zip(row, [0.1, 0.2]):
+                assert np.array_equal(eigs, harper_eigvals(flux, kxa, 4))
+
+    def test_other_threads_keep_the_sweep_in_one_process(self, monkeypatch, call_log):
+        def assembler(flux, kxa):
+            call_log.append(os.getpid())
+            return harper_matrix(flux, kxa, 4)
+
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            self.sweep_in(monkeypatch, 2, assembler, self.AXIS, [0.1, 0.2])
+        finally:
+            stop.set()
+            thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert call_log.entries() == [os.getpid()] * (len(self.AXIS) * 2)
 
 
 class TestC2Partners:
