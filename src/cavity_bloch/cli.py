@@ -2,17 +2,14 @@
 
 Exit codes: 0 success, 2 invalid config, 3 numerical failure, 4 I/O failure.
 
-A sweep splits its axis values across one process per CPU this process may
-run on (its affinity mask, which `taskset` narrows), at most one per axis
-value; see qed_bloch.sweep.  Every process solves what a one-process sweep
-solves, so output bytes do not depend on the split.
+A sweep splits its axis values across CPUs // BLAS threads processes, the
+CPUs those this process may run on (`taskset` narrows them); see
+qed_bloch.sweep.  Output bytes do not depend on the split.
 
 BLAS and LAPACK run on one thread unless the caller sets OPENBLAS_NUM_THREADS,
 GOTO_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS: a sweep's matrices
 (dim 61 to 441 at default sizes) gain no wall time from a second BLAS thread
-and spend twice the CPU on it.  The split already keeps every CPU busy, and
-two BLAS threads on top of it oversubscribe two CPUs: a dim-1681 sweep ran
-up to 14 times slower.
+and spend twice the CPU on it, where a second process halves the wall time.
 """
 
 import argparse
@@ -39,7 +36,7 @@ from .lattice import (
     flux_ratio,
     mtg_flux_condition,
 )
-from .output import ResultEnvelope, ScalarPayload, SpectrumPayload, TablePayload, export
+from .output import ResultEnvelope, ScalarPayload, TablePayload, export
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -201,21 +198,6 @@ def _run_polariton(cfg):
     return TablePayload(columns=columns, rows=rows)
 
 
-def _spectrum_payload(grid, columns):
-    return SpectrumPayload(columns=columns, axis_values=grid.axis_values,
-                           eigenvalues=grid.eigenvalues, failures=grid.failures)
-
-
-def _in_ev(row):
-    """The arrays (in joules) of one sweep row in eV, each distinct array
-    converted once: points that shared an array (C2 partners) still do."""
-    converted = {}  # id of an array in `row`, which keeps it alive -> it in eV
-    for eigs in row:
-        if id(eigs) not in converted:
-            converted[id(eigs)] = eigs / EV
-    return [converted[id(eigs)] for eigs in row]
-
-
 def _run_butterfly(cfg):
     p = cfg.parameters
     lat = _lattice_from(p)
@@ -245,8 +227,9 @@ def _run_butterfly(cfg):
     partners = qed_bloch.c2_partners(kx_grid) if symmetric else None
     grid = qed_bloch.sweep(assembler, flux_values, kx_grid, partners)
     if scaling != "harper-scaled":
-        grid.eigenvalues = [_in_ev(row) for row in grid.eigenvalues]
-    return _spectrum_payload(grid, ["flux_ratio[1]", "k_index[1]", "eig_index[1]", unit])
+        grid.eigenvalues = list(grid.converted(lambda eigs: eigs / EV))
+    grid.columns = ["flux_ratio[1]", "k_index[1]", "eig_index[1]", unit]
+    return grid
 
 
 def _run_polariton_butterfly(cfg):
@@ -274,7 +257,8 @@ def _run_polariton_butterfly(cfg):
     # only the kw = 0 points pair up, where the matrix at -k_x is the one at
     # k_x with its (n, m) order reversed
     grid = qed_bloch.sweep(assembler, g_values, k_grid, qed_bloch.c2_partners(k_grid))
-    return _spectrum_payload(grid, ["coupling_g[1]", "k_index[1]", "eig_index[1]", "scaled[1]"])
+    grid.columns = ["coupling_g[1]", "k_index[1]", "eig_index[1]", "scaled[1]"]
+    return grid
 
 
 def _run_mtg(cfg):
@@ -336,9 +320,8 @@ def main(argv=None):
                         help="output format (overrides [output] format)")
     parser.add_argument("--threads", type=int, default=None,
                         help="accepted and checked (>= 1) but selects nothing: a sweep "
-                             "runs one process per CPU this process may run on (taskset "
-                             "limits them), and output never depends on either "
-                             "(default: CAVITY_BLOCH_THREADS or 1)")
+                             "runs CPUs // BLAS threads processes, and output never "
+                             "depends on it (default: CAVITY_BLOCH_THREADS or 1)")
     parser.add_argument("--seed", type=int, default=None,
                         help="seed recorded for sampled property runs")
     args = parser.parse_args(argv)

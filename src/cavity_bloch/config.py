@@ -45,7 +45,9 @@ class RunConfig:
     output_format: str
     source_text: str
     seed: int = 0
-    threads: int = 1  # checked (>= 1) but unused: the sweep splits by CPU count
+    # selects nothing; kept because --threads and CAVITY_BLOCH_THREADS parse
+    # into it and perfbench/child.py sets it with dataclasses.replace
+    threads: int = 1
 
 
 class _Schema:
@@ -201,7 +203,6 @@ def parse_config(text):
         raise ConfigError([f"[run] command {command!r} not one of {COMMANDS}"])
 
     seed = parser.get("run", "seed", fallback="0")
-    threads = parser.get("run", "threads", fallback="1")
     out_path = parser.get("output", "path", fallback="result.csv")
     out_format = parser.get("output", "format", fallback="csv")
     violations += format_violations(command, out_format)
@@ -210,17 +211,9 @@ def parse_config(text):
     except ValueError:
         violations.append(f"[run] seed must be an integer, got {seed!r}")
         seed = 0
-    try:
-        threads = int(threads)
-        if threads < 1:
-            violations.append("[run] threads must be >= 1")
-    except ValueError:
-        violations.append(f"[run] threads must be an integer, got {threads!r}")
-        threads = 1
 
     schema = _schema_for(command)
-    known = {("run", "command"), ("run", "seed"), ("run", "threads"),
-             ("output", "path"), ("output", "format")}
+    known = {("run", "command"), ("run", "seed"), ("output", "path"), ("output", "format")}
     known |= set(schema.keys)
 
     for section in parser.sections():
@@ -262,7 +255,6 @@ def parse_config(text):
         output_format=out_format,
         source_text=text,
         seed=seed,
-        threads=threads,
     )
 
 

@@ -33,18 +33,23 @@ class TablePayload:
 
 @dataclass
 class SpectrumPayload:
-    """A sweep's spectra, written as rows (axis value, k index, eigen index,
-    value) in that order; a failed point writes no row.
+    """A sweep's spectra, as qed_bloch.sweep returns them, written as rows
+    (axis value, k index, eigen index, value) in that order; a failed point
+    writes no row.
 
     `eigenvalues[axis][k]` is the point's ascending array, empty when the
     point failed; `failures` holds one message per failed point and is
-    reported by the CLI, never written.
+    reported by the CLI, never written.  A point whose `partners[k]` is
+    another point holds that point's array object; None makes every point
+    its own partner.
     """
 
-    columns: list
     axis_values: np.ndarray
     eigenvalues: list
+    k_labels: list = None
+    partners: list = None
     failures: list = field(default_factory=list)
+    columns: list = None
     kind: str = "spectrum"
 
     @property
@@ -52,22 +57,24 @@ class SpectrumPayload:
         """Number of (axis, k) points the sweep attempted."""
         return sum(len(per_axis) for per_axis in self.eigenvalues)
 
-    def blocks(self, convert=None):
-        """(axis value, k index, eigenvalues) of every point that has any,
-        in row order, the eigenvalues as a float array or, given `convert`,
-        as convert(that array).
+    def converted(self, convert):
+        """convert(eigenvalues) of every point, one list per axis value: a
+        point that is its own partner is converted once, and every other
+        point holds its partner's result (the same object)."""
+        for per_axis in self.eigenvalues:
+            results = []
+            for k_idx, partner in enumerate(self.partners or range(len(per_axis))):
+                results.append(convert(per_axis[k_idx]) if partner == k_idx else results[partner])
+            yield results
 
-        Points of one axis value that hold one array object (C2 partners)
-        share one result, so each distinct array is converted once.
-        """
-        for axis, per_axis in zip(self.axis_values.tolist(), self.eigenvalues):
-            results = {}  # id of an array held by per_axis, which keeps it alive -> its result
-            for k_idx, eigs in enumerate(per_axis):
+    def blocks(self, convert=np.asarray):
+        """(axis value, k index, convert(eigenvalues as a float array)) of
+        every point that has any, in row order, converted as `converted` does."""
+        rows = self.converted(lambda eigs: convert(np.asarray(eigs, dtype=float)))
+        for axis, per_axis, results in zip(self.axis_values.tolist(), self.eigenvalues, rows):
+            for k_idx, (eigs, values) in enumerate(zip(per_axis, results)):
                 if len(eigs):
-                    if id(eigs) not in results:
-                        values = np.asarray(eigs, dtype=float)
-                        results[id(eigs)] = values if convert is None else convert(values)
-                    yield axis, k_idx, results[id(eigs)]
+                    yield axis, k_idx, values
 
     def to_jsonable(self):
         """The payload with ROWS_SLOT for its rows, which write_json fills."""

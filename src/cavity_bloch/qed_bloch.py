@@ -20,6 +20,7 @@ import numpy as np
 from .constants import HBAR, M_ELECTRON, E_CHARGE
 from .errors import CavityBlochError, DomainError, NumericalError
 from .numerics import displacement_matrix, hermitian_eigvals
+from .output import SpectrumPayload
 
 #: scaled diagonal beyond which a polariton-lattice state is treated as
 #: decoupled; far above it float64 eigensolving of the low window degrades
@@ -569,16 +570,6 @@ def polariton_harper_eigvals(flux, g, kx_a, kw_scaled, trunc, a1, v0, mode="auto
     return hermitian_eigvals(mat), chosen
 
 
-@dataclass
-class SpectrumGrid:
-    """Sweep container: axis samples x k points x ascending eigenvalues."""
-
-    axis_values: np.ndarray
-    k_labels: list
-    eigenvalues: list  # [axis][k] -> ascending ndarray
-    failures: list
-
-
 #: a stack of matrices solved by one eigensolver call holds at most this many
 #: bytes (a single larger matrix is solved alone): 32 Harper chains of dim 61
 #: and three real matrices of dim 183 fit, two complex ones of dim 183 do not,
@@ -643,6 +634,15 @@ def _available_cpus():
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
         return 1
     return len(os.sched_getaffinity(0))
+
+
+def _blas_threads():
+    """BLAS threads per process, read as OpenBLAS reads them: the first of
+    OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS that holds a
+    positive integer, else 1."""
+    values = (os.environ.get(name, "").strip()
+              for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
+    return next((int(v) for v in values if v.isdecimal() and int(v) > 0), 1)
 
 
 class _ShareTraceback(Exception):
@@ -737,19 +737,21 @@ def sweep(assembler, axis_values, k_grid, partners=None):
     most STACK_BYTES by `hermitian_eigvals`, which solves a stack whole or not
     at all; a stack that fails is solved again matrix by matrix.  A point
     whose matrix the assembler cannot build (it raises a package error or a
-    floating-point error) or whose matrix fails alone is recorded in
-    SpectrumGrid.failures and keeps an empty eigenvalue array.  Any other
+    floating-point error) or whose matrix fails alone is recorded in the
+    result's failures and keeps an empty eigenvalue array.  Any other
     exception propagates.
 
-    `partners` (c2_partners) names, per k point, the point whose spectrum it
-    shares: a point whose partner is another, earlier point is neither
-    assembled nor solved, and takes that point's eigenvalue array (the same
-    object) or its failure message, under its own k label.  None solves every
-    point.
+    Returns an output.SpectrumPayload (no columns) that carries the partner
+    map `partners` (c2_partners; None makes each point its own partner): a
+    point whose partner is another, earlier point is neither assembled nor
+    solved, and takes that point's eigenvalue array (the same object) or its
+    failure message, under its own k label.
 
-    The axis values are split across P processes, P the smaller of the CPUs
-    this process may run on (_available_cpus) and the number of axis values:
-    process r solves the axis indices equal to r mod P, this process share 0
+    The axis values are split across P processes, P the CPUs this process
+    may run on (_available_cpus) // its BLAS threads (_blas_threads), at
+    least 1 and at most the number of axis values, so that BLAS threads do
+    not oversubscribe the CPUs.
+    Process r solves the axis indices equal to r mod P, this process share 0
     and P - 1 forked children the others.  Each process solves the same
     stacks as a serial sweep, so the result is bitwise the same for any P.
     The sweep runs in this process alone when P is 1, when other threads run
@@ -764,7 +766,7 @@ def sweep(assembler, axis_values, k_grid, partners=None):
     if np.any(np.diff(axis_values) < 0.0):
         raise DomainError("sweep axis must be monotone")
     k_grid = list(k_grid)
-    partners = range(len(k_grid)) if partners is None else list(partners)
+    partners = list(range(len(k_grid)) if partners is None else partners)
     if len(partners) != len(k_grid) or any(p > idx or partners[p] != p
                                            for idx, p in enumerate(partners)):
         raise DomainError("each k point's partner must be itself or an earlier, solved point")
@@ -781,17 +783,18 @@ def sweep(assembler, axis_values, k_grid, partners=None):
             rows[a_idx] = (row, failures)
         return rows
 
-    procs = min(_available_cpus(), axis_values.size)
+    procs = min(max(1, _available_cpus() // _blas_threads()), axis_values.size)
     shares = None
     if procs > 1 and threading.active_count() == 1:
         shares = _forked_shares(solve_share, procs)
     if shares is None:
         shares = solve_share(0, 1)
     rows = [shares[a_idx] for a_idx in range(axis_values.size)]
-    return SpectrumGrid(
+    return SpectrumPayload(
         axis_values=axis_values,
-        k_labels=[tuple(np.atleast_1d(k)) for k in k_grid],
         eigenvalues=[row for row, _ in rows],
+        k_labels=[tuple(np.atleast_1d(k)) for k in k_grid],
+        partners=partners,
         failures=[message for _, failures in rows for message in failures],
     )
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from cavity_bloch import cli, output
+from cavity_bloch import cli, output, qed_bloch
 from cavity_bloch.cavity_gas import (
     CavitySetup,
     GasEigenstateLabel,
@@ -386,12 +386,11 @@ class TestAcceptance:
         elapsed = time.perf_counter() - start
         report(9, "stability classifier exact; no-A^2 coupling unbounded", elapsed)
 
-    def test_criterion_10_sweep_determinism(self, tmp_path):
+    def test_criterion_10_sweep_determinism(self, tmp_path, monkeypatch):
         start = time.perf_counter()
-        template = """
+        config = """
 [run]
 command = butterfly
-threads = {threads}
 
 [lattice]
 kind = square
@@ -416,11 +415,13 @@ path = out.csv
 format = csv
 """
         payloads = []
-        for threads in (1, 1, 4):
-            env = cli.run(parse_config(template.format(threads=threads)))
+        for processes in (1, 1, 4):
+            monkeypatch.setattr(qed_bloch, "_available_cpus", lambda: processes)
+            monkeypatch.setattr(qed_bloch, "_blas_threads", lambda: 1)
+            env = cli.run(parse_config(config))
             path = tmp_path / f"det-{len(payloads)}.csv"
             output.write_csv(env, path)
             payloads.append(path.read_bytes())
         assert payloads[0] == payloads[1] == payloads[2]
         elapsed = time.perf_counter() - start
-        report(10, "sweep CSV byte-identical across repeats and thread counts", elapsed)
+        report(10, "sweep CSV byte-identical across repeats and process counts", elapsed)

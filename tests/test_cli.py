@@ -20,8 +20,15 @@ from hypothesis import strategies as st
 
 from cavity_bloch import cli, config, numerics, output, qed_bloch
 from cavity_bloch.config import COMMANDS, FORMATS, parse_config
+from cavity_bloch.constants import EV
 from cavity_bloch.errors import ConfigError, NumericalError
-from cavity_bloch.lattice import BRAVAIS_KINDS, FourierPotential, bravais_cosine_potential
+from cavity_bloch.landau import cyclotron_frequency
+from cavity_bloch.lattice import (
+    BRAVAIS_KINDS,
+    FourierPotential,
+    bravais_cosine_potential,
+    field_for_flux_ratio,
+)
 
 GAS_CONFIG = """
 [run]
@@ -40,7 +47,6 @@ format = {fmt}
 BUTTERFLY_CONFIG = """
 [run]
 command = butterfly
-threads = {threads}
 
 [lattice]
 kind = square
@@ -251,12 +257,13 @@ def python_with_blas(args, cwd=None, **blas):
 
 
 #: `python -c` program: the CLI with argv[2:], its sweeps split across
-#: argv[1] processes whatever the CPU count
+#: argv[1] processes whatever the CPU and BLAS thread counts
 CLI_WITH_SWEEP_PROCESSES = """
 import sys
 import cavity_bloch.cli as cli
 processes = int(sys.argv[1])
 cli.qed_bloch._available_cpus = lambda: processes
+cli.qed_bloch._blas_threads = lambda: 1
 sys.exit(cli.main(sys.argv[2:]))
 """
 
@@ -282,14 +289,14 @@ format = json
 
 class TestParseConfig:
     def test_minimal_butterfly_valid(self):
-        cfg = parse_config(BUTTERFLY_CONFIG.format(path="out.csv", points=400, threads=1))
+        cfg = parse_config(BUTTERFLY_CONFIG.format(path="out.csv", points=400))
         assert cfg.command == "butterfly"
         assert cfg.parameters["a1_angstrom"] == pytest.approx(2e-10)
         assert cfg.parameters["v0_ev"] == pytest.approx(3.0 * 1.602176634e-19)
         assert cfg.parameters["flux_max"] == 2.0
 
     def test_missing_key_named(self):
-        broken = BUTTERFLY_CONFIG.format(path="x", points=10, threads=1).replace(
+        broken = BUTTERFLY_CONFIG.format(path="x", points=10).replace(
             "flux_min = 0.01", ""
         )
         with pytest.raises(ConfigError) as err:
@@ -298,7 +305,7 @@ class TestParseConfig:
 
     def test_all_violations_collected(self):
         broken = (
-            BUTTERFLY_CONFIG.format(path="x", points=10, threads=1)
+            BUTTERFLY_CONFIG.format(path="x", points=10)
             .replace("flux_min = 0.01", "flux_min = -3")
             .replace("n_max = 10", "n_max = zero")
             .replace("kind = square", "kind = pentagonal")
@@ -310,7 +317,7 @@ class TestParseConfig:
         assert len(err.value.violations) >= 3
 
     def test_unknown_key_rejected(self):
-        broken = BUTTERFLY_CONFIG.format(path="x", points=10, threads=1) + "\nwhimsy = 7\n"
+        broken = BUTTERFLY_CONFIG.format(path="x", points=10) + "\nwhimsy = 7\n"
         with pytest.raises(ConfigError) as err:
             parse_config(broken)
         assert any("whimsy" in v for v in err.value.violations)
@@ -387,7 +394,7 @@ points = 20
         assert upper == pytest.approx(ladder, rel=1e-10)
 
     def test_identical_configs_identical_payloads(self, tmp_path):
-        text = BUTTERFLY_CONFIG.format(path="x", points=5, threads=1)
+        text = BUTTERFLY_CONFIG.format(path="x", points=5)
         env1 = cli.run(parse_config(text))
         env2 = cli.run(parse_config(text))
         rows1 = [(axis, k, eigs.tolist()) for axis, k, eigs in env1.payload.blocks()]
@@ -395,7 +402,7 @@ points = 20
         assert rows1 == rows2
 
     def test_csv_json_value_equivalent(self, tmp_path):
-        text = BUTTERFLY_CONFIG.format(path="x", points=3, threads=1)
+        text = BUTTERFLY_CONFIG.format(path="x", points=3)
         env = cli.run(parse_config(text))
         csv_path = tmp_path / "eq.csv"
         json_path = tmp_path / "eq.json"
@@ -503,18 +510,6 @@ class TestCliProcess:
         for column in header.split(","):
             assert "[" in column and column.rstrip().endswith("]")
 
-    def test_butterfly_determinism_across_threads(self, tmp_path):
-        out1 = tmp_path / "b1.csv"
-        out2 = tmp_path / "b2.csv"
-        cfg1 = tmp_path / "b1.ini"
-        cfg2 = tmp_path / "b2.ini"
-        cfg1.write_text(BUTTERFLY_CONFIG.format(path=out1, points=6, threads=1))
-        cfg2.write_text(BUTTERFLY_CONFIG.format(path=out2, points=6, threads=3))
-        r1 = self.run_cli(["butterfly", "--config", str(cfg1)], tmp_path)
-        r2 = self.run_cli(["butterfly", "--config", str(cfg2)], tmp_path)
-        assert r1.returncode == 0 and r2.returncode == 0, r1.stderr + r2.stderr
-        assert out1.read_bytes() == out2.read_bytes()
-
     @pytest.mark.parametrize("text", [
         RAW_JOULES_183_CONFIG,
         RAW_JOULES_183_CONFIG.replace("kind = hexagonal", "kind = oblique")
@@ -564,7 +559,7 @@ class TestCliProcess:
         # at flux ~1e-150 the Laguerre table overflows: each point is reported
         # as a failure, and numpy's RuntimeWarning stays off stderr
         cfg = tmp_path / "run.ini"
-        cfg.write_text(BUTTERFLY_CONFIG.format(path=tmp_path / "out.csv", points=2, threads=1)
+        cfg.write_text(BUTTERFLY_CONFIG.format(path=tmp_path / "out.csv", points=2)
                        .replace("flux_min = 0.01", "flux_min = 1e-150")
                        .replace("flux_max = 2.0", "flux_max = 2e-150")
                        .replace("scaling = harper-scaled", "scaling = raw-joules")
@@ -662,7 +657,7 @@ class TestMainExitCodes:
             return harper(flux, kx_a, n_max)
 
         monkeypatch.setattr(qed_bloch, "harper_matrix", failing_at_one_flux)
-        text = BUTTERFLY_CONFIG.format(path="{path}", points=5, threads=1)
+        text = BUTTERFLY_CONFIG.format(path="{path}", points=5)
         assert self.run_main(tmp_path, "butterfly", text) == cli.EXIT_NUMERICAL
         rows = [line.split(",") for line in (tmp_path / "out.csv").read_text().splitlines()[1:]]
         written = {(float(flux), int(k)) for flux, k, _, _ in rows}
@@ -684,7 +679,7 @@ class TestMainExitCodes:
 
         monkeypatch.setattr(qed_bloch, "harper_matrix", killed_in_child)
         monkeypatch.setattr(qed_bloch, "_available_cpus", lambda: 2)
-        text = BUTTERFLY_CONFIG.format(path="{path}", points=2, threads=1)
+        text = BUTTERFLY_CONFIG.format(path="{path}", points=2)
         assert self.run_main(tmp_path, "butterfly", text) == cli.EXIT_NUMERICAL
         assert capsys.readouterr().err == (
             "numerical failure: the sweep process of axis[1::2] ended without delivering "
@@ -693,7 +688,7 @@ class TestMainExitCodes:
 
     def test_non_finite_llb_matrices_fail_as_such(self, tmp_path, capsys):
         # at flux ~1e-150 the Laguerre table overflows into NaN matrix entries
-        text = (BUTTERFLY_CONFIG.format(path="{path}", points=2, threads=1)
+        text = (BUTTERFLY_CONFIG.format(path="{path}", points=2)
                 .replace("flux_min = 0.01", "flux_min = 1e-150")
                 .replace("flux_max = 2.0", "flux_max = 2e-150")
                 .replace("scaling = harper-scaled", "scaling = raw-joules")
@@ -743,11 +738,12 @@ class TestMainExitCodes:
         assert self.run_main(tmp_path, "gas", text) == cli.EXIT_CONFIG
         assert "config error: CAVITY_BLOCH_THREADS must be >= 1" in capsys.readouterr().err
 
-    def test_threads_config_below_one_is_config_error(self, tmp_path, capsys):
+    def test_threads_config_key_is_unknown(self, tmp_path, capsys):
         text = GAS_CONFIG.replace("{fmt}", "csv").replace("command = gas",
-                                                          "command = gas\nthreads = 0")
+                                                          "command = gas\nthreads = 2")
         assert self.run_main(tmp_path, "gas", text) == cli.EXIT_CONFIG
-        assert "config error: [run] threads must be >= 1" in capsys.readouterr().err
+        assert ("config error: [run] unknown key 'threads' for command 'gas'"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("key", ["points = 11", "span = 2.0", "eta_fraction = 0.1"])
     def test_eft_grid_keys_unknown(self, tmp_path, capsys, key):
@@ -827,7 +823,7 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_inverted_plot_window_is_config_error(self, tmp_path, capsys, fmt):
-        text = (BUTTERFLY_CONFIG.format(path="{path}", points=3, threads=1)
+        text = (BUTTERFLY_CONFIG.format(path="{path}", points=3)
                 .replace("scaling = harper-scaled", "scaling = raw-joules")
                 .replace("format = csv", f"format = {fmt}")
                 .replace("[output]", "[plot]\nemin_ev = 5\nemax_ev = 1\n\n[output]"))
@@ -839,7 +835,7 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("window", ["emin_ev = -1\nemax_ev = 1", "emax_ev = 1"])
     def test_plot_window_on_harper_scaled_is_config_error(self, tmp_path, capsys, fmt, window):
         # harper-scaled energies are in units of t(flux), which varies along the sweep
-        text = (BUTTERFLY_CONFIG.format(path="{path}", points=3, threads=1)
+        text = (BUTTERFLY_CONFIG.format(path="{path}", points=3)
                 .replace("format = csv", f"format = {fmt}")
                 .replace("[output]", f"[plot]\n{window}\n\n[output]"))
         assert self.run_main(tmp_path, "butterfly", text) == cli.EXIT_CONFIG
@@ -901,7 +897,7 @@ class TestC2Sweeps:
                 .replace("kx_points = 2", "kx_points = 4"))
 
     @pytest.mark.parametrize("text, builder", [
-        (BUTTERFLY_CONFIG.format(path="{path}", points=2, threads=1), "harper_matrix"),
+        (BUTTERFLY_CONFIG.format(path="{path}", points=2), "harper_matrix"),
         (raw_joules("square", "a2_angstrom = 2.0"), "assemble_llb_matrix"),
         (raw_joules("oblique", "a2_angstrom = 3.0\ntheta_deg = 70"), "assemble_llb_matrix"),
     ], ids=["harper-scaled", "raw-joules-square", "raw-joules-oblique"])
@@ -913,6 +909,25 @@ class TestC2Sweeps:
         for axis in {axis for axis, _ in values}:
             assert values[(axis, 3)] == values[(axis, 0)]
             assert values[(axis, 2)] == values[(axis, 1)]
+
+    def test_raw_joules_ev_conversion_keeps_the_partner_arrays(self):
+        # each solved point is divided by EV once, and its partner holds the result
+        cfg = parse_config(self.raw_joules("square", "a2_angstrom = 2.0").format(path="x"))
+        grid = cli.run(cfg).payload
+        p = cfg.parameters
+        lat = cli._lattice_from(p)
+        pot = bravais_cosine_potential(p["kind"], p["v0_ev"], lat)
+        trunc = qed_bloch.BasisTruncation(n_max=p["n_max"], j_max=p["j_max"])
+        kx_grid = qed_bloch.midpoint_kx_grid(p["kx_points"])
+        assert grid.partners == [0, 1, 1, 0]
+        for flux, row in zip(grid.axis_values, grid.eigenvalues, strict=True):
+            w_c = cyclotron_frequency(field_for_flux_ratio(lat, flux))
+            for k_idx, partner in enumerate(grid.partners):
+                if partner != k_idx:
+                    assert row[k_idx] is row[partner]
+                    continue
+                mat = qed_bloch.assemble_llb_matrix(pot, w_c, kx_grid[k_idx] / lat.a1, trunc)
+                assert np.array_equal(row[k_idx], numerics.hermitian_eigvals(mat) / EV)
 
     def test_raw_joules_without_c2_solves_every_point(self, tmp_path, monkeypatch, call_log):
         # square lattice, b2 cosine shifted by a phase: the x -> -x mirror stays,

@@ -195,28 +195,41 @@ class TestSpectrumWriters:
         with pytest.raises(CavityBlochError, match="nothing to plot"):
             output.write_svg_scatter(env, tmp_path / "s.svg")
 
-    def test_shared_arrays_write_the_bytes_of_copies_and_lists(self, tmp_path):
+    def test_shared_arrays_write_the_bytes_of_copies_and_lists(self, tmp_path, monkeypatch):
         # C2 partner points hold one array object, which the writers format
-        # once per axis value; equal copies and plain lists (whose asarray
-        # temporaries may reuse an id) must give the same bytes
+        # once per axis value when the partner map names the sharing; shared
+        # objects without a map, equal copies and plain lists must give the
+        # same bytes
         a, b = np.array([-1.5, 0.25, 2.0]), np.array([-0.5, 1.0 / 3.0])
+        shared = [[a, b, b, a], [b, a, a, b]]
         layouts = {
-            "shared": [[a, b, b, a], [b, a, a, b]],
-            "copies": [[a.copy(), b.copy(), b.copy(), a.copy()],
-                       [b.copy(), a.copy(), a.copy(), b.copy()]],
-            "lists": [[a.tolist(), b.tolist(), b.tolist(), a.tolist()],
-                      [b.tolist(), a.tolist(), a.tolist(), b.tolist()]],
+            "partners": (shared, [0, 1, 1, 0]),
+            "shared": (shared, None),
+            "copies": ([[a.copy(), b.copy(), b.copy(), a.copy()],
+                        [b.copy(), a.copy(), a.copy(), b.copy()]], None),
+            "lists": ([[a.tolist(), b.tolist(), b.tolist(), a.tolist()],
+                       [b.tolist(), a.tolist(), a.tolist(), b.tolist()]], None),
         }
         files = {}
-        for name, eigenvalues in layouts.items():
+        for name, (eigenvalues, partners) in layouts.items():
             env = spectrum_envelope([0.1, 0.2], [[a]])
             env.payload.eigenvalues = eigenvalues
+            env.payload.partners = partners
             env.produced_at = "2000-01-01T00:00:00+00:00"
             files[name] = (written(output.write_csv, env, tmp_path / "s.csv"),
                            written(output.write_json, env, tmp_path / "s.json"))
+        assert files["partners"] == files["copies"]
         assert files["shared"] == files["copies"] == files["lists"]
         assert files["shared"][0] == reference_csv(env.payload)
         assert files["shared"][1] == reference_json(env)
+        # with the partner map, each of the two solved points per axis value
+        # is formatted once
+        formatted = []
+        lines = output._csv_lines
+        monkeypatch.setattr(output, "_csv_lines", lambda eigs: formatted.append(eigs) or lines(eigs))
+        env.payload.eigenvalues, env.payload.partners = layouts["partners"]
+        output.write_csv(env, tmp_path / "s.csv")
+        assert len(formatted) == 2 * 2
 
     def test_cli_spectra_at_one_and_two_threads(self, tmp_path):
         outputs = []

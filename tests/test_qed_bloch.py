@@ -1052,10 +1052,34 @@ class TestForkedSweep:
 
     AXIS = [0.4, 0.6, 0.8, 1.1, 1.3]
 
-    @staticmethod
-    def sweep_in(monkeypatch, processes, *args):
+    #: the variables the sweep reads its BLAS thread count from
+    BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+    @classmethod
+    def sweep_in(cls, monkeypatch, processes, *args, **blas):
+        """sweep(*args) with `processes` CPUs and, of the BLAS thread
+        variables, only those in `blas` set."""
         monkeypatch.setattr(qed_bloch, "_available_cpus", lambda: processes)
+        for name in cls.BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(name, raising=False)
+        for name, value in blas.items():
+            monkeypatch.setenv(name, value)
         return sweep(*args)
+
+    @pytest.mark.parametrize("blas, processes", [
+        ({"OPENBLAS_NUM_THREADS": "2"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "abc"}, 4),
+        ({"OPENBLAS_NUM_THREADS": "0"}, 4),
+        ({"OPENBLAS_NUM_THREADS": "abc", "GOTO_NUM_THREADS": "-1", "OMP_NUM_THREADS": "2"}, 2),
+    ], ids=["openblas-2", "openblas-abc", "openblas-0", "omp-2-after-invalid"])
+    def test_blas_threads_divide_the_cpus(self, monkeypatch, call_log, blas, processes):
+        def assembler(flux, kxa):
+            call_log.append(os.getpid())
+            return harper_matrix(flux, kxa, 4)
+
+        grid = self.sweep_in(monkeypatch, 4, assembler, self.AXIS, [0.1, 0.2], **blas)
+        assert len(set(call_log.entries())) == processes
+        assert not grid.failures
 
     @pytest.mark.parametrize("processes", [2, 3])
     def test_rows_equal_the_serial_rows(self, monkeypatch, call_log, processes):
