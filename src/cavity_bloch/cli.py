@@ -1,6 +1,8 @@
 """Command-line entry point: `cavity-bloch <command> --config <file> ...`.
 
 Exit codes: 0 success, 2 invalid config, 3 numerical failure, 4 I/O failure.
+Running out of memory is a numerical failure while computing and an I/O
+failure while exporting.
 
 A sweep splits its axis values across CPUs // BLAS threads processes, the
 CPUs those this process may run on (`taskset` narrows them); see
@@ -252,7 +254,7 @@ def _run_polariton_butterfly(cfg):
     def assembler(g, k):
         kx_a, kw_scaled = k
         return qed_bloch.polariton_harper_matrix(p["flux_ratio"], g, kx_a, kw_scaled, trunc,
-                                                 a1=lat.a1, v0=p["v0_ev"], mode=p["mode"])[0]
+                                                 a1=lat.a1, v0=p["v0_ev"], mode=p["mode"])
 
     # only the kw = 0 points pair up, where the matrix at -k_x is the one at
     # k_x with its (n, m) order reversed
@@ -383,7 +385,7 @@ def main(argv=None):
         for violation in exc.violations:
             print(f"config error: {violation}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericalError, CavityBlochError, FloatingPointError) as exc:
+    except (NumericalError, CavityBlochError, FloatingPointError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
@@ -401,7 +403,7 @@ def main(argv=None):
 
     try:
         export(envelope, cfg.output_path, cfg.output_format, window=_plot_window(cfg))
-    except CavityBlochError as exc:
+    except (CavityBlochError, MemoryError) as exc:
         print(f"output failure: {exc}", file=sys.stderr)
         return EXIT_IO
     print(f"wrote {cfg.output_format} to {cfg.output_path}")

@@ -126,9 +126,6 @@ class FourierPotential:
             if mirror is None or abs(mirror - np.conj(v)) > 1e-12 * max(abs(v), 1.0):
                 raise DomainError(f"potential violates reality at ({n}, {m})")
 
-    def value(self, n, m):
-        return self.coefficients.get((n, m), 0.0 + 0.0j)
-
     def real_space(self, x, y):
         """Evaluate the potential at (x, y); used by tests as a cross-check."""
         rec = reciprocal_vectors(self.lattice)

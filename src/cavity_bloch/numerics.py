@@ -1,9 +1,13 @@
 """Special functions and the dense Hermitian eigensolver contract.
 
-All physics modules funnel their eigenproblems through
+The physics modules funnel their eigenproblems through
 :func:`hermitian_eigvals`, which solves one matrix or a stack of them with
 one LAPACK call routed by dtype, so determinism and Hermiticity policy live
-in one place; a stack is solved whole or not at all.
+in one place; a stack is solved whole or not at all.  Two call eigvalsh or
+eigh directly: the Harper band oracles (qed_bloch.harper_exact_bands and
+harper_bloch_union), which check the Harper spectra the sweep solves through
+this function and so must not share it, and cavity_gas.many_mode_spectrum,
+which needs eigenvectors.
 """
 
 import hashlib

@@ -128,8 +128,9 @@ def _table_of(payload):
 
 
 def _format_cell(value):
+    # float() first: numpy 2 spells the repr of its scalars np.float64(...)
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))
     return str(value)
 
 

@@ -83,10 +83,6 @@ class PolaritonParams:
         return self.omega_p / self.omega_c
 
 
-def polariton_params(omega_p, omega_c):
-    return PolaritonParams(omega_p=omega_p, omega_c=omega_c)
-
-
 def landau_polariton_energy(params, k_w, k_z, j, mass_ratio=1.0):
     """hbar^2 k_z^2/2m* + hbar^2 k_w^2/2M + hbar Omega (j + 1/2), in J."""
     if j < 0:
@@ -130,7 +126,11 @@ def screening_chi(g):
 
 @dataclass(frozen=True)
 class BasisTruncation:
-    """Fourier window |n|, |m| <= n_max and level window 0..j_max."""
+    """Fourier window |n|, |m| <= n_max and level window 0..j_max.
+
+    Every basis holds at least the 2 n_max + 1 Fourier chain, so a chain over
+    dimension_cap is refused here; dimension() checks each route's full basis.
+    """
 
     n_max: int
     j_max: int = 0
@@ -141,6 +141,8 @@ class BasisTruncation:
             raise DomainError("n_max must be >= 1")
         if self.j_max < 0:
             raise DomainError("j_max must be >= 0")
+        if self.n_count > self.dimension_cap:
+            raise DomainError(f"basis dimension {self.n_count} exceeds cap {self.dimension_cap}")
 
     @property
     def n_count(self):
@@ -326,7 +328,9 @@ def harper_matrix(flux, kx_a, n_max, hop=1.0, onsite=1.0):
 
     E U_n = hop (U_{n-1} + U_{n+1}) + 2 onsite cos(2 pi (Phi0/Phi)(kx_a/2pi + n)) U_n
     over |n| <= n_max.  kx_a may be an array; the result is then a
-    (..., 2 n_max + 1, 2 n_max + 1) stack, one chain per k_x.
+    (..., 2 n_max + 1, 2 n_max + 1) stack, one chain per k_x.  With the
+    defaults, unscaled square-lattice energies follow from its eigenvalues as
+    E = hbar omega_c / 2 + harper_hopping(flux, V) * eigenvalue.
     """
     if flux <= 0.0:
         raise DomainError("flux ratio must be positive")
@@ -341,16 +345,6 @@ def harper_matrix(flux, kx_a, n_max, hop=1.0, onsite=1.0):
     flat[..., 1 :: size + 1] = hop
     flat[..., size :: size + 1] = hop
     return mat
-
-
-def harper_eigvals(flux, kx_a, n_max):
-    """Ascending scaled Harper eigenvalues at one k point, or at each of an
-    array of them (one row per k_x).
-
-    Unscaled square-lattice energies follow as E = hbar omega_c / 2 +
-    harper_hopping(flux, V) * eigenvalue.
-    """
-    return hermitian_eigvals(harper_matrix(flux, kx_a, n_max))
 
 
 def harper_bloch_matrix(p, q, kappa, theta):
@@ -496,7 +490,9 @@ def matrix_mode_informative(flux, g, a1, v0, kw_scaled=0.0):
 
 def polariton_harper_matrix(flux, g, kx_a, kw_scaled, trunc, a1, v0, mode="auto"):
     """Matrix of the polaritonic Harper problem, in units of S(Phi,g) = t1 + t2
-    and measured from the lowest polariton level; returns (matrix, mode_used).
+    and measured from the lowest polariton level.  The route taken shows in
+    its size: 2 n_max + 1 rows for the reduced chain, (2 n_max + 1)^2 for the
+    (n, m) lattice.
 
     mode="matrix": explicit (n, m) lattice with the scaled kinetic diagonal;
     sound when that diagonal fits in float64 (order-one flux).
@@ -506,6 +502,10 @@ def polariton_harper_matrix(flux, g, kx_a, kw_scaled, trunc, a1, v0, mode="auto"
     sweeps, where the scaled kinetic term dwarfs float64.
     mode="auto": reduced below G_REDUCED_THRESHOLD or when the matrix-mode
     diagonal would not be numerically sound, matrix otherwise.
+
+    g -> 0 is continuous in reduced mode (both hoppings -> 1/2, the Harper
+    spectrum halved); the 1 + g^-2 overflow never occurs because the kinetic
+    term is evaluated through g^2/(1+g^2).
 
     At kw_scaled = 0 the (n, m) lattice H obeys H* = P H P exactly, with P
     the parity m -> -m: the m hops carry e^{+-i phase_arg[n]} and the kinetic
@@ -520,27 +520,21 @@ def polariton_harper_matrix(flux, g, kx_a, kw_scaled, trunc, a1, v0, mode="auto"
     if g < 0.0:
         raise DomainError("coupling must be >= 0")
     tau1, tau2 = polariton_hoppings(flux, g)
-    chosen = mode
     if mode == "auto":
-        chosen = (
+        mode = (
             "matrix"
             if g > G_REDUCED_THRESHOLD and matrix_mode_informative(flux, g, a1, v0, kw_scaled)
             else "reduced"
         )
-
-    if chosen == "reduced":
-        chain = harper_matrix(flux * (1.0 + g * g), kx_a, trunc.n_max, hop=tau1, onsite=tau2)
-        return chain, chosen
+    if mode == "reduced":
+        return harper_matrix(flux * (1.0 + g * g), kx_a, trunc.n_max, hop=tau1, onsite=tau2)
 
     trunc.dimension(fourier_dims=2)
     n_count = trunc.n_count
     n_vals = np.arange(-trunc.n_max, trunc.n_max + 1)
     phase_arg = 2.0 * math.pi / (flux * (1.0 + g * g)) * (kx_a / (2.0 * math.pi) + n_vals)
-    ms = range(trunc.n_max + 1) if kw_scaled == 0.0 else n_vals
     kinetic = np.array([min(polariton_scaled_kinetic(flux, g, kw_scaled, int(m), a1, v0),
-                            DIAG_SAFE_CAP) for m in ms])
-    if kw_scaled == 0.0:
-        kinetic = np.concatenate([kinetic[:0:-1], kinetic])  # even in m
+                            DIAG_SAFE_CAP) for m in n_vals])
     # (n, m) lattice of 1x1 blocks: kinetic[m] on the diagonal, tau1 hops
     # along n, tau2 e^{+-i phase_arg[n]} hops along m
     diagonal = np.broadcast_to(kinetic[:, None], (n_count,) * 2 + (1,))
@@ -551,23 +545,10 @@ def polariton_harper_matrix(flux, g, kx_a, kw_scaled, trunc, a1, v0, mode="auto"
              ((0, -1), hop_m, one), ((0, 1), hop_m.conj(), one)]
     mat = _fourier_lattice_matrix(diagonal, terms)
     if kw_scaled != 0.0:
-        return mat, chosen
+        return mat
     # Im(H) P: the m columns of Im H reversed inside each n block
     im_p = mat.imag.reshape((n_count,) * 4)[..., ::-1].reshape(mat.shape)
-    return mat.real - im_p, chosen
-
-
-def polariton_harper_eigvals(flux, g, kx_a, kw_scaled, trunc, a1, v0, mode="auto"):
-    """Eigenvalues of the polaritonic Harper problem, ascending, scaled by
-    S(Phi,g) = t1 + t2 and measured from the lowest polariton level.
-
-    Returns (eigenvalues, mode_used); the modes are those of
-    polariton_harper_matrix.  g -> 0 is continuous in reduced mode (both
-    hoppings -> 1/2, the Harper spectrum halved); the 1 + g^-2 overflow never
-    occurs because the kinetic term is evaluated through g^2/(1+g^2).
-    """
-    mat, chosen = polariton_harper_matrix(flux, g, kx_a, kw_scaled, trunc, a1, v0, mode)
-    return hermitian_eigvals(mat), chosen
+    return mat.real - im_p
 
 
 #: a stack of matrices solved by one eigensolver call holds at most this many

@@ -93,11 +93,6 @@ def chi_mixed(w_grid, eta, setup, n_electrons, volume):
     return ResponseSample(w=base.w, value=factor * base.value, eta=eta)
 
 
-@dataclass(frozen=True)
-class ConductivitySample(ResponseSample):
-    """ResponseSample whose values carry S/m."""
-
-
 def optical_conductivity(w_grid, eta, setup):
     """Optical conductivity of the gas in the cavity (S/m).
 
@@ -113,7 +108,7 @@ def optical_conductivity(w_grid, eta, setup):
     wt = setup.omega_tilde
     drude = 1j * EPSILON_0 * wp**2 / (w + 1j * eta)
     cavity = -1j * EPSILON_0 * wp**4 / ((w + 1j * eta) * 2.0 * wt) * _pole_pair(w, wt, eta)
-    return ConductivitySample(w=w, value=drude + cavity, eta=eta)
+    return ResponseSample(w=w, value=drude + cavity, eta=eta)
 
 
 def dc_suppression(gamma):

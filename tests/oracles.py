@@ -2,17 +2,17 @@
 
 Each evaluates a quantity by a route other than the package's own: closed
 forms in place of complex arithmetic, a principal-value Hilbert transform, a
-discrete mode sum, and Laguerre polynomials / displacement elements one at a
-time.
+discrete mode sum, and Laguerre polynomials (an exact finite sum, not the
+package's recurrence) / displacement elements one at a time.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from cavity_bloch.constants import C_LIGHT, EPSILON_0
 from cavity_bloch.errors import DomainError
-from cavity_bloch.numerics import _laguerre_table
 from cavity_bloch.response import ResponseSample
 
 
@@ -84,7 +84,11 @@ def eft_chi_aa_mode_sum(w_grid, eta, setup, grid_points=400):
 
 
 def laguerre_assoc(j, a, x):
-    """Associated Laguerre polynomial L_j^(a)(x) by stable upward recurrence.
+    """Associated Laguerre polynomial L_j^(a)(x) from the finite sum
+    sum_i (-1)^i C(j+a, j-i) x^i / i!, which holds for every integer a >= -j.
+
+    The sum runs in exact rational arithmetic on the exact value of x and is
+    rounded once, so cancellation between its terms costs no accuracy.
 
     Parameters
     ----------
@@ -101,14 +105,10 @@ def laguerre_assoc(j, a, x):
         raise DomainError(f"laguerre argument must be finite and >= 0, got {x}")
     if a < -j:
         raise DomainError(f"laguerre order must be >= -j = {-j}, got {a}")
-    if a >= 0:
-        table = _laguerre_table(j + 1, a + 1, float(x))
-        return float(table[j, a])
-    # negative integer order: L_j^(-m)(x) = (-x)^m (j-m)!/j! L_{j-m}^{(m)}(x), m <= j
-    m = -a
-    table = _laguerre_table(j - m + 1, m + 1, float(x))
-    ratio = math.exp(math.lgamma(j - m + 1.0) - math.lgamma(j + 1.0))
-    return float((-x) ** m * ratio * table[j - m, m])
+    x = Fraction(float(x))
+    # C(j+a, j-i) is 0 for j - i > j + a: the terms below i = -a of a < 0 vanish
+    return float(sum(Fraction((-1) ** i * math.comb(j + a, j - i), math.factorial(i)) * x**i
+                     for i in range(j + 1)))
 
 
 def displacement_matrix_element(i, j, alpha):

@@ -36,18 +36,17 @@ from cavity_bloch.lattice import Lattice2D, bravais_cosine_potential, field_for_
 from cavity_bloch.numerics import hermitian_eigvals
 from cavity_bloch.qed_bloch import (
     BasisTruncation,
+    PolaritonParams,
     assemble_central_matrix,
     assemble_llb_matrix,
     coupling_window_end,
     harper_bloch_union,
-    harper_eigvals,
     harper_exact_bands,
     harper_hopping,
     harper_matrix,
     landau_polariton_branches,
     midpoint_kx_grid,
-    polariton_harper_eigvals,
-    polariton_params,
+    polariton_harper_matrix,
     spectral_gaps,
     sweep,
 )
@@ -102,13 +101,13 @@ class TestAcceptance:
             _, w_c = field_for_flux_ratio(SQUARE, flux), cyclotron_frequency(
                 field_for_flux_ratio(SQUARE, flux)
             )
-            params = polariton_params(1e-8 * w_c, w_c)
+            params = PolaritonParams(1e-8 * w_c, w_c)
             t_hop = harper_hopping(flux, 1.5 * EV)
             central = hermitian_eigvals(
                 assemble_central_matrix(pot, params, kxa / A, 0.0, trunc, reduce_m=True)
             )
             llb = hermitian_eigvals(assemble_llb_matrix(pot, w_c, kxa / A, trunc))
-            harper = harper_eigvals(flux, kxa, trunc.n_max)
+            harper = hermitian_eigvals(harper_matrix(flux, kxa, trunc.n_max))
             scaled_central = (central - 0.5 * HBAR * params.big_omega) / t_hop
             scaled_llb = (llb - 0.5 * HBAR * w_c) / t_hop
             worst = max(
@@ -168,9 +167,8 @@ class TestAcceptance:
                 union = np.sort(
                     np.concatenate(
                         [
-                            polariton_harper_eigvals(
-                                flux, g, kxa, 0.0, trunc, a1=A, v0=3.0 * EV
-                            )[0]
+                            hermitian_eigvals(polariton_harper_matrix(
+                                flux, g, kxa, 0.0, trunc, a1=A, v0=3.0 * EV))
                             for kxa in kxs
                         ]
                     )

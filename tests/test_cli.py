@@ -199,6 +199,24 @@ path = {path}
 format = csv
 """
 
+#: a `response` or `conductivity` run over a frequency grid of `points`
+RESPONSE_CONFIG = """
+[run]
+command = {command}
+
+[cavity]
+cavity_thz = 0.208
+density_cm2 = 1.3e12
+mass_ratio = 0.336
+
+[grid]
+points = {points}
+
+[output]
+path = {path}
+format = csv
+"""
+
 #: model sections of a small config for each command that writes no scatter plot
 UNPLOTTABLE_BODIES = {
     "gas": "[cavity]\ncavity_thz = 0.208\ndensity_cm2 = 1.3e12\n",
@@ -379,14 +397,14 @@ points = 20
         for row in rows:
             assert row[2] > row[3]
         # the tabulated upper branch is the polariton ladder spacing
-        from cavity_bloch.qed_bloch import landau_polariton_energy, polariton_params
+        from cavity_bloch.qed_bloch import PolaritonParams, landau_polariton_energy
         from cavity_bloch.cavity_gas import CavitySetup
         from cavity_bloch.constants import HBAR
         from cavity_bloch.landau import cyclotron_frequency
 
         setup = CavitySetup(omega_cav=2 * math.pi * 0.208e12, n2d=1.3e16, mass_ratio=0.336)
         b_field, upper = rows[7][0], rows[7][2] * 1e12
-        params = polariton_params(setup.omega_p, cyclotron_frequency(b_field, 0.336))
+        params = PolaritonParams(setup.omega_p, cyclotron_frequency(b_field, 0.336))
         ladder = (
             landau_polariton_energy(params, 0.0, 0.0, 1, 0.336)
             - landau_polariton_energy(params, 0.0, 0.0, 0, 0.336)
@@ -402,23 +420,29 @@ points = 20
         assert rows1 == rows2
 
     def test_csv_json_value_equivalent(self, tmp_path):
-        text = BUTTERFLY_CONFIG.format(path="x", points=3)
-        env = cli.run(parse_config(text))
-        csv_path = tmp_path / "eq.csv"
-        json_path = tmp_path / "eq.json"
-        output.write_csv(env, csv_path)
-        output.write_json(env, json_path)
-        loaded = json.loads(json_path.read_text())
-        json_rows = loaded["payload"]["rows"]
-        csv_lines = csv_path.read_text().strip().splitlines()
-        assert csv_lines[0].split(",") == loaded["payload"]["columns"]
-        assert len(csv_lines) - 1 == len(json_rows)
-        for line, row in zip(csv_lines[1:], json_rows):
-            for cell, value in zip(line.split(","), row):
-                if isinstance(value, float):
-                    assert float(cell) == value
-                else:
-                    assert cell == str(value)
+        # the response and conductivity rows hold numpy scalars, whose repr
+        # is no CSV number
+        texts = [BUTTERFLY_CONFIG.format(path="x", points=3)] + [
+            RESPONSE_CONFIG.format(command=command, path="x", points=5)
+            for command in ("response", "conductivity")
+        ]
+        for text in texts:
+            env = cli.run(parse_config(text))
+            csv_path = tmp_path / "eq.csv"
+            json_path = tmp_path / "eq.json"
+            output.write_csv(env, csv_path)
+            output.write_json(env, json_path)
+            loaded = json.loads(json_path.read_text())
+            json_rows = loaded["payload"]["rows"]
+            csv_lines = csv_path.read_text().strip().splitlines()
+            assert csv_lines[0].split(",") == loaded["payload"]["columns"]
+            assert len(csv_lines) - 1 == len(json_rows)
+            for line, row in zip(csv_lines[1:], json_rows):
+                for cell, value in zip(line.split(","), row):
+                    if isinstance(value, float):
+                        assert float(cell) == value
+                    else:
+                        assert cell == str(value)
 
 
 class TestExport:
@@ -698,12 +722,27 @@ class TestMainExitCodes:
         assert "numerical failure: 8 of 8 points failed" in err
         assert err.count(": non-finite matrix entries (fingerprint") == cli.FAILURES_SHOWN
 
-    def test_raw_joules_basis_cap_is_config_error(self, tmp_path, capsys):
-        # (2 n_max + 1)(j_max + 1) = 24461 basis states exceed the 20000 cap
-        code = self.run_main(tmp_path, "butterfly", RAW_JOULES_CAP_CONFIG)
-        assert code == cli.EXIT_CONFIG
-        assert "config error: basis dimension 24461 exceeds cap" in capsys.readouterr().err
-        assert not (tmp_path / "out.csv").exists()
+    def test_raw_joules_basis_cap_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # (2 n_max + 1)(j_max + 1) = 24461 basis states exceed the 20000 cap,
+        # and so does the 2 n_max + 1 = 20001 chain of a harper-scaled
+        # butterfly and of a reduced polariton butterfly; no sweep starts
+        def unreachable(*args):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(qed_bloch, "sweep", unreachable)
+        cases = [
+            ("butterfly", RAW_JOULES_CAP_CONFIG, 24461),
+            ("butterfly", BUTTERFLY_CONFIG.format(path="{path}", points=2)
+             .replace("n_max = 10", "n_max = 10000"), 20001),
+            ("polariton-butterfly", POLARITON_MATRIX_CONFIG.replace("n_max = 5", "n_max = 10000")
+             .replace("mode = matrix", "mode = reduced"), 20001),
+        ]
+        for command, text, dim in cases:
+            code = self.run_main(tmp_path, command, text)
+            assert code == cli.EXIT_CONFIG
+            assert (f"config error: basis dimension {dim} exceeds cap"
+                    in capsys.readouterr().err)
+            assert not (tmp_path / "out.csv").exists()
 
     def test_polariton_matrix_basis_cap_is_config_error(self, tmp_path, capsys, monkeypatch):
         # (2 n_max + 1)^2 = 121 states against a cap of 100
@@ -712,6 +751,25 @@ class TestMainExitCodes:
         code = self.run_main(tmp_path, "polariton-butterfly", POLARITON_MATRIX_CONFIG)
         assert code == cli.EXIT_CONFIG
         assert "config error: basis dimension 121 exceeds cap 100" in capsys.readouterr().err
+
+    def test_oversized_grid_is_numerical_failure(self, tmp_path, capsys):
+        # 1e15 float64 grid points are 8 PB, more than a 47-bit address space
+        # holds: numpy refuses them before touching memory
+        text = RESPONSE_CONFIG.format(command="response", path="{path}", points=10**15)
+        assert self.run_main(tmp_path, "response", text) == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and "Traceback" not in err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_memory_error_while_exporting_is_output_failure(self, tmp_path, capsys,
+                                                           monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("synthetic")
+
+        monkeypatch.setattr(cli, "export", out_of_memory)
+        text = GAS_CONFIG.format(path="{path}", fmt="csv")
+        assert self.run_main(tmp_path, "gas", text) == cli.EXIT_IO
+        assert capsys.readouterr().err == "output failure: synthetic\n"
 
     def test_all_failed_sweep_as_svg_is_numerical_failure(self, tmp_path, capsys):
         # under mode = auto each matrix-mode point at n_max = 71 (20449 states) fails

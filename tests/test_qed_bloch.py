@@ -30,6 +30,7 @@ from cavity_bloch.numerics import hermitian_eigvals, hermiticity_residual
 from cavity_bloch.qed_bloch import (
     DIAG_SAFE_CAP,
     BasisTruncation,
+    PolaritonParams,
     alpha_matrix,
     assemble_central_matrix,
     assemble_llb_matrix,
@@ -37,7 +38,6 @@ from cavity_bloch.qed_bloch import (
     c2_partners,
     count_bands,
     coupling_window_end,
-    harper_eigvals,
     harper_exact_bands,
     harper_hopping,
     harper_bloch_matrix,
@@ -46,9 +46,8 @@ from cavity_bloch.qed_bloch import (
     landau_polariton_branches,
     landau_polariton_energy,
     midpoint_kx_grid,
-    polariton_harper_eigvals,
+    polariton_harper_matrix,
     polariton_hoppings,
-    polariton_params,
     polariton_scaled_kinetic,
     screening_chi,
     spectral_gaps,
@@ -69,22 +68,22 @@ def square_setup(flux):
 class TestPolaritonParams:
     def test_balanced_coupling(self):
         w = 1e12
-        params = polariton_params(w, w)
+        params = PolaritonParams(w, w)
         assert params.big_omega == pytest.approx(math.sqrt(2.0) * w, rel=1e-14)
         assert params.g == 1.0
 
     def test_no_field_limit_mass(self):
         # 1/M ~ 2 omega_p^2 / m_e for omega_p << omega_c: vanishes as the
         # quantized field decouples, quadratically in omega_p
-        params = polariton_params(1e4, 1e12)
+        params = PolaritonParams(1e4, 1e12)
         assert params.inv_m_total == pytest.approx(
             2.0 * params.omega_p**2 / M_ELECTRON, rel=1e-12
         )
-        smaller = polariton_params(1e2, 1e12)
+        smaller = PolaritonParams(1e2, 1e12)
         assert smaller.inv_m_total / params.inv_m_total == pytest.approx(1e-4, rel=1e-10)
 
     def test_mu_omega_identity(self):
-        params = polariton_params(0.7e12, 1.9e12)
+        params = PolaritonParams(0.7e12, 1.9e12)
         assert params.mu * params.big_omega**2 == pytest.approx(2.0 * M_ELECTRON, rel=1e-12)
         assert params.big_omega**2 == pytest.approx(
             params.omega_p**2 + params.omega_c**2, rel=1e-12
@@ -92,7 +91,7 @@ class TestPolaritonParams:
 
     def test_singular_inputs_rejected(self):
         with pytest.raises(DomainError):
-            polariton_params(0.0, 1e12)
+            PolaritonParams(0.0, 1e12)
 
 
 class TestLandauPolaritonBranches:
@@ -119,7 +118,7 @@ class TestLandauPolaritonBranches:
         assert 0.5 * setup.omega_p < setup.omega_cav
 
     def test_energy_formula(self):
-        params = polariton_params(0.5e12, 1.2e12)
+        params = PolaritonParams(0.5e12, 1.2e12)
         e0 = landau_polariton_energy(params, 0.0, 0.0, 0)
         assert e0 == pytest.approx(0.5 * HBAR * params.big_omega, rel=1e-14)
         e1 = landau_polariton_energy(params, 0.0, 0.0, 1)
@@ -152,7 +151,7 @@ class TestScreening:
 class TestCouplingMatrices:
     def test_zero_offset_vanishes(self):
         _, w_c = square_setup(1.0)
-        params = polariton_params(0.3 * w_c, w_c)
+        params = PolaritonParams(0.3 * w_c, w_c)
         assert alpha_matrix(0, 0, SQUARE, params) == 0.0
         assert beta_matrix(0, 0, SQUARE, w_c) == 0.0
 
@@ -160,7 +159,7 @@ class TestCouplingMatrices:
         flux = 1.3
         _, w_c = square_setup(flux)
         g = 0.45
-        params = polariton_params(g * w_c, w_c)
+        params = PolaritonParams(g * w_c, w_c)
         expect_10 = math.pi / flux / math.sqrt(1.0 + g * g)
         expect_01 = math.pi / flux / (1.0 + g * g) ** 1.5
         assert abs(alpha_matrix(1, 0, SQUARE, params)) ** 2 == pytest.approx(
@@ -180,7 +179,7 @@ class TestCouplingMatrices:
 
     def test_alpha_reduces_to_beta(self):
         _, w_c = square_setup(0.7)
-        params = polariton_params(1e-9 * w_c, w_c)
+        params = PolaritonParams(1e-9 * w_c, w_c)
         for dn, dm in ((1, 0), (0, 1), (1, -1), (-2, 1)):
             assert alpha_matrix(dn, dm, SQUARE, params) == pytest.approx(
                 beta_matrix(dn, dm, SQUARE, w_c), rel=1e-10
@@ -218,7 +217,7 @@ class TestAssembly:
 
     def test_central_free_limit(self):
         _, w_c = square_setup(1.0)
-        params = polariton_params(0.4 * w_c, w_c)
+        params = PolaritonParams(0.4 * w_c, w_c)
         pot = self.potential(1e-12)
         trunc = BasisTruncation(n_max=2, j_max=1)
         mat = assemble_central_matrix(pot, params, 0.0, 0.0, trunc)
@@ -235,7 +234,7 @@ class TestAssembly:
             flux = float(rng.uniform(0.3, 3.0))
             _, w_c = square_setup(flux)
             g = float(rng.uniform(0.01, 2.0))
-            params = polariton_params(g * w_c, w_c)
+            params = PolaritonParams(g * w_c, w_c)
             kx = float(rng.uniform(-math.pi, math.pi)) / A
             kw = float(rng.uniform(0.0, 1.0)) * 2 * math.pi / A
             full = assemble_central_matrix(pot, params, kx, kw, trunc)
@@ -262,13 +261,13 @@ class TestAssembly:
             flux = float(rng.choice([0.5, 1.0 / 3.0, 2.0 / 3.0, 1.0]))
             kxa = float(rng.uniform(-math.pi, math.pi))
             b, w_c = square_setup(flux)
-            params = polariton_params(1e-8 * w_c, w_c)
+            params = PolaritonParams(1e-8 * w_c, w_c)
             t_hop = harper_hopping(flux, 1.5 * EV)  # V0/2 per coefficient
             central = hermitian_eigvals(
                 assemble_central_matrix(pot, params, kxa / A, 0.0, trunc, reduce_m=True)
             )
             llb = hermitian_eigvals(assemble_llb_matrix(pot, w_c, kxa / A, trunc))
-            harper = harper_eigvals(flux, kxa, trunc.n_max)
+            harper = hermitian_eigvals(harper_matrix(flux, kxa, trunc.n_max))
             scaled_central = (central - 0.5 * HBAR * params.big_omega) / t_hop
             scaled_llb = (llb - 0.5 * HBAR * w_c) / t_hop
             assert np.max(np.abs(scaled_central - harper)) < 1e-5
@@ -444,7 +443,7 @@ class TestFourierLatticeOracle:
     @pytest.mark.parametrize("kind", KINDS)
     def test_central_entries(self, kind, reduce_m):
         lat, pot, w_c, trunc = self.setup_for(kind)
-        params = polariton_params(0.6 * w_c, w_c)
+        params = PolaritonParams(0.6 * w_c, w_c)
         k_x = -1.2 / lat.a1
         k_w = 0.3 * lat.g_y(1) / (math.sqrt(2.0) * w_c)
         mu_omega = params.mu * params.big_omega
@@ -523,7 +522,7 @@ class TestFourierLatticeOracle:
     @pytest.mark.parametrize("kind", tuple(LATTICES))
     def test_reduced_central_at_minus_kx_is_c2_image(self, kind):
         lat, pot, w_c, trunc = self.setup_for(kind)
-        params = polariton_params(0.6 * w_c, w_c)
+        params = PolaritonParams(0.6 * w_c, w_c)
         for kx_a in self.C2_KXA:
             mat = assemble_central_matrix(pot, params, kx_a / lat.a1, 0.0, trunc, reduce_m=True)
             minus = assemble_central_matrix(pot, params, -kx_a / lat.a1, 0.0, trunc,
@@ -539,16 +538,9 @@ class TestFourierLatticeOracle:
         minus = hermitian_eigvals(assemble_llb_matrix(pot, w_c, -0.37 / lat.a1, trunc))
         assert np.max(np.abs(plus - minus)) > 1e-3 * (plus[-1] - plus[0])
 
-    def test_polariton_matrix_mode_entries(self, monkeypatch):
+    def test_polariton_matrix_mode_entries(self):
         flux, g, kx_a, kw_scaled, v0 = 1.3, 0.8, 0.41, 0.3 / A, 1.5 * EV
-        captured = []
-
-        def capture(mat):
-            captured.append(np.array(mat))
-            return hermitian_eigvals(mat)
-
-        monkeypatch.setattr(qed_bloch, "hermitian_eigvals", capture)
-        polariton_harper_eigvals(
+        mat = polariton_harper_matrix(
             flux, g, kx_a, kw_scaled, BasisTruncation(n_max=self.N_MAX), a1=A, v0=v0,
             mode="matrix",
         )
@@ -567,8 +559,7 @@ class TestFourierLatticeOracle:
                 return tau2 * cmath.exp(-1j * phase)
             return 0.0
 
-        assert len(captured) == 1
-        assert_entrywise_close(captured[0], loop_matrix(self.N_MAX, 2, 1, entry))
+        assert_entrywise_close(mat, loop_matrix(self.N_MAX, 2, 1, entry))
 
 
 class TestHarper:
@@ -580,7 +571,7 @@ class TestHarper:
         for recip in (1, 2):
             flux = 1.0 / recip
             kxa = 0.613
-            vals = harper_eigvals(flux, kxa, n_max)
+            vals = hermitian_eigvals(harper_matrix(flux, kxa, n_max))
             free = 2.0 * np.cos(np.arange(1, size + 1) * math.pi / (size + 1))
             expect = np.sort(free + 2.0 * math.cos(recip * kxa))
             assert np.max(np.abs(vals - expect)) < 1e-10
@@ -592,7 +583,8 @@ class TestHarper:
         # sign map
         flux = 1.0 / 3.0
         union = np.sort(
-            np.concatenate([harper_eigvals(flux, kxa, 20) for kxa in midpoint_kx_grid(48)])
+            np.concatenate([hermitian_eigvals(harper_matrix(flux, kxa, 20))
+                            for kxa in midpoint_kx_grid(48)])
         )
         assert np.max(np.abs(union + union[::-1])) < 1e-6
 
@@ -610,7 +602,8 @@ class TestHarper:
         for p, q in ((1, 3), (1, 5)):
             bands = harper_exact_bands(p, q)
             union = np.concatenate(
-                [harper_eigvals(q / p, kxa, 30) for kxa in midpoint_kx_grid(16)]
+                [hermitian_eigvals(harper_matrix(q / p, kxa, 30))
+                 for kxa in midpoint_kx_grid(16)]
             )
             inside = np.zeros(union.shape, dtype=bool)
             for lo, hi in bands:
@@ -680,21 +673,20 @@ class TestPolaritonHarper:
             )
             if idx + 1 < trunc.n_count:
                 ref[idx, idx + 1] = ref[idx + 1, idx] = tau1
-        vals, mode = polariton_harper_eigvals(
-            flux, g, kxa, 0.0, trunc, a1=A, v0=3.0 * EV, mode="reduced"
-        )
-        assert mode == "reduced"
+        mat = polariton_harper_matrix(flux, g, kxa, 0.0, trunc, a1=A, v0=3.0 * EV,
+                                      mode="reduced")
+        assert mat.shape == ref.shape
+        vals = hermitian_eigvals(mat)
         assert np.max(np.abs(vals - np.linalg.eigvalsh(ref))) < 1e-12
 
     def test_harper_limit_small_g(self):
         trunc = BasisTruncation(n_max=20)
         for flux in (0.5, 1.0):
             for kxa in (0.2, 1.7):
-                vals, mode = polariton_harper_eigvals(
-                    flux, 1e-8, kxa, 0.0, trunc, a1=A, v0=3.0 * EV
-                )
-                assert mode == "reduced"
-                harper = harper_eigvals(flux, kxa, trunc.n_max)
+                mat = polariton_harper_matrix(flux, 1e-8, kxa, 0.0, trunc, a1=A, v0=3.0 * EV)
+                assert mat.shape == (trunc.n_count,) * 2  # the reduced chain
+                vals = hermitian_eigvals(mat)
+                harper = hermitian_eigvals(harper_matrix(flux, kxa, trunc.n_max))
                 # S = t1 + t2 -> 2 t at g -> 0: the scaled spectrum is half
                 assert np.max(np.abs(2.0 * vals - harper)) < 1e-5
 
@@ -704,21 +696,19 @@ class TestPolaritonHarper:
         assert tau1 + tau2 == pytest.approx(1.0, rel=1e-14)
 
     def test_matrix_mode_at_order_one_flux(self):
-        vals, mode = polariton_harper_eigvals(
-            1.0, 1.0, 0.3, 0.0, BasisTruncation(n_max=5), a1=A, v0=3.0 * EV
-        )
-        assert mode == "matrix"
-        assert vals.shape == (11 * 11,)
+        mat = polariton_harper_matrix(1.0, 1.0, 0.3, 0.0, BasisTruncation(n_max=5), a1=A,
+                                      v0=3.0 * EV)
+        assert mat.shape == (11 * 11,) * 2  # the (n, m) lattice
 
     def test_matrix_mode_enforces_dimension_cap(self):
         # (2 n_max + 1)^2 = 121 > 100: refused before the matrix is built
         trunc = BasisTruncation(n_max=5, dimension_cap=100)
         with pytest.raises(DomainError, match="exceeds cap"):
-            polariton_harper_eigvals(1.0, 1.0, 0.3, 0.0, trunc, a1=A, v0=3.0 * EV,
-                                     mode="matrix")
-        vals, mode = polariton_harper_eigvals(1.0, 1.0, 0.3, 0.0, trunc, a1=A, v0=3.0 * EV,
-                                              mode="reduced")
-        assert mode == "reduced" and vals.shape == (11,)
+            polariton_harper_matrix(1.0, 1.0, 0.3, 0.0, trunc, a1=A, v0=3.0 * EV,
+                                    mode="matrix")
+        mat = polariton_harper_matrix(1.0, 1.0, 0.3, 0.0, trunc, a1=A, v0=3.0 * EV,
+                                      mode="reduced")
+        assert mat.shape == (11, 11)
 
     def test_matrix_mode_matches_full_central_equation(self):
         # the explicit (n, m) polariton lattice is the square-lattice j = 0
@@ -727,7 +717,7 @@ class TestPolaritonHarper:
         flux, g = 1.0, 0.8
         b = field_for_flux_ratio(SQUARE, flux)
         w_c = cyclotron_frequency(b)
-        params = polariton_params(g * w_c, w_c)
+        params = PolaritonParams(g * w_c, w_c)
         pot = bravais_cosine_potential("square", 3.0 * EV, SQUARE)
         trunc = BasisTruncation(n_max=4, j_max=0)
         kxa = 0.83
@@ -743,10 +733,8 @@ class TestPolaritonHarper:
             + math.exp(-0.5 * math.pi / (flux * (1 + g * g) ** 1.5))
         )
         scaled_central = (central - 0.5 * HBAR * params.big_omega) / s_hop
-        direct, mode = polariton_harper_eigvals(
-            flux, g, kxa, kw_scaled, trunc, a1=A, v0=1.5 * EV, mode="matrix"
-        )
-        assert mode == "matrix"
+        direct = hermitian_eigvals(polariton_harper_matrix(
+            flux, g, kxa, kw_scaled, trunc, a1=A, v0=1.5 * EV, mode="matrix"))
         assert np.max(np.abs(scaled_central - direct)) < 1e-9
 
     def test_mode_consistency_at_light_kinetic(self):
@@ -758,17 +746,15 @@ class TestPolaritonHarper:
         kxs = midpoint_kx_grid(24)
         red = np.concatenate(
             [
-                polariton_harper_eigvals(
-                    flux, g, k, 0.0, trunc, a1=A, v0=3.0 * EV, mode="reduced"
-                )[0]
+                hermitian_eigvals(polariton_harper_matrix(
+                    flux, g, k, 0.0, trunc, a1=A, v0=3.0 * EV, mode="reduced"))
                 for k in kxs
             ]
         )
         mat = np.concatenate(
             [
-                polariton_harper_eigvals(
-                    flux, g, k, 0.0, trunc, a1=A, v0=3.0 * EV, mode="matrix"
-                )[0]
+                hermitian_eigvals(polariton_harper_matrix(
+                    flux, g, k, 0.0, trunc, a1=A, v0=3.0 * EV, mode="matrix"))
                 for k in kxs
             ]
         )
@@ -785,7 +771,9 @@ def window_end_for(flux, g_max, n_points=40, kx_points=32):
         union = np.sort(
             np.concatenate(
                 [
-                    polariton_harper_eigvals(flux, g, kxa, 0.0, trunc, a1=A, v0=3.0 * EV)[0]
+                    hermitian_eigvals(
+                        polariton_harper_matrix(flux, g, kxa, 0.0, trunc, a1=A, v0=3.0 * EV)
+                    )
                     for kxa in kxs
                 ]
             )
@@ -809,16 +797,16 @@ def record_calls(monkeypatch, name):
 
 
 class TestPolaritonRealRoute:
-    """At kw_scaled = 0 the matrix mode is solved in the real form
+    """At kw_scaled = 0 the matrix mode is built in the real form
     S^H H S = Re H - Im(H) P, with P the parity m -> -m."""
 
     N_MAX = 4
     V0 = 1.5 * EV
 
-    def solve(self, flux, g, kx_a, kw_scaled=0.0):
-        return polariton_harper_eigvals(flux, g, kx_a, kw_scaled,
-                                        BasisTruncation(n_max=self.N_MAX), a1=A, v0=self.V0,
-                                        mode="matrix")
+    def build(self, flux, g, kx_a, kw_scaled=0.0):
+        return polariton_harper_matrix(flux, g, kx_a, kw_scaled,
+                                       BasisTruncation(n_max=self.N_MAX), a1=A, v0=self.V0,
+                                       mode="matrix")
 
     def parity(self):
         n_count = 2 * self.N_MAX + 1
@@ -828,7 +816,7 @@ class TestPolaritonRealRoute:
         built = record_calls(monkeypatch, "_fourier_lattice_matrix")
         perm = self.parity()
         for flux, g, kx_a in ((0.97, 0.5, 0.3), (1.3, 1.0, -2.1), (0.7, 2.0, 1.1)):
-            self.solve(flux, g, kx_a)
+            self.build(flux, g, kx_a)
             h = built[-1][1]
             assert np.iscomplexobj(h)
             assert np.array_equal(h.conj(), h[perm][:, perm])
@@ -836,7 +824,7 @@ class TestPolaritonRealRoute:
     def test_kinetic_diagonal_mirrors_per_m_evaluation(self, monkeypatch):
         built = record_calls(monkeypatch, "_fourier_lattice_matrix")
         flux, g = 1.3, 0.8
-        self.solve(flux, g, 0.41)
+        self.build(flux, g, 0.41)
         per_m = [min(polariton_scaled_kinetic(flux, g, 0.0, m, A, self.V0), DIAG_SAFE_CAP)
                  for m in range(-self.N_MAX, self.N_MAX + 1)]
         diag = np.diag(built[-1][1]).real.reshape(2 * self.N_MAX + 1, -1)
@@ -844,19 +832,16 @@ class TestPolaritonRealRoute:
 
     def test_solver_receives_real_matrix_with_the_complex_spectrum(self, monkeypatch):
         built = record_calls(monkeypatch, "_fourier_lattice_matrix")
-        solved = record_calls(monkeypatch, "hermitian_eigvals")
         for flux, g, kx_a in ((0.97, 0.3, 0.0), (0.97, 1.0, 2.5), (1.3, 0.8, 0.41),
                               (0.6, 1.7, -1.3)):
-            vals, mode = self.solve(flux, g, kx_a)
-            assert mode == "matrix"
-            assert solved[-1][0][0].dtype == np.float64
+            mat = self.build(flux, g, kx_a)
+            assert mat.dtype == np.float64
+            vals = hermitian_eigvals(mat)
             want = np.linalg.eigvalsh(built[-1][1])
             assert np.max(np.abs(vals - want)) <= 1e-12 * (want[-1] - want[0])
 
-    def test_nonzero_kw_keeps_complex_route(self, monkeypatch):
-        solved = record_calls(monkeypatch, "hermitian_eigvals")
-        self.solve(1.3, 0.8, 0.41, kw_scaled=0.3 / A)
-        assert np.iscomplexobj(solved[-1][0][0])
+    def test_nonzero_kw_keeps_complex_route(self):
+        assert np.iscomplexobj(self.build(1.3, 0.8, 0.41, kw_scaled=0.3 / A))
 
     @pytest.mark.parametrize("mode", ["matrix", "reduced"])
     def test_matrix_at_minus_kx_reverses_the_basis(self, mode):
@@ -864,11 +849,9 @@ class TestPolaritonRealRoute:
         # (the n order of the reduced chain)
         trunc = BasisTruncation(n_max=self.N_MAX)
         for flux, g, kx_a in ((0.97, 0.5, 0.3), (1.3, 1.0, -2.1), (0.7, 2.0, 1.1)):
-            mat, used = qed_bloch.polariton_harper_matrix(flux, g, kx_a, 0.0, trunc, A,
-                                                          self.V0, mode)
-            minus, _ = qed_bloch.polariton_harper_matrix(flux, g, -kx_a, 0.0, trunc, A,
-                                                         self.V0, mode)
-            assert used == mode
+            mat = polariton_harper_matrix(flux, g, kx_a, 0.0, trunc, A, self.V0, mode)
+            minus = polariton_harper_matrix(flux, g, -kx_a, 0.0, trunc, A, self.V0, mode)
+            assert mat.shape == (trunc.n_count ** (2 if mode == "matrix" else 1),) * 2
             assert np.array_equal(minus, mat[::-1, ::-1])
 
 
@@ -888,7 +871,7 @@ class TestSweep:
             return harper_matrix(flux, kxa, 8)
 
         grid = sweep(assembler, [1.0], [0.3])
-        direct = harper_eigvals(1.0, 0.3, 8)
+        direct = hermitian_eigvals(harper_matrix(1.0, 0.3, 8))
         assert np.array_equal(grid.eigenvalues[0][0], direct)
 
     def test_failures_recorded_not_raised(self):
@@ -918,7 +901,7 @@ class TestSweep:
         assert call_log.entries() == [[32, 61, 61]] * 2
         for row, flux in zip(grid.eigenvalues, (0.6, 1.1)):
             for eigs, kxa in zip(row, kx_grid):
-                assert np.array_equal(eigs, harper_eigvals(flux, kxa, 30))
+                assert np.array_equal(eigs, hermitian_eigvals(harper_matrix(flux, kxa, 30)))
 
     def test_stack_bytes_bound_the_stack(self, monkeypatch):
         # two complex matrices of dim 183 exceed the budget: one solve each
@@ -965,7 +948,7 @@ class TestSweep:
         assert grid.eigenvalues[0][1].size == 0
         for k_idx in (0, 2):
             assert np.array_equal(grid.eigenvalues[0][k_idx],
-                                  harper_eigvals(0.5, [0.1, 0.2, 0.3][k_idx], 4))
+                                  hermitian_eigvals(harper_matrix(0.5, [0.1, 0.2, 0.3][k_idx], 4)))
 
     def test_assembly_failure_fails_only_its_point(self):
         def assembler(flux, kxa):
@@ -978,7 +961,7 @@ class TestSweep:
                                  "axis[1]=1.5, k[1]: synthetic failure"]
         for row, flux in zip(grid.eigenvalues, (0.5, 1.5)):
             assert row[1].size == 0
-            assert np.array_equal(row[2], harper_eigvals(flux, 0.3, 4))
+            assert np.array_equal(row[2], hermitian_eigvals(harper_matrix(flux, 0.3, 4)))
 
     def test_partner_points_are_never_assembled(self, call_log):
         kx_grid = midpoint_kx_grid(8)
@@ -993,9 +976,10 @@ class TestSweep:
         assert grid.k_labels == [(kxa,) for kxa in kx_grid] and not grid.failures
         for row, flux in zip(grid.eigenvalues, (0.6, 1.1)):
             for k_idx in range(4):
-                assert np.array_equal(row[k_idx], harper_eigvals(flux, kx_grid[k_idx], 12))
+                assert np.array_equal(row[k_idx],
+                                      hermitian_eigvals(harper_matrix(flux, kx_grid[k_idx], 12)))
                 assert row[7 - k_idx] is row[k_idx]  # shared, not copied
-                direct = harper_eigvals(flux, kx_grid[7 - k_idx], 12)
+                direct = hermitian_eigvals(harper_matrix(flux, kx_grid[7 - k_idx], 12))
                 assert np.max(np.abs(row[7 - k_idx] - direct)) <= 1e-12 * (direct[-1] - direct[0])
 
     def test_failure_at_a_kept_point_fails_its_partner(self):
@@ -1031,7 +1015,7 @@ class TestSweep:
         grid = sweep(assembler, [0.5], kx_grid)
         assert assembled == kx_grid
         for eigs, kxa in zip(grid.eigenvalues[0], kx_grid):
-            assert np.array_equal(eigs, harper_eigvals(0.5, kxa, 4))
+            assert np.array_equal(eigs, hermitian_eigvals(harper_matrix(0.5, kxa, 4)))
 
     @pytest.mark.parametrize("partners", [[0, 0], [1, 1, 2], [0, 0, 1]])
     def test_partner_must_be_an_earlier_solved_point(self, partners):
@@ -1200,7 +1184,7 @@ class TestForkedSweep:
         assert not grid.failures
         for row, flux in zip(grid.eigenvalues, self.AXIS, strict=True):
             for eigs, kxa in zip(row, [0.1, 0.2]):
-                assert np.array_equal(eigs, harper_eigvals(flux, kxa, 4))
+                assert np.array_equal(eigs, hermitian_eigvals(harper_matrix(flux, kxa, 4)))
 
     def test_other_threads_keep_the_sweep_in_one_process(self, monkeypatch, call_log):
         def assembler(flux, kxa):
