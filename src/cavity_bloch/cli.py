@@ -226,7 +226,7 @@ def _run_butterfly(cfg):
         unit = "energy[eV]"
         symmetric = qed_bloch.c2_symmetric(pot)
 
-    partners = qed_bloch.c2_partners(kx_grid) if symmetric else None
+    partners = [qed_bloch.c2_partners(kx_grid)] * flux_values.size if symmetric else None
     grid = qed_bloch.sweep(assembler, flux_values, kx_grid, partners)
     if scaling != "harper-scaled":
         grid.eigenvalues = list(grid.converted(lambda eigs: eigs / EV))
@@ -256,9 +256,10 @@ def _run_polariton_butterfly(cfg):
         return qed_bloch.polariton_harper_matrix(p["flux_ratio"], g, kx_a, kw_scaled, trunc,
                                                  a1=lat.a1, v0=p["v0_ev"], mode=p["mode"])
 
-    # only the kw = 0 points pair up, where the matrix at -k_x is the one at
-    # k_x with its (n, m) order reversed
-    grid = qed_bloch.sweep(assembler, g_values, k_grid, qed_bloch.c2_partners(k_grid))
+    # one solve per k_w on the matrix route, one per +-k_x pair on the reduced
+    partners = [qed_bloch.polariton_partners(p["flux_ratio"], g, k_grid, lat.a1, p["v0_ev"],
+                                             p["mode"]) for g in g_values]
+    grid = qed_bloch.sweep(assembler, g_values, k_grid, partners)
     grid.columns = ["coupling_g[1]", "k_index[1]", "eig_index[1]", "scaled[1]"]
     return grid
 

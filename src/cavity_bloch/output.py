@@ -4,8 +4,11 @@ Every emitted file names its units in the header; the CSV payload carries no
 timestamp so identical runs produce byte-identical files.
 """
 
+import contextlib
 import datetime
+import itertools
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,9 +42,9 @@ class SpectrumPayload:
 
     `eigenvalues[axis][k]` is the point's ascending array, empty when the
     point failed; `failures` holds one message per failed point and is
-    reported by the CLI, never written.  A point whose `partners[k]` is
-    another point holds that point's array object; None makes every point
-    its own partner.
+    reported by the CLI, never written.  `partners` holds one partner map
+    per axis value: a point whose `partners[axis][k]` is another point holds
+    that point's array object.  None makes every point its own partner.
     """
 
     axis_values: np.ndarray
@@ -61,9 +64,10 @@ class SpectrumPayload:
         """convert(eigenvalues) of every point, one list per axis value: a
         point that is its own partner is converted once, and every other
         point holds its partner's result (the same object)."""
-        for per_axis in self.eigenvalues:
+        for a_idx, per_axis in enumerate(self.eigenvalues):
             results = []
-            for k_idx, partner in enumerate(self.partners or range(len(per_axis))):
+            partners = range(len(per_axis)) if self.partners is None else self.partners[a_idx]
+            for k_idx, partner in enumerate(partners):
                 results.append(convert(per_axis[k_idx]) if partner == k_idx else results[partner])
             yield results
 
@@ -134,11 +138,32 @@ def _format_cell(value):
     return str(value)
 
 
-def _write_text(path, text, label):
-    """Write `text` to `path` as UTF-8, line ends untranslated; returns the path."""
+def _write_chunks(path, chunks, label):
+    """Write the text `chunks` to `path` as UTF-8, line ends untranslated,
+    one chunk at a time; returns the path.
+
+    The chunks go to a sibling file named after this process's id, created
+    exclusively, which then replaces the file at `path` (through any
+    symlink) in one step.  If writing fails, or the chunks raise, that file
+    is removed and any earlier file at `path` is left as it was.  A path
+    that exists but is no regular file, a pipe or a terminal such as
+    /dev/stdout, cannot be replaced and is written in place."""
+    in_place = os.path.exists(path) and not os.path.isfile(path)
+    target = path if in_place else os.path.realpath(path)
+    partial = target if in_place else f"{target}.{os.getpid()}.partial"
+    flags = os.O_WRONLY if in_place else os.O_WRONLY | os.O_CREAT | os.O_EXCL
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        fd = os.open(partial, flags, 0o666)
+        try:
+            with open(fd, "w", encoding="utf-8", newline="\n") as handle:
+                handle.writelines(chunks)
+            if not in_place:
+                os.replace(partial, target)
+        except BaseException:
+            if not in_place:
+                with contextlib.suppress(OSError):
+                    os.unlink(partial)
+            raise
     except OSError as exc:
         raise CavityBlochError(f"cannot write {label} to {path}: {exc}") from exc
     return path
@@ -149,25 +174,30 @@ def _csv_lines(eigs):
     return [f"{e_idx},{value!r}" for e_idx, value in enumerate(eigs.tolist())]
 
 
-def write_csv(envelope, path):
-    """Deterministic CSV: header row with units, one row per record."""
-    payload = envelope.payload
+def _csv_chunks(payload):
+    """The CSV text of a payload: its header line, then one chunk per
+    spectrum point or table row."""
     if isinstance(payload, SpectrumPayload):
-        chunks = [",".join(payload.columns)]
+        yield ",".join(payload.columns) + "\n"
         for axis, k_idx, lines in payload.blocks(_csv_lines):
             prefix = f"{axis!r},{k_idx},"
-            chunks.append(prefix + f"\n{prefix}".join(lines))
-    else:
-        table = _table_of(payload)
-        chunks = [",".join(table.columns)]
-        chunks += [",".join(_format_cell(v) for v in row) for row in table.rows]
-    return _write_text(path, "\n".join(chunks) + "\n", "CSV")
+            yield prefix + f"\n{prefix}".join(lines) + "\n"
+        return
+    table = _table_of(payload)
+    yield ",".join(table.columns) + "\n"
+    for row in table.rows:
+        yield ",".join(_format_cell(v) for v in row) + "\n"
+
+
+def write_csv(envelope, path):
+    """Deterministic CSV: header row with units, one row per record."""
+    return _write_chunks(path, _csv_chunks(envelope.payload), "CSV")
 
 
 def _json_rows(payload, depth):
-    """The rows of a SpectrumPayload as JSON text, laid out as
-    json.dumps(indent=1) lays out a list that opens on a line indented by
-    `depth` spaces."""
+    """The rows of a SpectrumPayload as JSON text, one chunk per point, laid
+    out as json.dumps(indent=1) lays out a list that opens on a line
+    indented by `depth` spaces."""
     row, cell = "\n" + " " * (depth + 1), "\n" + " " * (depth + 2)
 
     def entries(eigs):
@@ -177,22 +207,30 @@ def _json_rows(payload, depth):
         texts = map(repr, values) if np.isfinite(eigs).all() else map(json.dumps, values)
         return [f"{e_idx},{cell}{text}{row}]" for e_idx, text in enumerate(texts)]
 
-    blocks = []
+    opening = f"[{row}"
     for axis, k_idx, texts in payload.blocks(entries):
         prefix = f"[{cell}{json.dumps(axis)},{cell}{k_idx},{cell}"
-        blocks.append(prefix + f",{row}{prefix}".join(texts))
-    if not blocks:
-        return "[]"
-    return f"[{row}" + f",{row}".join(blocks) + "\n" + " " * depth + "]"
+        yield opening + prefix + f",{row}{prefix}".join(texts)
+        opening = f",{row}"
+    yield "[]" if opening == f"[{row}" else "\n" + " " * depth + "]"
+
+
+def _json_chunks(envelope):
+    """The JSON text of an envelope: a SpectrumPayload's rows stream in
+    chunks between the text before and after ROWS_SLOT."""
+    text = json.dumps(envelope.to_jsonable(), indent=1, sort_keys=True) + "\n"
+    if not isinstance(envelope.payload, SpectrumPayload):
+        yield text
+        return
+    head, _, tail = text.rpartition(json.dumps(ROWS_SLOT))
+    line = head[head.rfind("\n") + 1:]
+    yield head
+    yield from _json_rows(envelope.payload, len(line) - len(line.lstrip(" ")))
+    yield tail
 
 
 def write_json(envelope, path):
-    text = json.dumps(envelope.to_jsonable(), indent=1, sort_keys=True) + "\n"
-    if isinstance(envelope.payload, SpectrumPayload):
-        head, _, tail = text.rpartition(json.dumps(ROWS_SLOT))
-        line = head[head.rfind("\n") + 1:]
-        text = head + _json_rows(envelope.payload, len(line) - len(line.lstrip(" "))) + tail
-    return _write_text(path, text, "JSON")
+    return _write_chunks(path, _json_chunks(envelope), "JSON")
 
 
 def _scatter_points(payload):
@@ -262,10 +300,10 @@ def write_svg_scatter(envelope, path, window=None):
     finite = np.isfinite(x) & np.isfinite(y)
     cx = pad + (x[finite] - x0) / xspan * (SVG_WIDTH - 2 * pad)
     cy = SVG_HEIGHT - pad - (y[finite] - y0) / yspan * (SVG_HEIGHT - 2 * pad)
-    parts += [f'<circle cx="{a:.2f}" cy="{b:.2f}" r="1" fill="black"/>'
-              for a, b in zip(cx.tolist(), cy.tolist())]
-    parts.append("</svg>")
-    return _write_text(path, "\n".join(parts) + "\n", "SVG")
+    circles = (f'<circle cx="{a:.2f}" cy="{b:.2f}" r="1" fill="black"/>\n'
+               for a, b in zip(cx.tolist(), cy.tolist()))
+    chunks = itertools.chain(["\n".join(parts) + "\n"], circles, ["</svg>\n"])
+    return _write_chunks(path, chunks, "SVG")
 
 
 def export(envelope, path, fmt, window=None):

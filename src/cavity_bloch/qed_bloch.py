@@ -474,38 +474,50 @@ G_REDUCED_THRESHOLD = 1e-4
 MATRIX_KINETIC_WINDOW = 1e2
 
 
-def matrix_mode_informative(flux, g, a1, v0, kw_scaled=0.0):
-    """True when the (n, m) lattice resolves physics the reduced chain cannot.
-
-    The first m rung must sit within MATRIX_KINETIC_WINDOW scaled units of
-    the band window; far above it the m ladder is inert and the published
-    reduced treatment applies.
-    """
-    rung = min(
-        polariton_scaled_kinetic(flux, g, kw_scaled, 1, a1, v0),
-        polariton_scaled_kinetic(flux, g, kw_scaled, -1, a1, v0),
-    )
-    return rung <= MATRIX_KINETIC_WINDOW
+def polariton_route(flux, g, a1, v0, kw_scaled=0.0, mode="auto"):
+    """The route polariton_harper_matrix takes at (flux, g, k_w): "matrix" or
+    "reduced".  An explicit mode is its own route; mode="auto" takes the
+    reduced route below G_REDUCED_THRESHOLD, and where the first m rung sits
+    more than MATRIX_KINETIC_WINDOW scaled units above the band window (there
+    the m ladder is inert and the published reduced treatment applies), the
+    matrix route otherwise.  The route does not depend on k_x."""
+    if mode not in ("auto", "matrix", "reduced"):
+        raise DomainError(f"unknown mode {mode!r}")
+    if flux <= 0.0:
+        raise DomainError("flux ratio must be positive")
+    if g < 0.0:
+        raise DomainError("coupling must be >= 0")
+    if mode != "auto":
+        return mode
+    rung = min(polariton_scaled_kinetic(flux, g, kw_scaled, m, a1, v0) for m in (1, -1))
+    return "matrix" if g > G_REDUCED_THRESHOLD and rung <= MATRIX_KINETIC_WINDOW else "reduced"
 
 
 def polariton_harper_matrix(flux, g, kx_a, kw_scaled, trunc, a1, v0, mode="auto"):
     """Matrix of the polaritonic Harper problem, in units of S(Phi,g) = t1 + t2
-    and measured from the lowest polariton level.  The route taken shows in
-    its size: 2 n_max + 1 rows for the reduced chain, (2 n_max + 1)^2 for the
-    (n, m) lattice.
+    and measured from the lowest polariton level.  The route taken
+    (polariton_route) shows in its size: 2 n_max + 1 rows for the reduced
+    chain, (2 n_max + 1)^2 for the (n, m) lattice.
 
     mode="matrix": explicit (n, m) lattice with the scaled kinetic diagonal;
     sound when that diagonal fits in float64 (order-one flux).
     mode="reduced": kinetic dropped and the m direction Bloch-reduced exactly,
     leaving a 1D anisotropic Harper chain with effective reciprocal flux
     (Phi0/Phi)/(1+g^2) -- the regime of the published small-flux coupling
-    sweeps, where the scaled kinetic term dwarfs float64.
-    mode="auto": reduced below G_REDUCED_THRESHOLD or when the matrix-mode
-    diagonal would not be numerically sound, matrix otherwise.
+    sweeps, where the scaled kinetic term dwarfs float64.  The chain does not
+    depend on kw_scaled.
+    mode="auto": the route polariton_route picks.
 
     g -> 0 is continuous in reduced mode (both hoppings -> 1/2, the Harper
     spectrum halved); the 1 + g^-2 overflow never occurs because the kinetic
     term is evaluated through g^2/(1+g^2).
+
+    On the (n, m) lattice k_x enters only through one phase shift of every m
+    hop, Delta(k_x) = kx_a / ((Phi/Phi0) (1 + g^2)); the kinetic diagonal
+    depends on k_w and m alone, and the m chain is open.  So the diagonal
+    gauge U = diag_{(n, m)} e^{i m (Delta(k_x') - Delta(k_x))} gives
+    U^H H(k_x) U = H(k_x') (the magnetic translation of Zak, Phys. Rev. 134,
+    A1602 (1964)): the spectrum is the same at every k_x of one (g, k_w).
 
     At kw_scaled = 0 the (n, m) lattice H obeys H* = P H P exactly, with P
     the parity m -> -m: the m hops carry e^{+-i phase_arg[n]} and the kinetic
@@ -513,19 +525,8 @@ def polariton_harper_matrix(flux, g, kx_a, kw_scaled, trunc, a1, v0, mode="auto"
     S^H H S = Re H - Im(H) P is real symmetric with the spectrum of H; that
     real matrix is returned.  Otherwise H itself is.
     """
-    if mode not in ("auto", "matrix", "reduced"):
-        raise DomainError(f"unknown mode {mode!r}")
-    if flux <= 0.0:
-        raise DomainError("flux ratio must be positive")
-    if g < 0.0:
-        raise DomainError("coupling must be >= 0")
+    mode = polariton_route(flux, g, a1, v0, kw_scaled, mode)
     tau1, tau2 = polariton_hoppings(flux, g)
-    if mode == "auto":
-        mode = (
-            "matrix"
-            if g > G_REDUCED_THRESHOLD and matrix_mode_informative(flux, g, a1, v0, kw_scaled)
-            else "reduced"
-        )
     if mode == "reduced":
         return harper_matrix(flux * (1.0 + g * g), kx_a, trunc.n_max, hop=tau1, onsite=tau2)
 
@@ -722,11 +723,13 @@ def sweep(assembler, axis_values, k_grid, partners=None):
     result's failures and keeps an empty eigenvalue array.  Any other
     exception propagates.
 
-    Returns an output.SpectrumPayload (no columns) that carries the partner
-    map `partners` (c2_partners; None makes each point its own partner): a
-    point whose partner is another, earlier point is neither assembled nor
-    solved, and takes that point's eigenvalue array (the same object) or its
-    failure message, under its own k label.
+    Returns an output.SpectrumPayload (no columns) that carries `partners`,
+    one partner map per axis value (c2_partners, polariton_partners; None
+    makes each point its own partner): a point whose partner in its axis
+    value's map is another, earlier point is neither assembled nor solved,
+    and takes that point's eigenvalue array (the same object) or its failure
+    message, under its own k label.  A map whose partner is not an earlier
+    point that is its own partner raises DomainError.
 
     The axis values are split across P processes, P the CPUs this process
     may run on (_available_cpus) // its BLAS threads (_blas_threads), at
@@ -747,10 +750,19 @@ def sweep(assembler, axis_values, k_grid, partners=None):
     if np.any(np.diff(axis_values) < 0.0):
         raise DomainError("sweep axis must be monotone")
     k_grid = list(k_grid)
-    partners = list(range(len(k_grid)) if partners is None else partners)
-    if len(partners) != len(k_grid) or any(p > idx or partners[p] != p
-                                           for idx, p in enumerate(partners)):
-        raise DomainError("each k point's partner must be itself or an earlier, solved point")
+    if partners is None:
+        partners = [range(len(k_grid))] * axis_values.size
+    try:
+        partners = [list(per_axis) for per_axis in partners]
+    except TypeError as exc:
+        raise DomainError("need one partner map per axis value") from exc
+    if len(partners) != axis_values.size:
+        raise DomainError("need one partner map per axis value")
+    for per_axis in partners:
+        if len(per_axis) != len(k_grid) or any(p > idx or per_axis[p] != p
+                                               for idx, p in enumerate(per_axis)):
+            raise DomainError("each k point's partner must be itself or an earlier, "
+                              "solved point")
 
     def solve_share(share, procs):
         """{axis index: (row, its failures)} of the axis indices equal to
@@ -759,7 +771,7 @@ def sweep(assembler, axis_values, k_grid, partners=None):
         for a_idx in range(share, axis_values.size, procs):
             axis = axis_values[a_idx]
             failures = []
-            row = _solve_axis(assembler, axis, k_grid, partners, failures,
+            row = _solve_axis(assembler, axis, k_grid, partners[a_idx], failures,
                               f"axis[{a_idx}]={axis:g}")
             rows[a_idx] = (row, failures)
         return rows
@@ -818,7 +830,9 @@ def c2_partners(k_grid):
     A (kx, kw) tuple maps to (-kx, -kw).  Spectra agree at the partners of a
     Harper chain (harper_matrix(F, -k) = J H(F, k) J, J reversing n), of the
     polariton matrix at kw = 0 (the (n, m) order reversed) and of the LLB and
-    reduced central matrices of a c2_symmetric potential.
+    reduced central matrices of a c2_symmetric potential.  The sweep takes
+    one map per axis value; polariton_partners shares more on the polariton
+    matrix, whose spectrum does not depend on k_x.
     """
     first = {}  # k as a tuple -> its first index
     partners = []
@@ -827,6 +841,28 @@ def c2_partners(k_grid):
         partner = first.get(tuple(-x for x in key))
         partners.append(idx if partner is None else partners[partner])
         first.setdefault(key, idx)
+    return partners
+
+
+def polariton_partners(flux, g, k_grid, a1, v0, mode="auto"):
+    """The partner map of the (kx_a, kw_scaled) points `k_grid` of one
+    coupling g, for polariton_harper_matrix: each point shares the spectrum
+    of the first point with the same key, which is its own partner.
+
+    On the matrix route (polariton_route) the key is k_w: the spectrum does
+    not depend on k_x (the gauge U of polariton_harper_matrix), so one point
+    per k_w is solved.  The reduced chain does not depend on k_w, and at
+    -k_x it is the chain at k_x reversed (c2_partners), so on the reduced
+    route the key is |k_x|.
+    """
+    first = {}  # key -> the first index that has it
+    partners = []
+    for kx_a, kw_scaled in k_grid:
+        if polariton_route(flux, g, a1, v0, kw_scaled, mode) == "matrix":
+            key = ("matrix", kw_scaled)
+        else:
+            key = ("reduced", abs(kx_a))
+        partners.append(first.setdefault(key, len(partners)))
     return partners
 
 

@@ -3,6 +3,7 @@
 import contextlib
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -771,6 +772,27 @@ class TestMainExitCodes:
         assert self.run_main(tmp_path, "gas", text) == cli.EXIT_IO
         assert capsys.readouterr().err == "output failure: synthetic\n"
 
+    def test_failure_while_writing_keeps_the_earlier_output(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # the writer runs out of memory after its first block: the earlier
+        # file stays whole, and no partial file is left behind
+        out = tmp_path / "out.csv"
+        out.write_text("earlier run\n")
+        blocks = output.SpectrumPayload.blocks
+
+        def failing(self, *args, **kwargs):
+            for count, block in enumerate(blocks(self, *args, **kwargs)):
+                if count:
+                    raise MemoryError("synthetic")
+                yield block
+
+        monkeypatch.setattr(output.SpectrumPayload, "blocks", failing)
+        text = BUTTERFLY_CONFIG.format(path="{path}", points=2)
+        assert self.run_main(tmp_path, "butterfly", text) == cli.EXIT_IO
+        assert capsys.readouterr().err == "output failure: synthetic\n"
+        assert out.read_text() == "earlier run\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "run.ini"]
+
     def test_all_failed_sweep_as_svg_is_numerical_failure(self, tmp_path, capsys):
         # under mode = auto each matrix-mode point at n_max = 71 (20449 states) fails
         text = (POLARITON_MATRIX_CONFIG.replace("n_max = 5", "n_max = 71")
@@ -977,10 +999,11 @@ class TestC2Sweeps:
         pot = bravais_cosine_potential(p["kind"], p["v0_ev"], lat)
         trunc = qed_bloch.BasisTruncation(n_max=p["n_max"], j_max=p["j_max"])
         kx_grid = qed_bloch.midpoint_kx_grid(p["kx_points"])
-        assert grid.partners == [0, 1, 1, 0]
-        for flux, row in zip(grid.axis_values, grid.eigenvalues, strict=True):
+        assert grid.partners == [[0, 1, 1, 0]] * 2
+        for flux, row, partners in zip(grid.axis_values, grid.eigenvalues, grid.partners,
+                                       strict=True):
             w_c = cyclotron_frequency(field_for_flux_ratio(lat, flux))
-            for k_idx, partner in enumerate(grid.partners):
+            for k_idx, partner in enumerate(partners):
                 if partner != k_idx:
                     assert row[k_idx] is row[partner]
                     continue
@@ -1007,17 +1030,93 @@ class TestC2Sweeps:
             assert values[(axis, 3)] != values[(axis, 0)]
 
     def test_polariton_butterfly_pairs_the_kw_zero_points(self, tmp_path, call_log):
-        # k = (kx, kw) over kx in {-pi/2, pi/2} and kw in {0, pi/a1}: only the
-        # two kw = 0 points form a pair, so 3 of the 4 points are built
+        # k = (kx, kw) over kx in {-pi/2, pi/2} and kw in {0, pi/a1}: on the
+        # matrix route the spectrum does not depend on k_x, so the first point
+        # of each kw is built and the other kx shares it
         text = POLARITON_MATRIX_CONFIG.replace("kx_points = 2", "kx_points = 2\nkw_points = 2")
         code, calls, values = self.run_counting(tmp_path, call_log, "polariton-butterfly",
                                                 text, "polariton_harper_matrix")
         assert code == cli.EXIT_OK
-        assert len(calls) == 2 * 3
+        assert len(calls) == 2 * 2
         assert sum(args[3] == 0.0 for args in calls) == 2  # one kw = 0 point per g
         for axis in {axis for axis, _ in values}:
             assert values[(axis, 2)] == values[(axis, 0)]
-            assert values[(axis, 3)] != values[(axis, 1)]
+            assert values[(axis, 3)] == values[(axis, 1)]
+
+    @staticmethod
+    def polariton(mode, **sweep):
+        """POLARITON_MATRIX_CONFIG over kx_points = 4 and kw_points = 2 in
+        `mode`, with the [sweep] values in `sweep` replaced."""
+        text = (POLARITON_MATRIX_CONFIG.replace("kx_points = 2", "kx_points = 4\nkw_points = 2")
+                .replace("mode = matrix", f"mode = {mode}"))
+        for key, value in sweep.items():
+            text = re.sub(rf"\n{key} = .*", f"\n{key} = {value}", text)
+        return text
+
+    @staticmethod
+    def points_of(text):
+        """(g values, k grid, params, lattice, truncation) of a
+        polariton-butterfly config, as the CLI sets them up."""
+        p = parse_config(text.format(path="x")).parameters
+        lat = cli._lattice_from(p)
+        kw_grid = np.linspace(0.0, 2.0 * math.pi / lat.a1, p["kw_points"], endpoint=False)
+        k_grid = [(kx, kw) for kx in qed_bloch.midpoint_kx_grid(p["kx_points"])
+                  for kw in kw_grid.tolist()]
+        g_values = np.linspace(p["g_min"], p["g_max"], p["points"])
+        g_values[g_values == 0.0] = 1e-12
+        return g_values, k_grid, p, lat, qed_bloch.BasisTruncation(n_max=p["n_max"])
+
+    def test_polariton_matrix_mode_builds_one_matrix_per_g_and_kw(self, tmp_path, call_log):
+        text = self.polariton("matrix")
+        code, calls, values = self.run_counting(tmp_path, call_log, "polariton-butterfly",
+                                                text, "polariton_harper_matrix")
+        assert code == cli.EXIT_OK
+        g_values, k_grid, p, lat, trunc = self.points_of(text)
+        kw_grid = sorted({kw for _, kw in k_grid})
+        assert sorted((args[1], args[3]) for args in calls) == [
+            (g, kw) for g in g_values.tolist() for kw in kw_grid]
+        assert len(values) == g_values.size * len(k_grid)
+        # every k_x's rows are its own spectrum, to round-off
+        for (axis, k_idx), rows in values.items():
+            kx_a, kw_scaled = k_grid[k_idx]
+            direct = numerics.hermitian_eigvals(qed_bloch.polariton_harper_matrix(
+                p["flux_ratio"], float(axis), kx_a, kw_scaled, trunc, a1=lat.a1,
+                v0=p["v0_ev"], mode="matrix"))
+            width = direct[-1] - direct[0]
+            assert np.max(np.abs(np.array(rows, dtype=float) - direct)) <= 1e-12 * width
+
+    def test_polariton_reduced_mode_builds_one_chain_per_kx_pair(self, tmp_path, call_log):
+        # the reduced chain does not depend on k_w, and at -k_x it is the
+        # chain at k_x reversed: 2 of the 8 (kx, kw) points are built per g
+        code, calls, values = self.run_counting(tmp_path, call_log, "polariton-butterfly",
+                                                self.polariton("reduced"),
+                                                "polariton_harper_matrix")
+        assert code == cli.EXIT_OK
+        assert len(calls) == 2 * 2
+        assert {args[3] for args in calls} == {0.0}
+        for axis in {axis for axis, _ in values}:
+            # k index 2 kx + kw over kx in [-3pi/4, -pi/4, pi/4, 3pi/4]
+            assert {tuple(values[(axis, k)]) for k in (0, 1, 6, 7)} == {tuple(values[(axis, 0)])}
+            assert {tuple(values[(axis, k)]) for k in (2, 3, 4, 5)} == {tuple(values[(axis, 2)])}
+
+    def test_polariton_auto_sweep_from_g_zero_keeps_c2_pairs(self, tmp_path, call_log):
+        # g = 0 takes the reduced route (its +-k_x pairs), g = 0.5 and 1 the
+        # matrix route (one point per k_w)
+        text = self.polariton("auto", g_min=0.0, points=3)
+        g_values, k_grid, p, lat, _ = self.points_of(text)
+        routes = [qed_bloch.polariton_route(p["flux_ratio"], g, lat.a1, p["v0_ev"], kw, "auto")
+                  for g in g_values for _, kw in k_grid]
+        assert routes == ["reduced"] * len(k_grid) + ["matrix"] * 2 * len(k_grid)
+        code, calls, values = self.run_counting(tmp_path, call_log, "polariton-butterfly",
+                                                text, "polariton_harper_matrix")
+        assert code == cli.EXIT_OK
+        assert sorted(args[1] for args in calls) == [1e-12] * 2 + [0.5] * 2 + [1.0] * 2
+        assert values[("1e-12", 7)] == values[("1e-12", 0)]
+        assert values[("1e-12", 2)] != values[("1e-12", 0)]
+        for axis, kw_idx in itertools.product(("0.5", "1.0"), (0, 1)):
+            # k index 2 kx + kw: every kx of one kw holds the same rows
+            assert {tuple(rows) for (a, k), rows in values.items()
+                    if a == axis and k % 2 == kw_idx} == {tuple(values[(axis, kw_idx)])}
 
 
 class TestScatterFormat:

@@ -6,10 +6,13 @@ cell at a time, as the exporters did before; every file must match them byte
 for byte.
 """
 
+import contextlib
 import dataclasses
 import io
 import json
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -203,7 +206,7 @@ class TestSpectrumWriters:
         a, b = np.array([-1.5, 0.25, 2.0]), np.array([-0.5, 1.0 / 3.0])
         shared = [[a, b, b, a], [b, a, a, b]]
         layouts = {
-            "partners": (shared, [0, 1, 1, 0]),
+            "partners": (shared, [[0, 1, 1, 0]] * 2),
             "shared": (shared, None),
             "copies": ([[a.copy(), b.copy(), b.copy(), a.copy()],
                         [b.copy(), a.copy(), a.copy(), b.copy()]], None),
@@ -242,6 +245,84 @@ class TestSpectrumWriters:
                             written(output.write_json, env, tmp_path / "c.json"),
                             written(output.write_svg_scatter, env, tmp_path / "c.svg")])
         assert outputs[0] == outputs[1]
+
+
+class TestAtomicWriters:
+    """Each writer streams its text to a sibling file that replaces the
+    target only once the text is complete."""
+
+    @pytest.mark.parametrize("writer", [output.write_csv, output.write_json])
+    def test_failure_after_the_first_block_keeps_the_earlier_file(self, tmp_path, monkeypatch,
+                                                                   writer):
+        env = spectrum_envelope(*SPECTRA["failed-point-ragged"])
+        target = tmp_path / "out"
+        target.write_bytes(b"earlier run\n")
+        seen = []  # the directory while the writer is between blocks
+
+        def first_block_written():
+            seen.extend(p.name for p in tmp_path.iterdir())
+            return RuntimeError("synthetic")
+
+        blocks = output.SpectrumPayload.blocks
+
+        def failing(self, *args, **kwargs):
+            for count, block in enumerate(blocks(self, *args, **kwargs)):
+                if count:
+                    raise first_block_written()
+                yield block
+
+        monkeypatch.setattr(output.SpectrumPayload, "blocks", failing)
+        with pytest.raises(RuntimeError, match="synthetic"):
+            writer(env, target)
+        assert sorted(seen) == ["out", f"out.{os.getpid()}.partial"]
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert target.read_bytes() == b"earlier run\n"
+
+    def test_unwritable_target_is_an_export_error(self, tmp_path):
+        # the target is a directory
+        env = spectrum_envelope(*SPECTRA["single-value"])
+        (tmp_path / "out").mkdir()
+        with pytest.raises(CavityBlochError, match="cannot write CSV"):
+            output.write_csv(env, tmp_path / "out")
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_symlink_is_written_through(self, tmp_path):
+        env = spectrum_envelope(*SPECTRA["single-value"])
+        (tmp_path / "data.csv").write_text("earlier run\n")
+        (tmp_path / "link.csv").symlink_to("data.csv")
+        output.write_csv(env, tmp_path / "link.csv")
+        assert (tmp_path / "link.csv").is_symlink()
+        assert (tmp_path / "data.csv").read_bytes() == reference_csv(env.payload)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "link.csv"]
+
+    def test_pipe_is_written_in_place(self, tmp_path):
+        # a pipe (as /dev/stdout may be) cannot be replaced by a file
+        env = spectrum_envelope(*SPECTRA["failed-point-ragged"])
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+        reader.start()
+        try:
+            output.write_csv(env, fifo)
+        finally:
+            if not received:  # unblock the reader if the writer never opened the pipe
+                with contextlib.suppress(OSError):
+                    os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=10.0)
+        assert not reader.is_alive()
+        assert received == [reference_csv(env.payload)]
+        assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+
+    @pytest.mark.parametrize("writer", [output.write_csv, output.write_json,
+                                        output.write_svg_scatter])
+    def test_success_replaces_the_earlier_file(self, tmp_path, writer):
+        env = spectrum_envelope(*SPECTRA["failed-point-ragged"])
+        target = tmp_path / "out"
+        target.write_bytes(b"earlier run\n" * 1000)
+        fresh = written(writer, env, tmp_path / "fresh")
+        assert written(writer, env, target) == fresh
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh", "out"]
 
 
 class TestScatterPoints:

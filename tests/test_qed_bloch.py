@@ -855,6 +855,75 @@ class TestPolaritonRealRoute:
             assert np.array_equal(minus, mat[::-1, ::-1])
 
 
+class TestPolaritonGauge:
+    """On the (n, m) lattice k_x is a gauge phase: U = diag_{(n, m)}
+    e^{i m (Delta(k_x') - Delta(k_x))}, Delta(k_x) = kx_a / (F (1 + g^2)),
+    maps H(k_x) onto H(k_x'), so one spectrum serves every k_x of a k_w."""
+
+    N_MAX = 4
+    V0 = 1.5 * EV
+
+    def build(self, flux, g, kx_a, kw_scaled, mode="matrix"):
+        return polariton_harper_matrix(flux, g, kx_a, kw_scaled,
+                                       BasisTruncation(n_max=self.N_MAX), a1=A, v0=self.V0,
+                                       mode=mode)
+
+    @pytest.mark.parametrize("flux", [0.37, 1.0, 2.3])
+    @pytest.mark.parametrize("g", [0.05, 1.0, 3.0])
+    @pytest.mark.parametrize("kw_scaled", [math.pi / A, 0.6 * math.pi / A])
+    def test_gauge_maps_the_complex_matrix_between_kx(self, flux, g, kw_scaled):
+        m_vals = np.tile(np.arange(-self.N_MAX, self.N_MAX + 1), 2 * self.N_MAX + 1)
+        for kx_a, kx_b in ((0.3, -2.1), (1.1, 2.9), (-0.5, 0.5)):
+            h_a, h_b = (self.build(flux, g, kx, kw_scaled) for kx in (kx_a, kx_b))
+            assert np.iscomplexobj(h_a)
+            u = np.exp(1j * m_vals * (kx_b - kx_a) / (flux * (1.0 + g * g)))
+            mapped = u.conj()[:, None] * h_a * u[None, :]
+            assert np.max(np.abs(mapped - h_b)) <= 1e-14 * np.max(np.abs(h_b))
+
+    @pytest.mark.parametrize("flux, g", [(0.37, 0.05), (1.0, 1.0), (2.3, 3.0)])
+    def test_real_route_spectra_agree_across_kx(self, flux, g):
+        spectra = [hermitian_eigvals(self.build(flux, g, kx_a, 0.0))
+                   for kx_a in midpoint_kx_grid(6)]
+        width = spectra[0][-1] - spectra[0][0]
+        for vals in spectra[1:]:
+            assert np.max(np.abs(vals - spectra[0])) <= 1e-12 * width
+
+    @pytest.mark.parametrize("flux, g, kw_scaled, mode, route", [
+        (1.0, 1e-12, 0.0, "auto", "reduced"),  # below G_REDUCED_THRESHOLD
+        (1.0, 1.0, 0.0, "auto", "matrix"),
+        (1.0, 1.0, 0.6 * math.pi / A, "auto", "matrix"),
+        (5e-3, 0.5, 0.0, "auto", "reduced"),  # the m ladder far above the window
+        (5e-3, 0.5, 0.0, "matrix", "matrix"),
+        (1.0, 1.0, 0.0, "reduced", "reduced"),
+    ])
+    def test_route_is_the_one_the_matrix_takes(self, flux, g, kw_scaled, mode, route):
+        assert qed_bloch.polariton_route(flux, g, A, self.V0, kw_scaled, mode) == route
+        n_count = 2 * self.N_MAX + 1
+        mat = self.build(flux, g, 0.3, kw_scaled, mode)
+        assert mat.shape == (n_count ** (2 if route == "matrix" else 1),) * 2
+
+    @pytest.mark.parametrize("flux, g, mode", [(0.0, 1.0, "auto"), (1.0, -0.1, "matrix"),
+                                               (1.0, 1.0, "dense")])
+    def test_route_rejects_bad_input(self, flux, g, mode):
+        with pytest.raises(DomainError):
+            qed_bloch.polariton_route(flux, g, A, self.V0, 0.0, mode)
+
+    def test_partners_solve_one_point_per_kw_on_the_matrix_route(self):
+        # kx over [-3pi/4, -pi/4, pi/4, 3pi/4], kw over {0, 0.7/a1}
+        k_grid = [(kx, kw) for kx in midpoint_kx_grid(4) for kw in (0.0, 0.7 / A)]
+        assert qed_bloch.polariton_partners(1.0, 1.0, k_grid, A, self.V0, "matrix") == (
+            [0, 1] * 4)
+        reduced = [0, 0, 2, 2, 2, 2, 0, 0]  # one point per +-k_x, whatever its kw
+        for g, mode in ((1.0, "reduced"), (1e-12, "auto")):
+            assert qed_bloch.polariton_partners(1.0, g, k_grid, A, self.V0, mode) == reduced
+
+    @pytest.mark.parametrize("points", [1, 4, 7])
+    def test_reduced_route_keeps_the_c2_partners(self, points):
+        k_grid = [(kx, 0.0) for kx in midpoint_kx_grid(points)]
+        assert qed_bloch.polariton_partners(1.0, 1e-12, k_grid, A, self.V0) == (
+            c2_partners(k_grid))
+
+
 class TestPolaritonWindows:
     def test_small_flux_window(self):
         end = window_end_for(5e-3, 0.14)
@@ -970,7 +1039,7 @@ class TestSweep:
             call_log.append([flux, kxa])
             return harper_matrix(flux, kxa, 12)
 
-        grid = sweep(assembler, [0.6, 1.1], kx_grid, c2_partners(kx_grid))
+        grid = sweep(assembler, [0.6, 1.1], kx_grid, [c2_partners(kx_grid)] * 2)
         assert sorted(call_log.entries()) == [[flux, kxa] for flux in (0.6, 1.1)
                                               for kxa in kx_grid[:4]]
         assert grid.k_labels == [(kxa,) for kxa in kx_grid] and not grid.failures
@@ -994,7 +1063,7 @@ class TestSweep:
                 mat[0, 1] += 1.0  # not Hermitian
             return mat
 
-        grid = sweep(assembler, [0.5], kx_grid, c2_partners(kx_grid))
+        grid = sweep(assembler, [0.5], kx_grid, [c2_partners(kx_grid)])
         assert [message.split(": ")[:2] for message in grid.failures] == [
             ["axis[0]=0.5, k[0]", "synthetic failure"],
             ["axis[0]=0.5, k[2]", "matrix is not Hermitian"],
@@ -1021,7 +1090,29 @@ class TestSweep:
     def test_partner_must_be_an_earlier_solved_point(self, partners):
         with pytest.raises(DomainError, match="partner"):
             sweep(lambda flux, kxa: harper_matrix(flux, kxa, 4), [0.5], [0.1, -0.1, 0.2],
+                  [partners])
+
+    @pytest.mark.parametrize("partners", [[0, 0, 2], [[0, 0, 2]], [[0, 0, 2], [0, 2, 2]]])
+    def test_each_axis_value_takes_a_valid_map(self, partners):
+        # a bare map, one map for two axis values, a bad map on the second
+        with pytest.raises(DomainError, match="partner"):
+            sweep(lambda flux, kxa: harper_matrix(flux, kxa, 4), [0.5, 0.7], [0.1, -0.1, 0.2],
                   partners)
+
+    def test_axis_values_take_their_own_maps(self, call_log):
+        # axis value 0 shares every k point, axis value 1 none
+        def assembler(flux, kxa):
+            call_log.append([flux, kxa])
+            return harper_matrix(flux, kxa, 4)
+
+        kx_grid = [0.1, -0.1, 0.2]
+        grid = sweep(assembler, [0.5, 0.7], kx_grid, [[0, 0, 0], [0, 1, 2]])
+        assert sorted(call_log.entries()) == [[0.5, 0.1], [0.7, -0.1], [0.7, 0.1], [0.7, 0.2]]
+        assert grid.partners == [[0, 0, 0], [0, 1, 2]]
+        first, second = grid.eigenvalues
+        assert first[1] is first[0] and first[2] is first[0]
+        for eigs, kxa in zip(second, kx_grid):
+            assert np.array_equal(eigs, hermitian_eigvals(harper_matrix(0.7, kxa, 4)))
 
     def test_band_counting_helpers(self):
         values = [0.0, 0.01, 0.02, 1.0, 1.01, 2.5]
@@ -1073,11 +1164,11 @@ class TestForkedSweep:
             call_log.append(os.getpid())
             return harper_matrix(flux, kxa, 12)
 
-        forked = self.sweep_in(monkeypatch, processes, assembler, self.AXIS, kx_grid,
-                               c2_partners(kx_grid))
+        maps = [c2_partners(kx_grid)] * len(self.AXIS)
+        forked = self.sweep_in(monkeypatch, processes, assembler, self.AXIS, kx_grid, maps)
         assert len(set(call_log.entries())) == processes  # each process solved its share
         serial = self.sweep_in(monkeypatch, 1, lambda flux, kxa: harper_matrix(flux, kxa, 12),
-                               self.AXIS, kx_grid, c2_partners(kx_grid))
+                               self.AXIS, kx_grid, maps)
         assert not forked.failures and not serial.failures
         assert np.array_equal(forked.axis_values, serial.axis_values)
         for forked_row, serial_row in zip(forked.eigenvalues, serial.eigenvalues, strict=True):
