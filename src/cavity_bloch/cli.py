@@ -370,8 +370,10 @@ def main(argv=None):
     if args.format is not None:
         overrides["output_format"] = args.format
         violations += format_violations(cfg.command, args.format)
-    if args.out:
+    if args.out is not None:
         overrides["output_path"] = args.out
+        if not args.out:
+            violations.append("--out must not be empty")
     if args.seed is not None:
         overrides["seed"] = args.seed
     if violations:

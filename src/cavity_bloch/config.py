@@ -205,6 +205,8 @@ def parse_config(text):
     seed = parser.get("run", "seed", fallback="0")
     out_path = parser.get("output", "path", fallback="result.csv")
     out_format = parser.get("output", "format", fallback="csv")
+    if not out_path:
+        violations.append("[output] path must not be empty")
     violations += format_violations(command, out_format)
     try:
         seed = int(seed)

@@ -1,13 +1,12 @@
 """Special functions and the dense Hermitian eigensolver contract.
 
 The physics modules funnel their eigenproblems through
-:func:`hermitian_eigvals`, which solves one matrix or a stack of them with
-one LAPACK call routed by dtype, so determinism and Hermiticity policy live
-in one place; a stack is solved whole or not at all.  Two call eigvalsh or
-eigh directly: the Harper band oracles (qed_bloch.harper_exact_bands and
-harper_bloch_union), which check the Harper spectra the sweep solves through
-this function and so must not share it, and cavity_gas.many_mode_spectrum,
-which needs eigenvectors.
+:func:`hermitian_eigvals`, which solves one matrix with one LAPACK call
+routed by dtype, so determinism and Hermiticity policy live in one place.
+Two call eigvalsh or eigh directly: the Harper band oracles
+(qed_bloch.harper_exact_bands and harper_bloch_union), which check the
+Harper spectra the sweep solves through this function and so must not share
+it, and cavity_gas.many_mode_spectrum, which needs eigenvectors.
 """
 
 import hashlib
@@ -75,17 +74,19 @@ def displacement_matrix(dim, alpha):
 
 
 def hermiticity_residual(m):
-    """Max |M - M^H| relative to the matrix scale (1e-300 floor for zero
-    matrices); one value per matrix of a (..., n, n) stack."""
+    """Max |M - M^H| of a square matrix relative to its scale (1e-300 floor
+    for a zero matrix); NaN when an entry is not finite."""
     m = np.asarray(m)
-    scale = np.maximum(np.max(np.abs(m), axis=(-2, -1)), 1e-300)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+        raise DomainError(f"expected a square matrix, got shape {m.shape}")
     # a non-finite entry gives a NaN residual, which the caller reports
     with np.errstate(invalid="ignore"):
-        diff = m - np.swapaxes(m.conj(), -1, -2)
-        # in place where the dtype allows: 3-4x faster on real stacks of ~1 MB
+        # scale first and magnitude in place: one matrix-sized temporary at a
+        # time, 3x faster on real matrices from dim 183 up
+        scale = max(np.abs(m).max(), 1e-300)
+        diff = m - m.conj().T
         mag = np.abs(diff, out=diff) if np.isrealobj(diff) else np.abs(diff)
-        res = np.max(mag, axis=(-2, -1)) / scale
-    return float(res) if m.ndim == 2 else res
+        return float(mag.max() / scale)
 
 
 def _fingerprint(m):
@@ -93,24 +94,22 @@ def _fingerprint(m):
 
 
 def hermitian_eigvals(m):
-    """All eigenvalues of a Hermitian matrix, or of each matrix of a
-    (..., n, n) stack: ascending (LAPACK order) and deterministic.
+    """All eigenvalues of one Hermitian matrix, ascending (LAPACK order) and
+    deterministic.
 
-    One ``eigvalsh`` call solves the input, real input by the real symmetric
-    LAPACK route and complex input by the Hermitian one; a stack's
-    eigenvalues are bitwise those of its matrices solved alone.  LAPACK reads
-    only the lower triangle, so no symmetrized copy is made; instead the
-    input is rejected if any matrix's residual exceeds ``HERMITICITY_RTOL``.
+    One ``eigvalsh`` call solves it, a real matrix by the real symmetric
+    LAPACK route and a complex one by the Hermitian route.  LAPACK reads
+    only the lower triangle, so no symmetrized copy is made; instead a
+    matrix whose residual exceeds ``HERMITICITY_RTOL`` is rejected.
 
-    The input is solved whole or not at all: a non-finite entry, a rejected
-    matrix, a LAPACK failure or a non-finite eigenvalue raises NumericalError.
+    Anything but a square matrix raises DomainError.  A non-finite entry, a
+    rejected matrix, a LAPACK failure or a non-finite eigenvalue raises
+    NumericalError.
     """
     m = np.asarray(m)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
-        raise DomainError(f"expected a square matrix or a stack of them, got shape {m.shape}")
-    res = np.max(hermiticity_residual(m))
+    res = hermiticity_residual(m)
     # a non-finite entry makes the residual NaN, which no bound rejects
-    if not np.isfinite(res):
+    if not math.isfinite(res):
         raise NumericalError(f"non-finite matrix entries (fingerprint {_fingerprint(m)})")
     if res > HERMITICITY_RTOL:
         raise NumericalError(

@@ -327,23 +327,21 @@ def harper_matrix(flux, kx_a, n_max, hop=1.0, onsite=1.0):
     """Dimensionless Harper chain at crystal momentum k_x (kx_a = k_x * a).
 
     E U_n = hop (U_{n-1} + U_{n+1}) + 2 onsite cos(2 pi (Phi0/Phi)(kx_a/2pi + n)) U_n
-    over |n| <= n_max.  kx_a may be an array; the result is then a
-    (..., 2 n_max + 1, 2 n_max + 1) stack, one chain per k_x.  With the
-    defaults, unscaled square-lattice energies follow from its eigenvalues as
+    over |n| <= n_max, for one kx_a.  With the defaults, unscaled
+    square-lattice energies follow from its eigenvalues as
     E = hbar omega_c / 2 + harper_hopping(flux, V) * eigenvalue.
     """
     if flux <= 0.0:
         raise DomainError("flux ratio must be positive")
     n_vals = np.arange(-n_max, n_max + 1)
     size = n_vals.size
-    kx_a = np.asarray(kx_a, dtype=float)[..., None]
     diag = 2.0 * onsite * np.cos(2.0 * math.pi / flux * (kx_a / (2.0 * math.pi) + n_vals))
-    mat = np.zeros(diag.shape + (size,))
+    mat = np.zeros((size, size))
     # diagonal, upper and lower diagonal as basic slices of a flat view
-    flat = mat.reshape(diag.shape[:-1] + (size * size,))
-    flat[..., :: size + 1] = diag
-    flat[..., 1 :: size + 1] = hop
-    flat[..., size :: size + 1] = hop
+    flat = mat.reshape(size * size)
+    flat[:: size + 1] = diag
+    flat[1 :: size + 1] = hop
+    flat[size :: size + 1] = hop
     return mat
 
 
@@ -552,59 +550,24 @@ def polariton_harper_matrix(flux, g, kx_a, kw_scaled, trunc, a1, v0, mode="auto"
     return mat.real - im_p
 
 
-#: a stack of matrices solved by one eigensolver call holds at most this many
-#: bytes (a single larger matrix is solved alone): 32 Harper chains of dim 61
-#: and three real matrices of dim 183 fit, two complex ones of dim 183 do not,
-#: so RSS stays flat
-STACK_BYTES = 1 << 20
-
-
 def _solve_axis(assembler, axis, k_grid, partners, failures, label):
     """Eigenvalues of every k point of one axis value (empty where it failed).
 
-    Only the points that are their own partner are assembled and solved;
-    every other point shares its partner's array, and its failure.  Each
-    failure is appended to `failures` as "<label>, k[<index>]: <message>",
+    Each point that is its own partner is assembled and its matrix solved
+    alone; every other point shares its partner's array, and its failure.
+    Each failure is appended to `failures` as "<label>, k[<index>]: <message>",
     in k order."""
-    row = [np.empty(0)] * len(k_grid)
-    errors = {}  # k index of a solved point -> its failure message
-    stack = []  # (k index, matrix) pairs awaiting one eigensolver call
-
-    def solve():
-        """One eigensolver call for the pending stack; if it fails, each of its
-        matrices is solved alone, so that a failure stays with its own point."""
-        if not stack:
-            return
-        mats = [mat for _, mat in stack]
-        try:
-            vals = hermitian_eigvals(mats[0][None] if len(mats) == 1 else np.stack(mats))
-        except (CavityBlochError, FloatingPointError):
-            vals = []
-            for k_idx, mat in stack:
-                try:
-                    vals.append(hermitian_eigvals(mat))
-                except (CavityBlochError, FloatingPointError) as exc:
-                    errors[k_idx] = str(exc)
-                    vals.append(np.empty(0))
-        for (k_idx, _), eigs in zip(stack, vals):
-            row[k_idx] = eigs
-        stack.clear()
-
-    for k_idx, k in enumerate(k_grid):
-        if partners[k_idx] != k_idx:
-            continue  # shares its partner's spectrum
-        try:
-            mat = assembler(axis, k)
-        except (CavityBlochError, FloatingPointError) as exc:
-            errors[k_idx] = str(exc)
-            continue
-        if stack and (mat.shape != stack[0][1].shape or mat.dtype != stack[0][1].dtype
-                      or (len(stack) + 1) * mat.nbytes > STACK_BYTES):
-            solve()
-        stack.append((k_idx, mat))
-    solve()
-    for k_idx, partner in enumerate(partners):
-        row[k_idx] = row[partner]
+    row = []
+    errors = {}  # k index of a failed point -> its failure message
+    for k_idx, (k, partner) in enumerate(zip(k_grid, partners)):
+        if partner != k_idx:
+            row.append(row[partner])  # shares its partner's spectrum
+        else:
+            try:
+                row.append(hermitian_eigvals(assembler(axis, k)))
+            except (CavityBlochError, FloatingPointError) as exc:
+                errors[k_idx] = str(exc)
+                row.append(np.empty(0))
         if partner in errors:
             failures.append(f"{label}, k[{k_idx}]: {errors[partner]}")
     return row
@@ -621,10 +584,10 @@ def _available_cpus():
 def _blas_threads():
     """BLAS threads per process, read as OpenBLAS reads them: the first of
     OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS that holds a
-    positive integer, else 1."""
+    positive integer, else one per available CPU, OpenBLAS's own default."""
     values = (os.environ.get(name, "").strip()
               for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
-    return next((int(v) for v in values if v.isdecimal() and int(v) > 0), 1)
+    return next((int(v) for v in values if v.isdecimal() and int(v) > 0), _available_cpus())
 
 
 class _ShareTraceback(Exception):
@@ -714,12 +677,9 @@ def sweep(assembler, axis_values, k_grid, partners=None):
     """Solve `assembler(axis_value, k)` -- one Hermitian matrix per point --
     over every axis value and every k of `k_grid`.
 
-    The sweep alone decides what is solved together: consecutive matrices of
-    one axis value with equal shape and dtype are solved as one stack of at
-    most STACK_BYTES by `hermitian_eigvals`, which solves a stack whole or not
-    at all; a stack that fails is solved again matrix by matrix.  A point
-    whose matrix the assembler cannot build (it raises a package error or a
-    floating-point error) or whose matrix fails alone is recorded in the
+    Each matrix is solved alone by `hermitian_eigvals`.  A point whose
+    matrix the assembler cannot build (it raises a package error or a
+    floating-point error) or whose matrix fails to solve is recorded in the
     result's failures and keeps an empty eigenvalue array.  Any other
     exception propagates.
 
@@ -734,10 +694,11 @@ def sweep(assembler, axis_values, k_grid, partners=None):
     The axis values are split across P processes, P the CPUs this process
     may run on (_available_cpus) // its BLAS threads (_blas_threads), at
     least 1 and at most the number of axis values, so that BLAS threads do
-    not oversubscribe the CPUs.
+    not oversubscribe the CPUs; with no BLAS thread variable set, BLAS runs
+    one thread per CPU and P is 1.
     Process r solves the axis indices equal to r mod P, this process share 0
     and P - 1 forked children the others.  Each process solves the same
-    stacks as a serial sweep, so the result is bitwise the same for any P.
+    matrices as a serial sweep, so the result is bitwise the same for any P.
     The sweep runs in this process alone when P is 1, when other threads run
     (fork copies only the calling thread) and when a fork fails.  An
     exception raised in a child is raised here with its type; a child that

@@ -901,6 +901,23 @@ class TestMainExitCodes:
         assert cli.main(["gas", "--config", str(cfg)]) == cli.EXIT_OK
         assert out.exists()
 
+    @pytest.mark.parametrize("path, args, violation", [
+        ("", [], "[output] path must not be empty"),
+        ("gas.csv", ["--out", ""], "--out must not be empty"),
+    ], ids=["config-path", "out-option"])
+    def test_empty_output_path_is_config_error(self, tmp_path, monkeypatch, capsys, path,
+                                               args, violation):
+        # an empty path resolves to the working directory itself, and its
+        # partial file would land beside it
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        (tmp_path / "run.ini").write_text(GAS_CONFIG.format(path=path, fmt="csv"))
+        assert cli.main(["gas", "--config", str(tmp_path / "run.ini"), *args]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {violation}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.ini", "work"]
+        assert not any(work.iterdir())
+
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_inverted_plot_window_is_config_error(self, tmp_path, capsys, fmt):
         text = (BUTTERFLY_CONFIG.format(path="{path}", points=3)
@@ -932,7 +949,7 @@ class TestSolverRoute:
     ])
     def test_raw_joules_stacks_take_the_structure_route(self, tmp_path, monkeypatch, kind,
                                                         lengths, dtype):
-        # lattices with an x -> -x mirror reach the eigensolver as real stacks
+        # lattices with an x -> -x mirror reach the eigensolver as real matrices
         dtypes = []
         solve = numerics.hermitian_eigvals
 

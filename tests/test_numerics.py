@@ -186,107 +186,100 @@ class TestHermitianEigvals:
         with pytest.raises(NumericalError, match=r"non-finite matrix entries \(fingerprint"):
             hermitian_eigvals(bad)
 
+    @pytest.mark.parametrize("bad", [
+        np.stack([np.eye(3), 2.0 * np.eye(3)]),
+        np.zeros((2, 3)),
+        np.zeros(3),
+        np.zeros((0, 0)),
+    ], ids=["stack-of-two", "non-square", "vector", "empty"])
+    def test_only_one_square_matrix_accepted(self, bad):
+        # each call solves one matrix: a stack of Hermitian ones is refused
+        for func in (hermitian_eigvals, hermiticity_residual):
+            with pytest.raises(DomainError, match=r"expected a square matrix, got shape"):
+                func(bad)
+
     def test_residual_measure(self):
         assert hermiticity_residual(np.eye(4)) == 0.0
         assert hermiticity_residual(np.array([[0.0, 1.0], [0.0, 0.0]])) == pytest.approx(1.0)
 
 
-def llb_stack(count):
+def llb_matrices(count):
     """`count` complex oblique LLB matrices (dim 3 * 7) at one flux, varying k_x.
 
-    Oblique has no x -> -x mirror, so its LLB matrices stay complex and the
-    stack takes the complex Hermitian route.
+    Oblique has no x -> -x mirror, so its LLB matrices stay complex and take
+    the complex Hermitian route.
     """
     lat = bravais_lattice("oblique", 2.0 * ANGSTROM, 3.0 * ANGSTROM, math.radians(70.0))
     pot = bravais_cosine_potential("oblique", 3.0 * EV, lat)
     w_c = cyclotron_frequency(field_for_flux_ratio(lat, 0.7))
     trunc = BasisTruncation(n_max=3, j_max=2)
-    stack = np.stack([assemble_llb_matrix(pot, w_c, kxa / lat.a1, trunc)
-                      for kxa in np.linspace(-3.0, 3.0, count)])
-    assert stack.dtype == np.complex128
-    return stack
+    mats = [assemble_llb_matrix(pot, w_c, kxa / lat.a1, trunc)
+            for kxa in np.linspace(-3.0, 3.0, count)]
+    assert all(mat.dtype == np.complex128 for mat in mats)
+    return mats
 
 
-def sweep_stack(stack):
-    """The sweep of one axis value whose k points are the matrices of `stack`."""
-    return sweep(lambda _axis, k_idx: stack[k_idx], [1.0], range(len(stack)))
+def harper_chains(count):
+    """`count` real Harper chains (dim 13) at one flux, varying k_x."""
+    return [harper_matrix(1.4, kxa, 6) for kxa in np.linspace(-2.0, 2.0, count)]
 
 
-class TestStackedEigvals:
-    @pytest.mark.parametrize("stack", [
-        harper_matrix(0.83, np.linspace(-3.0, 3.0, 7), 10),
-        llb_stack(5),
-    ], ids=["real-harper", "complex-llb"])
-    def test_stack_bitwise_equals_single_solves(self, stack):
-        vals = hermitian_eigvals(stack)
-        assert vals.shape == stack.shape[:-1]
-        for mat, eigs in zip(stack, vals):
-            assert np.array_equal(eigs, hermitian_eigvals(mat))
+def sweep_points(mats):
+    """The sweep of one axis value whose k points are the matrices `mats`."""
+    return sweep(lambda _axis, k_idx: mats[k_idx], [1.0], range(len(mats)))
 
-    def test_residual_per_matrix(self):
-        stack = llb_stack(3)
-        res = hermiticity_residual(stack)
-        assert res.shape == (3,)
-        assert np.array_equal(res, [hermiticity_residual(mat) for mat in stack])
 
-    # a stack is solved whole or not at all; the sweep re-solves a failed
-    # stack matrix by matrix, so each failure stays with its own point
+class TestSolveFailures:
+    """The sweep solves each point's matrix alone, so each failure stays
+    with its own point."""
 
     def test_non_hermitian_matrix_fails_only_its_own_point(self):
-        stack = llb_stack(4)
-        stack[2, 0, 1] += 1e-3 * np.max(np.abs(stack[2]))
-        with pytest.raises(NumericalError, match="matrix is not Hermitian"):
-            hermitian_eigvals(stack)
+        mats = llb_matrices(4)
+        mats[2][0, 1] += 1e-3 * np.max(np.abs(mats[2]))
         with pytest.raises(NumericalError) as single:
-            hermitian_eigvals(stack[2])
-        grid = sweep_stack(stack)
+            hermitian_eigvals(mats[2])
+        grid = sweep_points(mats)
         assert grid.failures == [f"axis[0]=1, k[2]: {single.value}"]
         assert "matrix is not Hermitian" in str(single.value)
         assert grid.eigenvalues[0][2].size == 0
         for idx in (0, 1, 3):
-            assert np.array_equal(grid.eigenvalues[0][idx], hermitian_eigvals(stack[idx]))
+            assert np.array_equal(grid.eigenvalues[0][idx], hermitian_eigvals(mats[idx]))
 
     def test_linalg_error_on_stack_falls_back_to_single_solves(self, monkeypatch):
-        stack = harper_matrix(1.4, np.linspace(-2.0, 2.0, 5), 6)
-        want = [hermitian_eigvals(mat) for mat in stack]
+        mats = harper_chains(5)
+        want = [hermitian_eigvals(mat) for mat in mats]
         eigvalsh = np.linalg.eigvalsh
-        ndims = []
 
-        def stacked_call_fails(m):
-            ndims.append(m.ndim)
-            if m.ndim > 2:
+        def third_matrix_fails(m):
+            if np.array_equal(m, mats[2]):
                 raise np.linalg.LinAlgError("synthetic non-convergence")
             return eigvalsh(m)
 
-        monkeypatch.setattr(numerics.np.linalg, "eigvalsh", stacked_call_fails)
-        with pytest.raises(NumericalError, match="eigensolver failed to converge"):
-            hermitian_eigvals(stack)
-        ndims.clear()
-        grid = sweep_stack(stack)
-        assert ndims == [3] + [2] * 5
-        assert grid.failures == []
-        for eigs, single in zip(grid.eigenvalues[0], want):
-            assert np.array_equal(eigs, single)
+        monkeypatch.setattr(numerics.np.linalg, "eigvalsh", third_matrix_fails)
+        with pytest.raises(NumericalError) as single:
+            hermitian_eigvals(mats[2])
+        grid = sweep_points(mats)
+        assert grid.failures == [f"axis[0]=1, k[2]: {single.value}"]
+        assert str(single.value).startswith("eigensolver failed to converge")
+        assert grid.eigenvalues[0][2].size == 0
+        for idx in (0, 1, 3, 4):
+            assert np.array_equal(grid.eigenvalues[0][idx], want[idx])
 
     def test_non_finite_stack_falls_back_and_fails_per_matrix(self, monkeypatch):
-        stack = harper_matrix(1.4, np.linspace(-2.0, 2.0, 3), 6)
-        want = [hermitian_eigvals(mat) for mat in stack]
+        mats = harper_chains(3)
+        want = [hermitian_eigvals(mat) for mat in mats]
         eigvalsh = np.linalg.eigvalsh
 
         def second_matrix_nan(m):
             vals = eigvalsh(m)
-            if m.ndim > 2:
-                vals[1, 0] = np.nan
-            elif np.array_equal(m, stack[1]):
+            if np.array_equal(m, mats[1]):
                 vals[0] = np.nan
             return vals
 
         monkeypatch.setattr(numerics.np.linalg, "eigvalsh", second_matrix_nan)
-        with pytest.raises(NumericalError, match="non-finite eigenvalues"):
-            hermitian_eigvals(stack)
         with pytest.raises(NumericalError) as single:
-            hermitian_eigvals(stack[1])
-        grid = sweep_stack(stack)
+            hermitian_eigvals(mats[1])
+        grid = sweep_points(mats)
         assert grid.failures == [f"axis[0]=1, k[1]: {single.value}"]
         assert str(single.value).startswith("non-finite eigenvalues")
         assert grid.eigenvalues[0][1].size == 0
@@ -294,13 +287,13 @@ class TestStackedEigvals:
             assert np.array_equal(grid.eigenvalues[0][idx], want[idx])
 
     def test_non_finite_matrix_fails_only_its_own_point(self):
-        stack = llb_stack(4)
-        stack[1, 2, 2] = np.nan
+        mats = llb_matrices(4)
+        mats[1][2, 2] = np.nan
         with pytest.raises(NumericalError) as single:
-            hermitian_eigvals(stack[1])
+            hermitian_eigvals(mats[1])
         assert str(single.value).startswith("non-finite matrix entries")
-        grid = sweep_stack(stack)
+        grid = sweep_points(mats)
         assert grid.failures == [f"axis[0]=1, k[1]: {single.value}"]
         assert grid.eigenvalues[0][1].size == 0
         for idx in (0, 2, 3):
-            assert np.array_equal(grid.eigenvalues[0][idx], hermitian_eigvals(stack[idx]))
+            assert np.array_equal(grid.eigenvalues[0][idx], hermitian_eigvals(mats[idx]))
