@@ -253,10 +253,11 @@ def _run_polariton_butterfly(cfg):
 
     def assembler(g, k):
         kx_a, kw_scaled = k
-        return qed_bloch.polariton_harper_matrix(p["flux_ratio"], g, kx_a, kw_scaled, trunc,
+        return qed_bloch.polariton_harper_blocks(p["flux_ratio"], g, kx_a, kw_scaled, trunc,
                                                  a1=lat.a1, v0=p["v0_ev"], mode=p["mode"])
 
-    # one solve per k_w on the matrix route, one per +-k_x pair on the reduced
+    # one solve per k_w on the matrix route (two half-size ones at k_w = 0),
+    # one per +-k_x pair on the reduced
     partners = [qed_bloch.polariton_partners(p["flux_ratio"], g, k_grid, lat.a1, p["v0_ev"],
                                              p["mode"]) for g in g_values]
     grid = qed_bloch.sweep(assembler, g_values, k_grid, partners)

@@ -9,7 +9,6 @@ Harper spectra the sweep solves through this function and so must not share
 it, and cavity_gas.many_mode_spectrum, which needs eigenvectors.
 """
 
-import hashlib
 import math
 
 import numpy as np
@@ -90,6 +89,9 @@ def hermiticity_residual(m):
 
 
 def _fingerprint(m):
+    # imported here: only a rejected matrix needs it, and it costs every start
+    import hashlib
+
     return hashlib.sha256(np.ascontiguousarray(m).tobytes()).hexdigest()[:16]
 
 

@@ -8,6 +8,7 @@ import contextlib
 import datetime
 import itertools
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -147,7 +148,10 @@ def _write_chunks(path, chunks, label):
     symlink) in one step.  If writing fails, or the chunks raise, that file
     is removed and any earlier file at `path` is left as it was.  A path
     that exists but is no regular file, a pipe or a terminal such as
-    /dev/stdout, cannot be replaced and is written in place."""
+    /dev/stdout, cannot be replaced and is written in place.  An empty path
+    is refused before any file is touched."""
+    if not os.fspath(path):
+        raise CavityBlochError(f"cannot write {label} to an empty path")
     in_place = os.path.exists(path) and not os.path.isfile(path)
     target = path if in_place else os.path.realpath(path)
     partial = target if in_place else f"{target}.{os.getpid()}.partial"
@@ -256,6 +260,37 @@ def _scatter_points(payload):
     return payload.columns[0], payload.columns[-1], x, y
 
 
+def _in_window(y, window):
+    """Mask of the values of y inside the plot window (lo, hi), either end None
+    for no bound; every value when window is None."""
+    keep = np.ones_like(y, dtype=bool)
+    if window is not None:
+        lo, hi = window
+        if lo is not None:
+            keep &= y >= lo
+        if hi is not None:
+            keep &= y <= hi
+    return keep
+
+
+def _svg_ys(eigs, window, to_y):
+    """The cy texts of a spectrum point's plotted values: those in the
+    window and finite, mapped by to_y."""
+    y = eigs[_in_window(eigs, window)]
+    return [f"{v:.2f}" for v in to_y(y[np.isfinite(y)]).tolist()]
+
+
+def _svg_circles(payload, window, to_x, to_y):
+    """The circle texts of a spectrum's scatter plot, one chunk per point.
+    Each point's values are formatted as `blocks` converts them, once per
+    axis value for partner points, and joined around its axis value's x."""
+    end = '" r="1" fill="black"/>\n'
+    for axis, _, texts in payload.blocks(lambda eigs: _svg_ys(eigs, window, to_y)):
+        if texts and math.isfinite(axis):
+            start = f'<circle cx="{to_x(axis):.2f}" cy="'
+            yield start + f"{end}{start}".join(texts) + end
+
+
 def write_svg_scatter(envelope, path, window=None):
     """Fixed-canvas (1200x900) point-cloud SVG with unit-labelled axes.
 
@@ -263,21 +298,21 @@ def write_svg_scatter(envelope, path, window=None):
     in the CSV/JSON exports, never here).
     """
     x_label, y_label, x, y = _scatter_points(envelope.payload)
-    if window is not None:
-        lo, hi = window
-        keep = np.ones_like(y, dtype=bool)
-        if lo is not None:
-            keep &= y >= lo
-        if hi is not None:
-            keep &= y <= hi
-        x, y = x[keep], y[keep]
-        if x.size == 0:
-            raise CavityBlochError("plot window excludes every point")
+    keep = _in_window(y, window)
+    x, y = x[keep], y[keep]
+    if x.size == 0:
+        raise CavityBlochError("plot window excludes every point")
     pad = 60
     x0, x1 = float(x.min()), float(x.max())
     y0, y1 = float(y.min()), float(y.max())
     xspan = x1 - x0 or 1.0
     yspan = y1 - y0 or 1.0
+
+    def to_x(v):
+        return pad + (v - x0) / xspan * (SVG_WIDTH - 2 * pad)
+
+    def to_y(v):
+        return SVG_HEIGHT - pad - (v - y0) / yspan * (SVG_HEIGHT - 2 * pad)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" height="{SVG_HEIGHT}" '
@@ -297,11 +332,12 @@ def write_svg_scatter(envelope, path, window=None):
         f'font-size="12">{y0:.6g}</text>',
         f'<text x="{pad - 5}" y="{pad + 5}" text-anchor="end" font-size="12">{y1:.6g}</text>',
     ]
-    finite = np.isfinite(x) & np.isfinite(y)
-    cx = pad + (x[finite] - x0) / xspan * (SVG_WIDTH - 2 * pad)
-    cy = SVG_HEIGHT - pad - (y[finite] - y0) / yspan * (SVG_HEIGHT - 2 * pad)
-    circles = (f'<circle cx="{a:.2f}" cy="{b:.2f}" r="1" fill="black"/>\n'
-               for a, b in zip(cx.tolist(), cy.tolist()))
+    if isinstance(envelope.payload, SpectrumPayload):
+        circles = _svg_circles(envelope.payload, window, to_x, to_y)
+    else:
+        finite = np.isfinite(x) & np.isfinite(y)
+        circles = (f'<circle cx="{a:.2f}" cy="{b:.2f}" r="1" fill="black"/>\n'
+                   for a, b in zip(to_x(x[finite]).tolist(), to_y(y[finite]).tolist()))
     chunks = itertools.chain(["\n".join(parts) + "\n"], circles, ["</svg>\n"])
     return _write_chunks(path, chunks, "SVG")
 

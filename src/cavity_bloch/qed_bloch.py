@@ -19,7 +19,7 @@ import numpy as np
 
 from .constants import HBAR, M_ELECTRON, E_CHARGE
 from .errors import CavityBlochError, DomainError, NumericalError
-from .numerics import displacement_matrix, hermitian_eigvals
+from .numerics import HERMITICITY_RTOL, displacement_matrix, hermitian_eigvals
 from .output import SpectrumPayload
 
 #: scaled diagonal beyond which a polariton-lattice state is treated as
@@ -522,6 +522,10 @@ def polariton_harper_matrix(flux, g, kx_a, kw_scaled, trunc, a1, v0, mode="auto"
     diagonal is even in m.  So S = (1 + iP)/sqrt(2) is unitary and
     S^H H S = Re H - Im(H) P is real symmetric with the spectrum of H; that
     real matrix is returned.  Otherwise H itself is.
+
+    At kx_a = 0 as well, that real matrix R also keeps the inversion C2,
+    (n, m) -> (-n, -m): R[::-1, ::-1] == R, so c2_blocks splits it into two
+    half-size blocks.  polariton_harper_blocks returns what a sweep solves.
     """
     mode = polariton_route(flux, g, a1, v0, kw_scaled, mode)
     tau1, tau2 = polariton_hoppings(flux, g)
@@ -550,11 +554,51 @@ def polariton_harper_matrix(flux, g, kx_a, kw_scaled, trunc, a1, v0, mode="auto"
     return mat.real - im_p
 
 
+def c2_blocks(mat):
+    """The even and odd C2 blocks of a Hermitian matrix R of odd size N = 2h + 1
+    that commutes with the reversal J of its index order (R[::-1, ::-1] == R).
+
+    In the basis (e_i + e_{N-1-i})/sqrt(2) for i < h and e_h, R is the even
+    block R[:h+1, :h+1] + R[:h+1, ::-1][:, :h+1] ("top + cross"), whose middle
+    row and column are sqrt(2) R[h, :h] and sqrt(2) R[:h, h] and whose corner
+    is R[h, h]; in (e_i - e_{N-1-i})/sqrt(2) it is the odd block
+    R[:h, :h] - R[:h, ::-1][:, :h].  Their sizes are h + 1 and h, and their
+    spectra together are that of R.
+
+    Raises NumericalError when max|R - J R J| exceeds HERMITICITY_RTOL times
+    max|R|: the blocks would then drop the coupling between the sectors.
+    """
+    residual = np.abs(mat - mat[::-1, ::-1]).max()
+    if residual > HERMITICITY_RTOL * np.abs(mat).max():
+        raise NumericalError(f"matrix breaks C2: max|R - JRJ| {residual:.3e} exceeds "
+                             f"{HERMITICITY_RTOL:.0e} of max|R|")
+    h = mat.shape[0] // 2
+    top, cross = mat[:h + 1, :h + 1], mat[:h + 1, ::-1][:, :h + 1]
+    even = top + cross
+    even[:h, h] = math.sqrt(2.0) * mat[:h, h]
+    even[h, :h] = math.sqrt(2.0) * mat[h, :h]
+    even[h, h] = mat[h, h]
+    return even, top[:h, :h] - cross[:h, :h]
+
+
+def polariton_harper_blocks(flux, g, kx_a, kw_scaled, trunc, a1, v0, mode="auto"):
+    """What a sweep solves for polariton_harper_matrix at these arguments: on
+    the matrix route (polariton_route) at kw_scaled = 0, the two c2_blocks of
+    the lattice at kx_a = 0, which has the spectrum of every k_x (the gauge U
+    of polariton_harper_matrix); otherwise that one matrix."""
+    if kw_scaled == 0.0 and polariton_route(flux, g, a1, v0, kw_scaled, mode) == "matrix":
+        return c2_blocks(polariton_harper_matrix(flux, g, 0.0, kw_scaled, trunc, a1, v0,
+                                                 "matrix"))
+    return polariton_harper_matrix(flux, g, kx_a, kw_scaled, trunc, a1, v0, mode)
+
+
 def _solve_axis(assembler, axis, k_grid, partners, failures, label):
     """Eigenvalues of every k point of one axis value (empty where it failed).
 
-    Each point that is its own partner is assembled and its matrix solved
-    alone; every other point shares its partner's array, and its failure.
+    Each point that is its own partner is assembled and solved: the matrix
+    the assembler returns by one hermitian_eigvals call, or each block of a
+    tuple of blocks by its own, their eigenvalues merged in ascending order.
+    Every other point shares its partner's array, and its failure.
     Each failure is appended to `failures` as "<label>, k[<index>]: <message>",
     in k order."""
     row = []
@@ -564,7 +608,12 @@ def _solve_axis(assembler, axis, k_grid, partners, failures, label):
             row.append(row[partner])  # shares its partner's spectrum
         else:
             try:
-                row.append(hermitian_eigvals(assembler(axis, k)))
+                matrices = assembler(axis, k)
+                if isinstance(matrices, tuple):
+                    row.append(np.sort(np.concatenate([hermitian_eigvals(m)
+                                                       for m in matrices])))
+                else:
+                    row.append(hermitian_eigvals(matrices))
             except (CavityBlochError, FloatingPointError) as exc:
                 errors[k_idx] = str(exc)
                 row.append(np.empty(0))
@@ -674,14 +723,16 @@ def _forked_shares(solve_share, procs):
 
 
 def sweep(assembler, axis_values, k_grid, partners=None):
-    """Solve `assembler(axis_value, k)` -- one Hermitian matrix per point --
+    """Solve `assembler(axis_value, k)` -- one Hermitian matrix per point, or
+    a tuple of Hermitian blocks whose spectra together are the point's --
     over every axis value and every k of `k_grid`.
 
-    Each matrix is solved alone by `hermitian_eigvals`.  A point whose
+    Each matrix or block is solved alone by `hermitian_eigvals`, and a
+    point's blocks' eigenvalues are merged in ascending order.  A point whose
     matrix the assembler cannot build (it raises a package error or a
-    floating-point error) or whose matrix fails to solve is recorded in the
-    result's failures and keeps an empty eigenvalue array.  Any other
-    exception propagates.
+    floating-point error) or whose matrix or any of whose blocks fails to
+    solve is recorded in the result's failures and keeps an empty eigenvalue
+    array.  Any other exception propagates.
 
     Returns an output.SpectrumPayload (no columns) that carries `partners`,
     one partner map per axis value (c2_partners, polariton_partners; None

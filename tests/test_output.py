@@ -198,41 +198,64 @@ class TestSpectrumWriters:
         with pytest.raises(CavityBlochError, match="nothing to plot"):
             output.write_svg_scatter(env, tmp_path / "s.svg")
 
-    def test_shared_arrays_write_the_bytes_of_copies_and_lists(self, tmp_path, monkeypatch):
+    #: two spectra and a failed point (empty), each held by two points per
+    #: axis value, as C2 partners hold them
+    SHARED_A, SHARED_B = np.array([-1.5, 0.25, 2.0]), np.array([-0.5, 1.0 / 3.0])
+
+    def shared_layouts(self):
+        a, b, failed = self.SHARED_A, self.SHARED_B, np.empty(0)
+        shared = [[a, b, b, a], [b, a, a, b], [failed, b, b, failed]]
+        return {
+            "partners": (shared, [[0, 1, 1, 0]] * 3),
+            "shared": (shared, None),
+            "copies": ([[e.copy() for e in per_axis] for per_axis in shared], None),
+            "lists": ([[e.tolist() for e in per_axis] for per_axis in shared], None),
+        }
+
+    def shared_envelope(self, layout):
+        env = spectrum_envelope([0.1, 0.2, 0.4], [[self.SHARED_A]])
+        env.payload.eigenvalues, env.payload.partners = layout
+        env.produced_at = "2000-01-01T00:00:00+00:00"
+        return env
+
+    def test_shared_arrays_write_the_bytes_of_copies_and_lists(self, tmp_path):
         # C2 partner points hold one array object, which the writers format
         # once per axis value when the partner map names the sharing; shared
         # objects without a map, equal copies and plain lists must give the
         # same bytes
-        a, b = np.array([-1.5, 0.25, 2.0]), np.array([-0.5, 1.0 / 3.0])
-        shared = [[a, b, b, a], [b, a, a, b]]
-        layouts = {
-            "partners": (shared, [[0, 1, 1, 0]] * 2),
-            "shared": (shared, None),
-            "copies": ([[a.copy(), b.copy(), b.copy(), a.copy()],
-                        [b.copy(), a.copy(), a.copy(), b.copy()]], None),
-            "lists": ([[a.tolist(), b.tolist(), b.tolist(), a.tolist()],
-                       [b.tolist(), a.tolist(), a.tolist(), b.tolist()]], None),
-        }
         files = {}
-        for name, (eigenvalues, partners) in layouts.items():
-            env = spectrum_envelope([0.1, 0.2], [[a]])
-            env.payload.eigenvalues = eigenvalues
-            env.payload.partners = partners
-            env.produced_at = "2000-01-01T00:00:00+00:00"
+        for name, layout in self.shared_layouts().items():
+            env = self.shared_envelope(layout)
             files[name] = (written(output.write_csv, env, tmp_path / "s.csv"),
-                           written(output.write_json, env, tmp_path / "s.json"))
-        assert files["partners"] == files["copies"]
-        assert files["shared"] == files["copies"] == files["lists"]
-        assert files["shared"][0] == reference_csv(env.payload)
-        assert files["shared"][1] == reference_json(env)
+                           written(output.write_json, env, tmp_path / "s.json"),
+                           written(output.write_svg_scatter, env, tmp_path / "s.svg"),
+                           written(output.write_svg_scatter, env, tmp_path / "w.svg",
+                                   window=(-1.0, 1.0)))
+        assert files["partners"] == files["shared"] == files["copies"] == files["lists"]
+        assert files["shared"] == (reference_csv(env.payload), reference_json(env),
+                                   reference_svg(env.payload),
+                                   reference_svg(env.payload, (-1.0, 1.0)))
+
+    @pytest.mark.parametrize("writer, formatter, window", [
+        (output.write_csv, "_csv_lines", None),
+        (output.write_svg_scatter, "_svg_ys", None),
+        (output.write_svg_scatter, "_svg_ys", (-1.0, 1.0)),
+    ])
+    def test_partner_map_formats_each_array_once_per_axis_value(self, tmp_path, monkeypatch,
+                                                                 writer, formatter, window):
         # with the partner map, each of the two solved points per axis value
-        # is formatted once
+        # is formatted once; without it, every point is
         formatted = []
-        lines = output._csv_lines
-        monkeypatch.setattr(output, "_csv_lines", lambda eigs: formatted.append(eigs) or lines(eigs))
-        env.payload.eigenvalues, env.payload.partners = layouts["partners"]
-        output.write_csv(env, tmp_path / "s.csv")
-        assert len(formatted) == 2 * 2
+        original = getattr(output, formatter)
+        monkeypatch.setattr(output, formatter,
+                            lambda eigs, *args: formatted.append(eigs) or original(eigs, *args))
+        kwargs = {} if window is None else {"window": window}
+        layouts = self.shared_layouts()
+        writer(self.shared_envelope(layouts["partners"]), tmp_path / "out", **kwargs)
+        assert len(formatted) == 3 * 2
+        formatted.clear()
+        writer(self.shared_envelope(layouts["shared"]), tmp_path / "out", **kwargs)
+        assert len(formatted) == 3 * 4
 
     def test_cli_spectra_at_one_and_two_threads(self, tmp_path):
         outputs = []
@@ -285,6 +308,21 @@ class TestAtomicWriters:
         with pytest.raises(CavityBlochError, match="cannot write CSV"):
             output.write_csv(env, tmp_path / "out")
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    @pytest.mark.parametrize("writer, label", [(output.write_csv, "CSV"),
+                                               (output.write_json, "JSON"),
+                                               (output.write_svg_scatter, "SVG")])
+    def test_empty_path_is_refused_before_any_file_is_made(self, tmp_path, monkeypatch,
+                                                           writer, label):
+        # "" would name a partial file beside the working directory
+        env = spectrum_envelope(*SPECTRA["failed-point-ragged"])
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        with pytest.raises(CavityBlochError, match=f"cannot write {label} to an empty path"):
+            writer(env, "")
+        assert [p.name for p in tmp_path.iterdir()] == ["work"]
+        assert list(work.iterdir()) == []
 
     def test_symlink_is_written_through(self, tmp_path):
         env = spectrum_envelope(*SPECTRA["single-value"])

@@ -35,6 +35,7 @@ from cavity_bloch.qed_bloch import (
     assemble_central_matrix,
     assemble_llb_matrix,
     beta_matrix,
+    c2_blocks,
     c2_partners,
     count_bands,
     coupling_window_end,
@@ -46,6 +47,7 @@ from cavity_bloch.qed_bloch import (
     landau_polariton_branches,
     landau_polariton_energy,
     midpoint_kx_grid,
+    polariton_harper_blocks,
     polariton_harper_matrix,
     polariton_hoppings,
     polariton_scaled_kinetic,
@@ -918,6 +920,109 @@ class TestPolaritonGauge:
             c2_partners(k_grid))
 
 
+class TestPolaritonC2Blocks:
+    """At k_x = k_w = 0 the real (n, m) lattice keeps C2, (n, m) -> (-n, -m):
+    the sweep solves its even and odd blocks in place of the whole."""
+
+    V0 = 3.0 * EV
+    GRID = list(itertools.product((3, 6, 10), (1e-12, 1e-3, 0.3, 1.0, 5.0),
+                                  (0.37, 1.0, 2.5, 7.0), (2.0, 3.7)))
+
+    def build(self, n_max, g, flux, a1_angstrom, kx_a=0.0, kw_scaled=0.0, mode="matrix"):
+        return polariton_harper_matrix(flux, g, kx_a, kw_scaled, BasisTruncation(n_max=n_max),
+                                       a1=a1_angstrom * 1e-10, v0=self.V0, mode=mode)
+
+    def test_lattice_at_kx_and_kw_zero_is_exactly_c2_symmetric(self):
+        for n_max, g, flux, a1 in self.GRID:
+            mat = self.build(n_max, g, flux, a1)
+            assert mat.dtype == np.float64
+            assert np.array_equal(mat[::-1, ::-1], mat), (n_max, g, flux, a1)
+
+    @pytest.mark.parametrize("n_max", [3, 6, 10])
+    def test_block_spectra_together_are_the_full_spectrum(self, n_max):
+        for _, g, flux, a1 in self.GRID[::7]:
+            mat = self.build(n_max, g, flux, a1)
+            even, odd = c2_blocks(mat)
+            dim = mat.shape[0]
+            assert even.shape == ((dim + 1) // 2,) * 2 and odd.shape == ((dim - 1) // 2,) * 2
+            union = np.sort(np.concatenate([hermitian_eigvals(even), hermitian_eigvals(odd)]))
+            full = hermitian_eigvals(mat)
+            assert np.max(np.abs(union - full)) <= 1e-12 * (full[-1] - full[0])
+
+    def test_blocks_of_a_small_matrix_by_hand(self):
+        # R = [[a, b, c], [b, d, b], [c, b, a]]: even [[a + c, sqrt2 b], [sqrt2 b, d]],
+        # odd [[a - c]]
+        mat = np.array([[1.0, 2.0, 3.0], [2.0, 5.0, 2.0], [3.0, 2.0, 1.0]])
+        even, odd = c2_blocks(mat)
+        assert np.array_equal(even, [[4.0, 2.0 * math.sqrt(2.0)], [2.0 * math.sqrt(2.0), 5.0]])
+        assert np.array_equal(odd, [[-2.0]])
+        assert [block.shape for block in c2_blocks(np.array([[7.0]]))] == [(1, 1), (0, 0)]
+
+    def test_sweep_matches_the_full_spectrum_at_every_kx(self):
+        # every k_x of (g, k_w = 0) holds the merged block spectrum
+        trunc = BasisTruncation(n_max=4)
+        kx_grid = [(kx, 0.0) for kx in midpoint_kx_grid(4)]
+        g_values = [0.3, 1.0, 2.0]
+        partners = [qed_bloch.polariton_partners(1.0, g, kx_grid, A, self.V0, "matrix")
+                    for g in g_values]
+        grid = sweep(lambda g, k: polariton_harper_blocks(1.0, g, *k, trunc, A, self.V0,
+                                                          "matrix"),
+                     g_values, kx_grid, partners)
+        assert not grid.failures
+        for g, row in zip(g_values, grid.eigenvalues):
+            for (kx_a, _), eigs in zip(kx_grid, row):
+                full = hermitian_eigvals(polariton_harper_matrix(1.0, g, kx_a, 0.0, trunc, A,
+                                                                 self.V0, "matrix"))
+                assert np.max(np.abs(eigs - full)) <= 1e-12 * (full[-1] - full[0])
+
+    def test_matrix_that_breaks_c2_fails_its_point(self, monkeypatch):
+        # a symmetric perturbation that the blocks would silently drop
+        built = polariton_harper_matrix
+
+        def perturbed(*args):
+            mat = built(*args)
+            mat[0, 1] += 1e-6
+            mat[1, 0] += 1e-6
+            return mat
+
+        monkeypatch.setattr(qed_bloch, "polariton_harper_matrix", perturbed)
+        trunc = BasisTruncation(n_max=3)
+        kx_grid = [(kx, 0.0) for kx in midpoint_kx_grid(3)]
+        partners = qed_bloch.polariton_partners(1.0, 1.0, kx_grid, A, self.V0, "matrix")
+        grid = sweep(lambda g, k: polariton_harper_blocks(1.0, g, *k, trunc, A, self.V0,
+                                                          "matrix"),
+                     [1.0], kx_grid, [partners])
+        assert len(grid.failures) == 3
+        for k_idx, message in enumerate(grid.failures):
+            assert re.fullmatch(rf"axis\[0\]=1, k\[{k_idx}\]: matrix breaks C2: "
+                                r"max\|R - JRJ\| 1\.000e-06 exceeds 1e-10 of max\|R\|", message)
+        assert [eigs.size for eigs in grid.eigenvalues[0]] == [0, 0, 0]
+        with pytest.raises(NumericalError, match="breaks C2"):
+            c2_blocks(perturbed(1.0, 1.0, 0.0, 0.0, trunc, A, self.V0, "matrix"))
+
+    @pytest.mark.parametrize("g, kw_scaled, mode", [
+        (1.0, 0.6 * math.pi / A, "matrix"),  # complex: k_w breaks C2
+        (1.0, 0.6 * math.pi / A, "auto"),
+        (1.0, 0.0, "reduced"),
+        (1e-12, 0.0, "auto"),  # the reduced route below G_REDUCED_THRESHOLD
+    ])
+    def test_other_routes_return_one_matrix(self, g, kw_scaled, mode):
+        trunc = BasisTruncation(n_max=3)
+        got = polariton_harper_blocks(1.0, g, 0.41, kw_scaled, trunc, A, self.V0, mode)
+        want = polariton_harper_matrix(1.0, g, 0.41, kw_scaled, trunc, A, self.V0, mode)
+        assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("mode", ["matrix", "auto"])
+    def test_matrix_route_at_kw_zero_returns_the_kx_zero_blocks(self, mode):
+        trunc = BasisTruncation(n_max=3)
+        want = c2_blocks(polariton_harper_matrix(1.0, 1.0, 0.0, 0.0, trunc, A, self.V0,
+                                                 "matrix"))
+        for kx_a in (0.0, 0.41, -2.9):
+            got = polariton_harper_blocks(1.0, 1.0, kx_a, 0.0, trunc, A, self.V0, mode)
+            assert isinstance(got, tuple) and len(got) == 2
+            assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+
+
 class TestPolaritonWindows:
     def test_small_flux_window(self):
         end = window_end_for(5e-3, 0.14)
@@ -997,6 +1102,47 @@ class TestSweep:
         for k_idx in (0, 2):
             assert np.array_equal(grid.eigenvalues[0][k_idx],
                                   hermitian_eigvals(harper_matrix(0.5, [0.1, 0.2, 0.3][k_idx], 4)))
+
+    @staticmethod
+    def blocks_of(flux, kxa):
+        """Two Hermitian blocks whose spectra interleave: a Harper chain and
+        the same chain shifted by a quarter."""
+        chain = harper_matrix(flux, kxa, 4)
+        return chain, chain[:5, :5] + 0.25 * np.eye(5)
+
+    def test_each_block_is_one_solve_and_the_row_is_merged(self, call_log):
+        call_log.record(qed_bloch, "hermitian_eigvals", lambda m: list(m.shape))
+        grid = sweep(self.blocks_of, [0.5, 0.8], [0.1, 0.2])
+        assert sorted(call_log.entries()) == [[5, 5]] * 4 + [[9, 9]] * 4
+        assert not grid.failures
+        for flux, row in zip((0.5, 0.8), grid.eigenvalues):
+            for kxa, eigs in zip((0.1, 0.2), row):
+                want = np.concatenate([hermitian_eigvals(m) for m in self.blocks_of(flux, kxa)])
+                assert np.all(np.diff(eigs) >= 0.0)
+                assert np.array_equal(eigs, np.sort(want))
+
+    @pytest.mark.parametrize("bad, entry, message", [
+        (0, 1.0, "matrix is not Hermitian"),
+        (1, math.nan, "non-finite matrix entries"),
+    ])
+    def test_failed_block_fails_the_point_and_its_partners(self, bad, entry, message):
+        def assembler(flux, kxa):
+            blocks = list(self.blocks_of(flux, kxa))
+            if kxa == 0.1:
+                blocks[bad][0, 1] += entry
+            return tuple(blocks)
+
+        grid = sweep(assembler, [0.5], [0.1, -0.1, 0.2], [[0, 0, 2]])
+        assert [failure.split(" (")[0].split(": ")[:2] for failure in grid.failures] == [
+            ["axis[0]=0.5, k[0]", message],
+            ["axis[0]=0.5, k[1]", message],
+        ]
+        assert [eigs.size for eigs in grid.eigenvalues[0]] == [0, 0, 14]
+
+    def test_partners_share_the_merged_array(self):
+        grid = sweep(self.blocks_of, [0.5], [0.1, -0.1, 0.2], [[0, 0, 2]])
+        row = grid.eigenvalues[0]
+        assert row[1] is row[0] and row[2] is not row[0]
 
     def test_assembly_failure_fails_only_its_point(self):
         def assembler(flux, kxa):
