@@ -218,10 +218,14 @@ def _run_butterfly(cfg):
         symmetric = True  # the Harper chain at -k_x is the reversed chain at k_x
     else:
         _build(trunc.dimension, fourier_dims=1)
+        current = {}  # the flux whose terms were built last -> its terms
 
         def assembler(flux, kx_a):
-            w_c = landau.cyclotron_frequency(field_for_flux_ratio(lat, flux))
-            return qed_bloch.assemble_llb_matrix(pot, w_c, kx_a / lat.a1, trunc)
+            if flux not in current:
+                current.clear()  # first, so that a failed build leaves no terms
+                w_c = landau.cyclotron_frequency(field_for_flux_ratio(lat, flux))
+                current[flux] = qed_bloch.llb_terms(pot, w_c, trunc)
+            return current[flux].matrix(kx_a / lat.a1)
 
         unit = "energy[eV]"
         symmetric = qed_bloch.c2_symmetric(pot)

@@ -3,10 +3,10 @@
 The physics modules funnel their eigenproblems through
 :func:`hermitian_eigvals`, which solves one matrix with one LAPACK call
 routed by dtype, so determinism and Hermiticity policy live in one place.
-Two call eigvalsh or eigh directly: the Harper band oracles
-(qed_bloch.harper_exact_bands and harper_bloch_union), which check the
-Harper spectra the sweep solves through this function and so must not share
-it, and cavity_gas.many_mode_spectrum, which needs eigenvectors.
+Two call eigvalsh or eigh directly: qed_bloch.harper_exact_bands, which
+checks the Harper spectra the sweep solves through this function and so
+must not share it, and cavity_gas.many_mode_spectrum, which needs
+eigenvectors.
 """
 
 import math

@@ -55,12 +55,8 @@ class PolaritonParams:
     @property
     def inv_m_total(self):
         """1/M, overflow-safe in the omega_p -> 0 limit."""
-        return (
-            2.0
-            * self.omega_p**2
-            * self.omega_c**2
-            / (M_ELECTRON * (self.omega_p**2 + self.omega_c**2))
-        )
+        return (2.0 * self.omega_p**2 * self.omega_c**2
+                / (M_ELECTRON * (self.omega_p**2 + self.omega_c**2)))
 
     @property
     def mu(self):
@@ -88,11 +84,8 @@ def landau_polariton_energy(params, k_w, k_z, j, mass_ratio=1.0):
     if j < 0:
         raise DomainError("level index must be >= 0")
     mass = mass_ratio * M_ELECTRON
-    return (
-        HBAR**2 * k_z**2 / (2.0 * mass)
-        + 0.5 * HBAR**2 * k_w**2 * params.inv_m_total
-        + HBAR * params.big_omega * (j + 0.5)
-    )
+    return (HBAR**2 * k_z**2 / (2.0 * mass) + 0.5 * HBAR**2 * k_w**2 * params.inv_m_total
+            + HBAR * params.big_omega * (j + 0.5))
 
 
 def landau_polariton_branches(b_fields, setup):
@@ -179,35 +172,58 @@ def beta_matrix(dn, dm, lat, omega_c):
     return scale * (-lat.g_x(dn) - 1j * lat.g_oblique(dm, dn))
 
 
-def _half_index_kx(lat, k_x, trunc, dn):
-    """k_x + G^x_{(n+n')/2} per row index n (n' = n - dn); the half index
-    n - dn/2 is exact in binary64."""
-    n_vals = np.arange(-trunc.n_max, trunc.n_max + 1)
-    return k_x + lat.g_x((2 * n_vals - dn) / 2)
+@dataclass(frozen=True, eq=False)  # arrays compare elementwise: equality is identity
+class CouplingTerms:
+    """A Fourier-lattice x level matrix as a function of k_x: on the flat
+    positions `index` of a dim x dim matrix, `diagonal` plus
+    e^{-i freqs[t] k_x} band[t] for each term t.  On the real route each term
+    stands for its real part: band rows 2t and 2t + 1 take cos and sin of
+    freqs[t] k_x, and all is float64."""
+
+    dim: int
+    index: np.ndarray
+    diagonal: np.ndarray
+    freqs: np.ndarray
+    band: np.ndarray
+
+    def matrix(self, k_x):
+        """The dense matrix at k_x, its terms added one by one in order."""
+        coeffs = np.exp(-1j * (self.freqs * k_x))
+        if np.isrealobj(self.band):  # cos(f_t k_x), sin(f_t k_x) for rows 2t, 2t + 1
+            coeffs = coeffs.conj().view(np.float64)
+        values = self.diagonal.copy()
+        for coeff, row in zip(coeffs, self.band):
+            values += coeff * row
+        mat = np.zeros((self.dim, self.dim), dtype=self.band.dtype)
+        mat.reshape(-1)[self.index] = values
+        return mat
 
 
-def _fourier_lattice_matrix(diagonal, terms):
-    """Dense matrix on the Fourier-lattice x level basis, row-major in
-    (n, [m,] level); float64 when every term is real, complex128 otherwise.
-
-    `diagonal` has shape (n_count,)*d + (j_count,).  Each term
-    (shift, phases, block) adds phases[n] * block[i, j] at
-    ((n, ..., i), (n - shift[0], ..., j)) wherever the shifted Fourier
-    indices stay inside the window; the phases depend on n only.
-    """
-    terms = list(terms)
-    real = all(np.isrealobj(phases) and np.isrealobj(block) for _, phases, block in terms)
-    shape = diagonal.shape
-    n_count = shape[0]
-    mat = np.zeros((diagonal.size, diagonal.size), dtype=np.float64 if real else np.complex128)
-    np.fill_diagonal(mat, diagonal.ravel())
-    view = mat.reshape(shape + shape)
-    level = slice(None)
-    for shift, phases, block in terms:
-        rows = np.ix_(*(np.arange(max(s, 0), n_count + min(s, 0)) for s in shift))
+def _fourier_terms(diagonal, terms, real=False):
+    """CouplingTerms on the Fourier-lattice x level basis, row-major in
+    (n, [m,] level); `diagonal` has shape (n_count,)*d + (j_count,).  Each
+    term (shift, freq, phases, block) adds e^{-i freq k_x} phases[n]
+    block[i, j], or with real=True its real part, at ((n, ..., i),
+    (n - shift[0], ..., j)) wherever the shifted Fourier indices stay inside
+    the window.  The terms of one shift share its band columns."""
+    shape, dim, level = diagonal.shape, diagonal.size, slice(None)
+    flat = np.arange(dim).reshape(shape)
+    zero, spans, stop = (0,) * (diagonal.ndim - 1), {}, 0  # shift -> (columns, rows, positions)
+    for shift in dict.fromkeys([zero] + [term[0] for term in terms]):
+        rows = np.ix_(*(np.arange(max(s, 0), shape[0] + min(s, 0)) for s in shift))
         cols = tuple(r - s for r, s in zip(rows, shift))
-        view[(*rows, level, *cols, level)] += phases[rows[0]][..., None, None] * block
-    return mat
+        pos = flat[(*rows, level)][..., :, None] * dim + flat[(*cols, level)][..., None, :]
+        spans[shift] = (slice(stop, stop + pos.size), rows[0], pos)
+        stop += pos.size
+    band = np.zeros((1 + len(terms) * (1 + real), stop), np.float64 if real else np.complex128)
+    blocks = band[0, spans[zero][0]].reshape(-1, shape[-1] ** 2)  # one level block a row
+    blocks[:, :: shape[-1] + 1] = diagonal.reshape(blocks.shape[0], -1)
+    for out, (shift, _, phases, block) in zip(band[1:].reshape(len(terms), 1 + real, stop), terms):
+        columns, rows, pos = spans[shift]
+        value = np.broadcast_to(phases[rows][..., None, None] * block, pos.shape).ravel()
+        out[:, columns] = (value.real, value.imag) if real else (value,)
+    index = np.concatenate([pos.ravel() for _, _, pos in spans.values()])
+    return CouplingTerms(dim, index, band[0], np.array([t[1] for t in terms]), band[1:])
 
 
 #: largest distance of 2 a2 cos(theta) / a1 from an integer that still counts
@@ -234,37 +250,31 @@ def _x_mirror(pot):
     return None
 
 
-def _coupling_terms(pot, k_x, trunc, phase_scale, amplitude, reduce_m):
-    """(shift, phases, block) of each Fourier coefficient V_{dn,dm} of `pot`.
-
-    phases[n] = exp(-i phase_scale G_{dm,dn} (k_x + G^x_{(n+n')/2})) and
-    block = V_{dn,dm} <phi_i|D(amplitude(dn, dm))|phi_j>; the shift is (dn,)
-    with reduce_m (m summed out) and (dn, dm) otherwise.
+def _potential_terms(pot, trunc, diagonal, phase_scale, amplitude, reduce_m):
+    """CouplingTerms of `diagonal` and one term per Fourier coefficient
+    V_{dn,dm} of `pot` at the shift (dn,) with reduce_m (m summed out), else
+    (dn, dm): frequency f = phase_scale G_{dm,dn}, phases
+    exp(-i f G^x_{(n+n')/2}) (the half index n - dn/2 is exact in binary64),
+    block V_{dn,dm} <phi_i|D(amplitude(dn, dm))|phi_j>.
 
     With reduce_m and an x -> -x mirror (_x_mirror), the partner
-    (dn, c dn - dm) has -G, so its phases, its amplitude (alpha and beta are
-    real multiples of -G^x_dn and -i G) and its V are the complex conjugates
-    of the first member's, and both add at the shift (dn,).  The pair is
-    yielded from one member as the two real terms 2 Re(phases) Re(block) and
-    -2 Im(phases) Im(block).  A coefficient that is its own partner
-    (2 dm = c dn) adds the mean of its term and the conjugate: weight 1 in
-    place of 2.  The matrix is then real by construction.
-    """
+    (dn, c dn - dm) has -G, and its phases, amplitude and V are the complex
+    conjugates of the first member's: the pair is one real-route term of
+    twice the first member's block (weight 1 for its own partner,
+    2 dm = c dn), so the matrix is real by construction."""
     lat = pot.lattice
-    j_count = trunc.j_max + 1
     c = _x_mirror(pot) if reduce_m else None
+    n_vals = np.arange(-trunc.n_max, trunc.n_max + 1)
+    terms = []
     for (dn, dm), v in pot.coefficients.items():
         if c is not None and c * dn - dm < dm:
-            continue  # yielded with its partner
-        theta = phase_scale * lat.g_oblique(dm, dn) * _half_index_kx(lat, k_x, trunc, dn)
-        phases = np.exp(-1j * theta)
-        block = v * displacement_matrix(j_count, amplitude(dn, dm))
-        if c is None:
-            yield ((dn,) if reduce_m else (dn, dm)), phases, block
-        else:
-            weight = 1.0 if c * dn - dm == dm else 2.0
-            yield (dn,), weight * phases.real, block.real
-            yield (dn,), -weight * phases.imag, block.imag
+            continue  # added with its partner
+        weight = 2.0 if c is not None and c * dn - dm != dm else 1.0
+        freq = phase_scale * lat.g_oblique(dm, dn)
+        phases = np.exp(-1j * (freq * lat.g_x((2 * n_vals - dn) / 2)))
+        block = weight * v * displacement_matrix(trunc.j_max + 1, amplitude(dn, dm))
+        terms.append(((dn,) if reduce_m else (dn, dm), freq, phases, block))
+    return _fourier_terms(diagonal, terms, real=c is not None)
 
 
 def assemble_central_matrix(pot, params, k_x, k_w, trunc, reduce_m=False):
@@ -277,7 +287,7 @@ def assemble_central_matrix(pot, params, k_x, k_w, trunc, reduce_m=False):
     of the w-Fourier lattice (basis (n, j), couplings summed over dm) -- the
     sector that survives the no-quantized-field limit, where the m index
     becomes redundant.  That reduced matrix is real (float64) when the
-    potential has an x -> -x mirror (_coupling_terms); otherwise, and always
+    potential has an x -> -x mirror (_potential_terms); otherwise, and always
     without reduce_m, it is complex.
     """
     lat = pot.lattice
@@ -285,19 +295,20 @@ def assemble_central_matrix(pot, params, k_x, k_w, trunc, reduce_m=False):
     ladder = HBAR * params.big_omega * (np.arange(trunc.j_max + 1) + 0.5)
     # G^v A^{k_x}_s = (m_p/M) hbar G_{dm,dn} (k_x + G^x_s) / (2 omega_c m_e)
     scale = params.mp_over_m * HBAR / (2.0 * params.omega_c * M_ELECTRON)
-    terms = _coupling_terms(pot, k_x, trunc, scale,
-                            lambda dn, dm: alpha_matrix(dn, dm, lat, params), reduce_m)
-    if reduce_m:
-        return _fourier_lattice_matrix(np.broadcast_to(ladder, (trunc.n_count, ladder.size)), terms)
+    diagonal = np.broadcast_to(ladder, (trunc.n_count, ladder.size))
+    if not reduce_m:  # k_w enters the diagonal only
+        n_vals = np.arange(-trunc.n_max, trunc.n_max + 1)
+        g_w = lat.g_oblique(n_vals[None, :], n_vals[:, None]) / (math.sqrt(2.0) * params.omega_c)
+        kinetic = 0.5 * HBAR**2 * (k_w + g_w) ** 2 * params.inv_m_total
+        diagonal = kinetic[:, :, None] + ladder
+    return _potential_terms(pot, trunc, diagonal, scale,
+                            lambda dn, dm: alpha_matrix(dn, dm, lat, params),
+                            reduce_m).matrix(k_x)
 
-    n_vals = np.arange(-trunc.n_max, trunc.n_max + 1)
-    g_w = lat.g_oblique(n_vals[None, :], n_vals[:, None]) / (math.sqrt(2.0) * params.omega_c)
-    kinetic = 0.5 * HBAR**2 * (k_w + g_w) ** 2 * params.inv_m_total
-    return _fourier_lattice_matrix(kinetic[:, :, None] + ladder, terms)
 
-
-def assemble_llb_matrix(pot, omega_c, k_x, trunc):
-    """No-quantized-field central equation: Landau levels x Bloch waves.
+def llb_terms(pot, omega_c, trunc):
+    """CouplingTerms of the no-quantized-field central equation at one flux:
+    Landau levels x Bloch waves, for every k_x.
 
     The omega_p -> 0 limit of the reduced central equation.  Basis (n, i):
     diagonal hbar omega_c (i + 1/2); couplings
@@ -311,9 +322,14 @@ def assemble_llb_matrix(pot, omega_c, k_x, trunc):
     lat = pot.lattice
     trunc.dimension(fourier_dims=1)
     ladder = HBAR * omega_c * (np.arange(trunc.j_max + 1) + 0.5)
-    terms = _coupling_terms(pot, k_x, trunc, HBAR / (M_ELECTRON * omega_c),
+    return _potential_terms(pot, trunc, np.broadcast_to(ladder, (trunc.n_count, ladder.size)),
+                            HBAR / (M_ELECTRON * omega_c),
                             lambda dn, dm: beta_matrix(dn, dm, lat, omega_c), reduce_m=True)
-    return _fourier_lattice_matrix(np.broadcast_to(ladder, (trunc.n_count, ladder.size)), terms)
+
+
+def assemble_llb_matrix(pot, omega_c, k_x, trunc):
+    """The Landau-level x Bloch matrix of llb_terms at k_x."""
+    return llb_terms(pot, omega_c, trunc).matrix(k_x)
 
 
 def harper_hopping(flux, v_amplitude):
@@ -393,23 +409,6 @@ def harper_exact_bands(p, q):
     return edges.reshape(q, 2)
 
 
-def harper_bloch_union(p, q, samples=200000):
-    """Low-discrepancy sampling of the exact Harper spectrum at p/q.
-
-    Batched diagonalization over a golden-ratio lattice in (kappa, theta);
-    deterministic, and dense enough that intra-band spacings sit well below
-    band-counting thresholds while measure-zero band touchings stay resolved.
-    """
-    golden = (math.sqrt(5.0) - 1.0) / 2.0
-    idx = np.arange(samples)
-    kappa = (idx + 0.5) / samples * (2.0 * math.pi)
-    theta = np.mod((idx + 0.5) * golden, 1.0) * (2.0 * math.pi)
-    out = [np.linalg.eigvalsh(harper_bloch_matrix(p, q, kappa[start : start + 20000],
-                                                  theta[start : start + 20000])).ravel()
-           for start in range(0, samples, 20000)]
-    return np.sort(np.concatenate(out))
-
-
 def polariton_hoppings(flux, g):
     """Scaled hoppings (t1/S, t2/S) of the polaritonic Harper equation.
 
@@ -449,12 +448,8 @@ def polariton_scaled_kinetic(flux, g, kw_scaled, m, a1, v0):
     if g == 0.0:
         return 0.0
     one_plus = 1.0 + g * g
-    kin = (
-        HBAR**2
-        * (kw_scaled + 2.0 * math.pi * m / a1) ** 2
-        / (2.0 * M_ELECTRON)
-        * (g * g / one_plus)
-    )
+    kin = (HBAR**2 * (kw_scaled + 2.0 * math.pi * m / a1) ** 2 / (2.0 * M_ELECTRON)
+           * (g * g / one_plus))
     if kin == 0.0:
         return 0.0
     log_scaled = math.log(kin / v0) - _log_s_over_v0(flux, g)
@@ -544,9 +539,9 @@ def polariton_harper_matrix(flux, g, kx_a, kw_scaled, trunc, a1, v0, mode="auto"
     hop_n = np.full(n_count, tau1)
     hop_m = tau2 * np.exp(1j * phase_arg)
     one = np.ones((1, 1))
-    terms = [((1, 0), hop_n, one), ((-1, 0), hop_n, one),
-             ((0, -1), hop_m, one), ((0, 1), hop_m.conj(), one)]
-    mat = _fourier_lattice_matrix(diagonal, terms)
+    terms = [((1, 0), 0.0, hop_n, one), ((-1, 0), 0.0, hop_n, one),
+             ((0, -1), 0.0, hop_m, one), ((0, 1), 0.0, hop_m.conj(), one)]
+    mat = _fourier_terms(diagonal, terms).matrix(0.0)
     if kw_scaled != 0.0:
         return mat
     # Im(H) P: the m columns of Im H reversed inside each n block

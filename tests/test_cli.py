@@ -636,6 +636,27 @@ class TestCliProcess:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "False"
 
+    def test_cli_runs_load_no_scipy(self, tmp_path):
+        # a lazy import inside a builder or solver escapes the import check
+        # above: importing scipy.linalg costs about as much as a whole
+        # benchmark-size polariton-butterfly run
+        runs = [("butterfly", BUTTERFLY_CONFIG.format(path="{path}", points=2)),
+                ("butterfly", TestC2Sweeps.raw_joules("hexagonal", "a2_angstrom = 2.0")),
+                ("polariton-butterfly", POLARITON_MATRIX_CONFIG)]
+        argv = []
+        for idx, (command, text) in enumerate(runs):
+            cfg = tmp_path / f"run{idx}.ini"
+            cfg.write_text(text.format(path=tmp_path / f"out{idx}.csv"))
+            argv.append(f"{command}|--config|{cfg}")
+        code = ("import json, sys, cavity_bloch.cli as cli\n"
+                "codes = [cli.main(args.split('|')) for args in sys.argv[1:]]\n"
+                "print(json.dumps([codes, sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy')]))")
+        result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                                text=True, env=env_with_src(os.environ), timeout=600)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout.splitlines()[-1]) == [[0, 0, 0], []]
+
     def test_cli_import_pins_one_blas_thread_unless_set(self):
         def child(code, **blas):
             result = python_with_blas(["-c", code], **blas)
@@ -972,10 +993,10 @@ class TestC2Sweeps:
     """Sweeps with C2 symmetry build and solve one point of each +-k_x pair;
     the other point's rows repeat its partner's values."""
 
-    def run_counting(self, tmp_path, call_log, command, text, builder):
-        """Exit code, the calls of qed_bloch.`builder` in every sweep process,
+    def run_counting(self, tmp_path, call_log, command, text, builder, owner=qed_bloch):
+        """Exit code, the calls of owner.`builder` in every sweep process,
         and the CSV values per (axis value, k index)."""
-        call_log.record(qed_bloch, builder)
+        call_log.record(owner, builder)
         cfg = tmp_path / "run.ini"
         cfg.write_text(text.format(path=tmp_path / "out.csv"))
         code = cli.main([command, "--config", str(cfg)])
@@ -993,13 +1014,18 @@ class TestC2Sweeps:
                 .replace("\npoints = 2", "\npoints = 2\nscaling = raw-joules")
                 .replace("kx_points = 2", "kx_points = 4"))
 
-    @pytest.mark.parametrize("text, builder", [
-        (BUTTERFLY_CONFIG.format(path="{path}", points=2), "harper_matrix"),
-        (raw_joules("square", "a2_angstrom = 2.0"), "assemble_llb_matrix"),
-        (raw_joules("oblique", "a2_angstrom = 3.0\ntheta_deg = 70"), "assemble_llb_matrix"),
+    @pytest.mark.parametrize("text, owner, builder", [
+        (BUTTERFLY_CONFIG.format(path="{path}", points=2), qed_bloch, "harper_matrix"),
+        (raw_joules("square", "a2_angstrom = 2.0"), qed_bloch.CouplingTerms, "matrix"),
+        (raw_joules("oblique", "a2_angstrom = 3.0\ntheta_deg = 70"), qed_bloch.CouplingTerms,
+         "matrix"),
     ], ids=["harper-scaled", "raw-joules-square", "raw-joules-oblique"])
-    def test_butterfly_solves_one_point_per_pair(self, tmp_path, call_log, text, builder):
-        code, calls, values = self.run_counting(tmp_path, call_log, "butterfly", text, builder)
+    def test_butterfly_solves_one_point_per_pair(self, tmp_path, call_log, text, owner,
+                                                 builder):
+        # raw-joules points are counted where each is evaluated from its
+        # flux's terms
+        code, calls, values = self.run_counting(tmp_path, call_log, "butterfly", text, builder,
+                                                owner)
         assert code == cli.EXIT_OK
         assert len(calls) == 2 * 2  # 2 flux values x 2 of the 4 k points
         assert len(values) == 2 * 4
@@ -1040,7 +1066,7 @@ class TestC2Sweeps:
         monkeypatch.setattr(cli, "bravais_cosine_potential", shifted)
         code, calls, values = self.run_counting(
             tmp_path, call_log, "butterfly", self.raw_joules("square", "a2_angstrom = 2.0"),
-            "assemble_llb_matrix")
+            "matrix", qed_bloch.CouplingTerms)
         assert code == cli.EXIT_OK
         assert len(calls) == 2 * 4
         for axis in {axis for axis, _ in values}:
@@ -1134,6 +1160,98 @@ class TestC2Sweeps:
             # k index 2 kx + kw: every kx of one kw holds the same rows
             assert {tuple(rows) for (a, k), rows in values.items()
                     if a == axis and k % 2 == kw_idx} == {tuple(values[(axis, kw_idx)])}
+
+
+class TestLlbTermsPerFlux:
+    """The raw-joules butterfly builds each flux's coupling terms once
+    (qed_bloch.llb_terms) and evaluates them at each solved k point; a flux
+    whose terms or matrices fail fails each of its own points, and never
+    lends its terms to another flux or borrows another's."""
+
+    #: square raw-joules butterfly over 4 k points, flux window and j_max set here
+    TEXT = (TestC2Sweeps.raw_joules("square", "a2_angstrom = 2.0")
+            .replace("n_max = 2", "n_max = 2\nj_max = 3"))
+
+    def config(self, flux_min, flux_max, points):
+        return parse_config(self.TEXT.format(path="x")
+                            .replace("flux_min = 0.5", f"flux_min = {flux_min!r}")
+                            .replace("flux_max = 1.0", f"flux_max = {flux_max!r}")
+                            .replace("points = 2", f"points = {points}"))
+
+    @staticmethod
+    def direct_rows(cfg, flux):
+        """Each k point's eigenvalues in eV at `flux`, from assemble_llb_matrix
+        at the k point's C2 partner."""
+        p = cfg.parameters
+        lat = cli._lattice_from(p)
+        pot = bravais_cosine_potential(p["kind"], p["v0_ev"], lat)
+        trunc = qed_bloch.BasisTruncation(n_max=p["n_max"], j_max=p["j_max"])
+        w_c = cyclotron_frequency(field_for_flux_ratio(lat, flux))
+        kx_grid = qed_bloch.midpoint_kx_grid(p["kx_points"])
+        return [numerics.hermitian_eigvals(qed_bloch.assemble_llb_matrix(
+                    pot, w_c, kx_grid[partner] / lat.a1, trunc)) / EV
+                for partner in qed_bloch.c2_partners(kx_grid)]
+
+    def test_terms_built_once_per_flux(self, monkeypatch, call_log):
+        # one sweep process, so the log is in call order: per flux one build,
+        # then one evaluation and one solve for each of the 2 solved k points
+        monkeypatch.setattr(qed_bloch, "_available_cpus", lambda: 1)
+        call_log.record(qed_bloch, "llb_terms", lambda pot, w_c, trunc: ["build", w_c])
+        call_log.record(qed_bloch.CouplingTerms, "matrix", lambda terms, k_x: ["matrix", k_x])
+        call_log.record(qed_bloch, "hermitian_eigvals", lambda mat: ["solve"])
+        cfg = self.config(0.5, 1.0, 3)
+        grid = cli.run(cfg).payload
+        lat = cli._lattice_from(cfg.parameters)
+        kx_grid = qed_bloch.midpoint_kx_grid(4)
+        expected = []
+        for flux in grid.axis_values:
+            expected.append(["build", cyclotron_frequency(field_for_flux_ratio(lat, flux))])
+            for kx in kx_grid[:2]:
+                expected += [["matrix", kx / lat.a1], ["solve"]]
+        assert call_log.entries() == expected
+        assert grid.failures == []
+
+    def test_non_finite_flux_fails_its_own_points(self, monkeypatch, call_log):
+        # at flux 1e-150 the Laguerre table overflows into NaN band entries:
+        # its 4 points fail in k order, and the next fluxes build their own
+        monkeypatch.setattr(qed_bloch, "_available_cpus", lambda: 1)
+        call_log.record(qed_bloch, "llb_terms", lambda pot, w_c, trunc: [w_c])
+        cfg = self.config(1e-150, 1.0, 3)
+        grid = cli.run(cfg).payload
+        assert len(call_log.entries()) == 3
+        assert [f.split(": ", 1)[0] for f in grid.failures] == [
+            f"axis[0]=1e-150, k[{k_idx}]" for k_idx in range(4)]
+        assert all(": non-finite matrix entries (fingerprint" in f for f in grid.failures)
+        assert all(eigs.size == 0 for eigs in grid.eigenvalues[0])
+        for flux, row in zip(grid.axis_values[1:], grid.eigenvalues[1:], strict=True):
+            for eigs, want in zip(row, self.direct_rows(cfg, flux), strict=True):
+                assert np.array_equal(eigs, want)
+
+    def test_failed_build_fails_every_point_of_its_flux(self, monkeypatch):
+        # the middle flux's build raises: each of its solved points retries
+        # it and fails, its partners share the failures, and neither of its
+        # neighbours' terms stands in for it
+        cfg = self.config(0.5, 1.0, 3)
+        lat = cli._lattice_from(cfg.parameters)
+        failing = cyclotron_frequency(field_for_flux_ratio(lat, 0.75))
+        build, attempts = qed_bloch.llb_terms, []
+
+        def failing_build(pot, w_c, trunc):
+            if w_c == failing:
+                attempts.append(w_c)
+                raise NumericalError("synthetic build failure")
+            return build(pot, w_c, trunc)
+
+        monkeypatch.setattr(qed_bloch, "_available_cpus", lambda: 1)
+        monkeypatch.setattr(qed_bloch, "llb_terms", failing_build)
+        grid = cli.run(cfg).payload
+        assert len(attempts) == 2  # once per solved k point
+        assert grid.failures == [f"axis[1]=0.75, k[{k_idx}]: synthetic build failure"
+                                 for k_idx in range(4)]
+        for a_idx in (0, 2):
+            want = self.direct_rows(cfg, grid.axis_values[a_idx])
+            for eigs, expected in zip(grid.eigenvalues[a_idx], want, strict=True):
+                assert np.array_equal(eigs, expected)
 
 
 class TestScatterFormat:

@@ -42,7 +42,6 @@ from cavity_bloch.qed_bloch import (
     harper_exact_bands,
     harper_hopping,
     harper_bloch_matrix,
-    harper_bloch_union,
     harper_matrix,
     landau_polariton_branches,
     landau_polariton_energy,
@@ -56,7 +55,7 @@ from cavity_bloch.qed_bloch import (
     sweep,
 )
 
-from oracles import displacement_matrix_element
+from oracles import displacement_matrix_element, harper_bloch_union
 
 A = 2e-10
 SQUARE = Lattice2D(A, A, math.pi / 2)
@@ -417,10 +416,9 @@ class TestFourierLatticeOracle:
     def gx_half(lat, n, n_pr):
         return 2.0 * math.pi * ((n + n_pr) / 2.0) / lat.a1
 
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_llb_entries(self, kind):
-        lat, pot, w_c, trunc = self.setup_for(kind)
-        k_x = 0.37 / lat.a1
+    def llb_reference(self, kind, k_x):
+        """The LLB matrix of `kind` at k_x, entry by entry."""
+        lat, pot, w_c, _ = self.setup_for(kind)
         length = math.sqrt(HBAR / (2.0 * M_ELECTRON * w_c))
 
         def entry(row, col, i, j):
@@ -436,18 +434,12 @@ class TestFourierLatticeOracle:
                     value += v * phase * displacement_matrix_element(i, j, beta)
             return value
 
-        ref = loop_matrix(self.N_MAX, 1, self.J_MAX + 1, entry)
-        mat = assemble_llb_matrix(pot, w_c, k_x, trunc)
-        assert mat.dtype == self.expected_dtype(kind)
-        assert_entrywise_close(mat, ref)
+        return loop_matrix(self.N_MAX, 1, self.J_MAX + 1, entry)
 
-    @pytest.mark.parametrize("reduce_m", [True, False])
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_central_entries(self, kind, reduce_m):
-        lat, pot, w_c, trunc = self.setup_for(kind)
+    def central_reference(self, kind, reduce_m, k_x, k_w):
+        """The central-equation matrix of `kind` at (k_x, k_w), entry by entry."""
+        lat, pot, w_c, _ = self.setup_for(kind)
         params = PolaritonParams(0.6 * w_c, w_c)
-        k_x = -1.2 / lat.a1
-        k_w = 0.3 * lat.g_y(1) / (math.sqrt(2.0) * w_c)
         mu_omega = params.mu * params.big_omega
         mp_over_m = params.m_p / params.m_total
 
@@ -475,10 +467,40 @@ class TestFourierLatticeOracle:
                     value += coupling(n, n_pr, dn, dm, v, i, j)
             return value
 
-        ref = loop_matrix(self.N_MAX, 1 if reduce_m else 2, self.J_MAX + 1, entry)
-        mat = assemble_central_matrix(pot, params, k_x, k_w, trunc, reduce_m=reduce_m)
-        assert mat.dtype == self.expected_dtype(kind, reduce_m)
-        assert_entrywise_close(mat, ref)
+        return loop_matrix(self.N_MAX, 1 if reduce_m else 2, self.J_MAX + 1, entry)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_llb_entries(self, kind):
+        lat, pot, w_c, trunc = self.setup_for(kind)
+        k_x = 0.37 / lat.a1
+        mat = assemble_llb_matrix(pot, w_c, k_x, trunc)
+        assert mat.dtype == self.expected_dtype(kind)
+        assert_entrywise_close(mat, self.llb_reference(kind, k_x))
+
+    #: k_x a1 values at which one flux's coupling terms are checked
+    TERMS_KXA = (0.0, 0.37, -0.37, 2.9)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_llb_terms_give_every_kx(self, kind):
+        # the terms of one flux, built once, hold every k_x's matrix
+        lat, pot, w_c, trunc = self.setup_for(kind)
+        terms = qed_bloch.llb_terms(pot, w_c, trunc)
+        for kx_a in self.TERMS_KXA:
+            mat = terms.matrix(kx_a / lat.a1)
+            assert mat.dtype == self.expected_dtype(kind)
+            assert_entrywise_close(mat, self.llb_reference(kind, kx_a / lat.a1))
+
+    @pytest.mark.parametrize("reduce_m", [True, False])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_central_entries(self, kind, reduce_m):
+        lat, pot, w_c, trunc = self.setup_for(kind)
+        params = PolaritonParams(0.6 * w_c, w_c)
+        k_w = 0.3 * lat.g_y(1) / (math.sqrt(2.0) * w_c)
+        for kx_a in (-1.2,) + self.TERMS_KXA:
+            k_x = kx_a / lat.a1
+            mat = assemble_central_matrix(pot, params, k_x, k_w, trunc, reduce_m=reduce_m)
+            assert mat.dtype == self.expected_dtype(kind, reduce_m)
+            assert_entrywise_close(mat, self.central_reference(kind, reduce_m, k_x, k_w))
 
     @pytest.mark.parametrize("kind, c", [("square", 0), ("rectangular", 0), ("hexagonal", 1),
                                          ("square-shifted-b2", 0)])
@@ -778,9 +800,9 @@ def window_end_for(flux, g_max, n_points=40, kx_points=32):
     return coupling_window_end(g_values, counts)
 
 
-def record_calls(monkeypatch, name):
-    """(args, result) of every call to qed_bloch.`name` from now on."""
-    original = getattr(qed_bloch, name)
+def record_calls(monkeypatch, name, owner=qed_bloch):
+    """(args, result) of every call to owner.`name` from now on."""
+    original = getattr(owner, name)
     seen = []
 
     def wrapper(*args):
@@ -788,7 +810,7 @@ def record_calls(monkeypatch, name):
         seen.append((args, out))
         return out
 
-    monkeypatch.setattr(qed_bloch, name, wrapper)
+    monkeypatch.setattr(owner, name, wrapper)
     return seen
 
 
@@ -809,7 +831,7 @@ class TestPolaritonRealRoute:
         return np.arange(n_count**2).reshape(n_count, n_count)[:, ::-1].ravel()
 
     def test_complex_matrix_obeys_parity_exactly(self, monkeypatch):
-        built = record_calls(monkeypatch, "_fourier_lattice_matrix")
+        built = record_calls(monkeypatch, "matrix", qed_bloch.CouplingTerms)
         perm = self.parity()
         for flux, g, kx_a in ((0.97, 0.5, 0.3), (1.3, 1.0, -2.1), (0.7, 2.0, 1.1)):
             self.build(flux, g, kx_a)
@@ -818,7 +840,7 @@ class TestPolaritonRealRoute:
             assert np.array_equal(h.conj(), h[perm][:, perm])
 
     def test_kinetic_diagonal_mirrors_per_m_evaluation(self, monkeypatch):
-        built = record_calls(monkeypatch, "_fourier_lattice_matrix")
+        built = record_calls(monkeypatch, "matrix", qed_bloch.CouplingTerms)
         flux, g = 1.3, 0.8
         self.build(flux, g, 0.41)
         per_m = [min(polariton_scaled_kinetic(flux, g, 0.0, m, A, self.V0), DIAG_SAFE_CAP)
@@ -827,7 +849,7 @@ class TestPolaritonRealRoute:
         assert np.array_equal(diag, np.broadcast_to(per_m, diag.shape))
 
     def test_solver_receives_real_matrix_with_the_complex_spectrum(self, monkeypatch):
-        built = record_calls(monkeypatch, "_fourier_lattice_matrix")
+        built = record_calls(monkeypatch, "matrix", qed_bloch.CouplingTerms)
         for flux, g, kx_a in ((0.97, 0.3, 0.0), (0.97, 1.0, 2.5), (1.3, 0.8, 0.41),
                               (0.6, 1.7, -1.3)):
             mat = self.build(flux, g, kx_a)
