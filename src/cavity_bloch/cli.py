@@ -211,27 +211,25 @@ def _run_butterfly(cfg):
 
     if scaling == "harper-scaled":
 
-        def assembler(flux, kx_a):
-            return qed_bloch.harper_matrix(flux, kx_a, trunc.n_max)
+        def build(flux):
+            return lambda kx_a: qed_bloch.harper_matrix(flux, kx_a, trunc.n_max)
 
         unit = "scaled[1]"
         symmetric = True  # the Harper chain at -k_x is the reversed chain at k_x
     else:
         _build(trunc.dimension, fourier_dims=1)
-        current = {}  # the flux whose terms were built last -> its terms
 
-        def assembler(flux, kx_a):
-            if flux not in current:
-                current.clear()  # first, so that a failed build leaves no terms
-                w_c = landau.cyclotron_frequency(field_for_flux_ratio(lat, flux))
-                current[flux] = qed_bloch.llb_terms(pot, w_c, trunc)
-            return current[flux].matrix(kx_a / lat.a1)
+        def build(flux):
+            w_c = landau.cyclotron_frequency(field_for_flux_ratio(lat, flux))
+            terms = qed_bloch.llb_terms(pot, w_c, trunc)
+            return lambda kx_a: terms.matrix(kx_a / lat.a1)
 
         unit = "energy[eV]"
         symmetric = qed_bloch.c2_symmetric(pot)
 
-    partners = [qed_bloch.c2_partners(kx_grid)] * flux_values.size if symmetric else None
-    grid = qed_bloch.sweep(assembler, flux_values, kx_grid, partners)
+    # C2 maps k_x to -k_x, and the k_x grid is symmetric about 0
+    key = (lambda _flux, kx_a: abs(kx_a)) if symmetric else None
+    grid = qed_bloch.sweep(build, flux_values, kx_grid, key)
     if scaling != "harper-scaled":
         grid.eigenvalues = list(grid.converted(lambda eigs: eigs / EV))
     grid.columns = ["flux_ratio[1]", "k_index[1]", "eig_index[1]", unit]
@@ -255,16 +253,16 @@ def _run_polariton_butterfly(cfg):
         g_values = g_values.copy()
         g_values[0] = 1e-12  # continuous Harper limit, transform singular at exactly 0
 
-    def assembler(g, k):
-        kx_a, kw_scaled = k
-        return qed_bloch.polariton_harper_blocks(p["flux_ratio"], g, kx_a, kw_scaled, trunc,
-                                                 a1=lat.a1, v0=p["v0_ev"], mode=p["mode"])
+    def build(g):
+        return lambda k: qed_bloch.polariton_harper_blocks(
+            p["flux_ratio"], g, *k, trunc, a1=lat.a1, v0=p["v0_ev"], mode=p["mode"])
 
-    # one solve per k_w on the matrix route (two half-size ones at k_w = 0),
-    # one per +-k_x pair on the reduced
-    partners = [qed_bloch.polariton_partners(p["flux_ratio"], g, k_grid, lat.a1, p["v0_ev"],
-                                             p["mode"]) for g in g_values]
-    grid = qed_bloch.sweep(assembler, g_values, k_grid, partners)
+    def key(g, k):
+        # one solve per k_w on the matrix route (two half-size ones at k_w = 0),
+        # one per +-k_x pair on the reduced
+        return qed_bloch.polariton_key(p["flux_ratio"], g, k, lat.a1, p["v0_ev"], p["mode"])
+
+    grid = qed_bloch.sweep(build, g_values, k_grid, key)
     grid.columns = ["coupling_g[1]", "k_index[1]", "eig_index[1]", "scaled[1]"]
     return grid
 
@@ -329,7 +327,7 @@ def main(argv=None):
     parser.add_argument("--threads", type=int, default=None,
                         help="accepted and checked (>= 1) but selects nothing: a sweep "
                              "runs CPUs // BLAS threads processes, and output never "
-                             "depends on it (default: CAVITY_BLOCH_THREADS or 1)")
+                             "depends on it (default: 1)")
     parser.add_argument("--seed", type=int, default=None,
                         help="seed recorded for sampled property runs")
     args = parser.parse_args(argv)
@@ -361,17 +359,10 @@ def main(argv=None):
 
     overrides = {}
     violations = []
-    threads, source = args.threads, "--threads"
-    if threads is None and os.environ.get("CAVITY_BLOCH_THREADS"):
-        source = "CAVITY_BLOCH_THREADS"
-        try:
-            threads = int(os.environ[source])
-        except ValueError:
-            violations.append(f"{source} must be an integer")
-    if threads is not None:
-        overrides["threads"] = threads
-        if threads < 1:
-            violations.append(f"{source} must be >= 1")
+    if args.threads is not None:
+        overrides["threads"] = args.threads
+        if args.threads < 1:
+            violations.append("--threads must be >= 1")
     if args.format is not None:
         overrides["output_format"] = args.format
         violations += format_violations(cfg.command, args.format)

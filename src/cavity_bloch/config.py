@@ -45,8 +45,8 @@ class RunConfig:
     output_format: str
     source_text: str
     seed: int = 0
-    # selects nothing; kept because --threads and CAVITY_BLOCH_THREADS parse
-    # into it and perfbench/child.py sets it with dataclasses.replace
+    # selects nothing; kept because --threads parses into it and
+    # perfbench/child.py sets it with dataclasses.replace
     threads: int = 1
 
 

@@ -45,13 +45,13 @@ class SpectrumPayload:
     point failed; `failures` holds one message per failed point and is
     reported by the CLI, never written.  `partners` holds one partner map
     per axis value: a point whose `partners[axis][k]` is another point holds
-    that point's array object.  None makes every point its own partner.
+    that point's array object.
     """
 
     axis_values: np.ndarray
     eigenvalues: list
+    partners: list
     k_labels: list = None
-    partners: list = None
     failures: list = field(default_factory=list)
     columns: list = None
     kind: str = "spectrum"
@@ -65,9 +65,8 @@ class SpectrumPayload:
         """convert(eigenvalues) of every point, one list per axis value: a
         point that is its own partner is converted once, and every other
         point holds its partner's result (the same object)."""
-        for a_idx, per_axis in enumerate(self.eigenvalues):
+        for per_axis, partners in zip(self.eigenvalues, self.partners):
             results = []
-            partners = range(len(per_axis)) if self.partners is None else self.partners[a_idx]
             for k_idx, partner in enumerate(partners):
                 results.append(convert(per_axis[k_idx]) if partner == k_idx else results[partner])
             yield results

@@ -317,8 +317,8 @@ def llb_terms(pot, omega_c, trunc):
     Real (float64) when the potential has an x -> -x mirror (square,
     rectangular and hexagonal cosine potentials), complex otherwise.
     """
-    if omega_c <= 0.0:
-        raise DomainError("cyclotron frequency must be positive")
+    if not 0.0 < omega_c < math.inf:
+        raise DomainError(f"cyclotron frequency must be positive and finite, not {omega_c:g}")
     lat = pot.lattice
     trunc.dimension(fourier_dims=1)
     ladder = HBAR * omega_c * (np.arange(trunc.j_max + 1) + 0.5)
@@ -587,23 +587,27 @@ def polariton_harper_blocks(flux, g, kx_a, kw_scaled, trunc, a1, v0, mode="auto"
     return polariton_harper_matrix(flux, g, kx_a, kw_scaled, trunc, a1, v0, mode)
 
 
-def _solve_axis(assembler, axis, k_grid, partners, failures, label):
+def _solve_axis(build, axis, k_grid, partners, failures, label):
     """Eigenvalues of every k point of one axis value (empty where it failed).
 
-    Each point that is its own partner is assembled and solved: the matrix
-    the assembler returns by one hermitian_eigvals call, or each block of a
-    tuple of blocks by its own, their eigenvalues merged in ascending order.
-    Every other point shares its partner's array, and its failure.
-    Each failure is appended to `failures` as "<label>, k[<index>]: <message>",
-    in k order."""
+    Each point that is its own partner is solved: build(axis), called at the
+    first such point and again at each next one while it raises, gives the
+    function of k whose matrix is solved by one hermitian_eigvals call, or
+    whose tuple of blocks is solved block by block, their eigenvalues merged
+    in ascending order.  Every other point shares its partner's array, and
+    its failure.  Each failure is appended to `failures` as
+    "<label>, k[<index>]: <message>", in k order."""
     row = []
     errors = {}  # k index of a failed point -> its failure message
+    at_k = None  # what build(axis) returned, once a call has returned
     for k_idx, (k, partner) in enumerate(zip(k_grid, partners)):
         if partner != k_idx:
             row.append(row[partner])  # shares its partner's spectrum
         else:
             try:
-                matrices = assembler(axis, k)
+                if at_k is None:
+                    at_k = build(axis)
+                matrices = at_k(k)
                 if isinstance(matrices, tuple):
                     row.append(np.sort(np.concatenate([hermitian_eigvals(m)
                                                        for m in matrices])))
@@ -717,25 +721,28 @@ def _forked_shares(solve_share, procs):
             os.waitpid(pid, 0)
 
 
-def sweep(assembler, axis_values, k_grid, partners=None):
-    """Solve `assembler(axis_value, k)` -- one Hermitian matrix per point, or
-    a tuple of Hermitian blocks whose spectra together are the point's --
-    over every axis value and every k of `k_grid`.
+def sweep(build, axis_values, k_grid, key=None):
+    """Solve every point (axis value, k) of `axis_values` x `k_grid`.
 
-    Each matrix or block is solved alone by `hermitian_eigvals`, and a
-    point's blocks' eigenvalues are merged in ascending order.  A point whose
-    matrix the assembler cannot build (it raises a package error or a
-    floating-point error) or whose matrix or any of whose blocks fails to
-    solve is recorded in the result's failures and keeps an empty eigenvalue
-    array.  Any other exception propagates.
+    build(axis) returns a function of k that gives the point's Hermitian
+    matrix, or a tuple of Hermitian blocks whose spectra together are the
+    point's; each axis value reaches build as a Python float.  It is called
+    at the axis value's first solved point, and again at each next solved
+    point while it raises, so what does not depend on k is built once per
+    axis value.  Each matrix or block is solved alone by `hermitian_eigvals`,
+    and a point's blocks' eigenvalues are merged in ascending order.  A point
+    whose build or matrix raises a package error or a floating-point error,
+    or whose matrix or any of whose blocks fails to solve, is recorded in the
+    result's failures and keeps an empty eigenvalue array.  Any other
+    exception propagates.
 
-    Returns an output.SpectrumPayload (no columns) that carries `partners`,
-    one partner map per axis value (c2_partners, polariton_partners; None
-    makes each point its own partner): a point whose partner in its axis
-    value's map is another, earlier point is neither assembled nor solved,
-    and takes that point's eigenvalue array (the same object) or its failure
-    message, under its own k label.  A map whose partner is not an earlier
-    point that is its own partner raises DomainError.
+    key(axis, k) names the points of one axis value that share a spectrum:
+    each point's partner is the first point with an equal key, and a point
+    whose partner is another is neither built nor solved; it takes that
+    point's eigenvalue array (the same object) or its failure message,
+    under its own k label.  Without a key every point is its own partner.
+    The partner maps are made in this process before the split, and the
+    returned output.SpectrumPayload (no columns) carries them as `partners`.
 
     The axis values are split across P processes, P the CPUs this process
     may run on (_available_cpus) // its BLAS threads (_blas_threads), at
@@ -756,40 +763,34 @@ def sweep(assembler, axis_values, k_grid, partners=None):
         raise DomainError("empty sweep axis")
     if np.any(np.diff(axis_values) < 0.0):
         raise DomainError("sweep axis must be monotone")
-    k_grid = list(k_grid)
-    if partners is None:
-        partners = [range(len(k_grid))] * axis_values.size
-    try:
-        partners = [list(per_axis) for per_axis in partners]
-    except TypeError as exc:
-        raise DomainError("need one partner map per axis value") from exc
-    if len(partners) != axis_values.size:
-        raise DomainError("need one partner map per axis value")
-    for per_axis in partners:
-        if len(per_axis) != len(k_grid) or any(p > idx or per_axis[p] != p
-                                               for idx, p in enumerate(per_axis)):
-            raise DomainError("each k point's partner must be itself or an earlier, "
-                              "solved point")
+    axes, k_grid = axis_values.tolist(), list(k_grid)
+
+    def partners_of(axis):
+        first = {}  # key -> the first k index that has it
+        return [first.setdefault(k_idx if key is None else key(axis, k), k_idx)
+                for k_idx, k in enumerate(k_grid)]
+
+    partners = [partners_of(axis) for axis in axes]
 
     def solve_share(share, procs):
         """{axis index: (row, its failures)} of the axis indices equal to
         `share` mod `procs`."""
         rows = {}
-        for a_idx in range(share, axis_values.size, procs):
-            axis = axis_values[a_idx]
+        for a_idx in range(share, len(axes), procs):
+            axis = axes[a_idx]
             failures = []
-            row = _solve_axis(assembler, axis, k_grid, partners[a_idx], failures,
+            row = _solve_axis(build, axis, k_grid, partners[a_idx], failures,
                               f"axis[{a_idx}]={axis:g}")
             rows[a_idx] = (row, failures)
         return rows
 
-    procs = min(max(1, _available_cpus() // _blas_threads()), axis_values.size)
+    procs = min(max(1, _available_cpus() // _blas_threads()), len(axes))
     shares = None
     if procs > 1 and threading.active_count() == 1:
         shares = _forked_shares(solve_share, procs)
     if shares is None:
         shares = solve_share(0, 1)
-    rows = [shares[a_idx] for a_idx in range(axis_values.size)]
+    rows = [shares[a_idx] for a_idx in range(len(axes))]
     return SpectrumPayload(
         axis_values=axis_values,
         eigenvalues=[row for row, _ in rows],
@@ -805,7 +806,8 @@ def midpoint_kx_grid(points):
     Midpoints avoid the measure-zero band-touching momenta of even-q
     Hofstadter spectra, keeping gap counting well defined on finite grids.
     The grid is exactly antisymmetric, k[points - 1 - i] == -k[i], with the
-    middle point of an odd grid exactly 0.0, so c2_partners pairs every point.
+    middle point of an odd grid exactly 0.0, so the sweep key |k_x| pairs
+    every point with its C2 image.
     """
     if points < 1:
         raise DomainError("need at least one k point")
@@ -829,48 +831,21 @@ def c2_symmetric(pot):
     return all(coeff.get((-dn, -dm)) == v for (dn, dm), v in coeff.items())
 
 
-def c2_partners(k_grid):
-    """For each point of `k_grid`, the index of the point it shares its
-    spectrum with under C2 (k -> -k): the earlier point equal to -k exactly,
-    resolved to a point that is its own partner, else its own index.
+def polariton_key(flux, g, k, a1, v0, mode="auto"):
+    """The sweep key of the point k = (kx_a, kw_scaled) of coupling g for
+    polariton_harper_matrix: points of one g with equal keys have the same
+    spectrum.
 
-    A (kx, kw) tuple maps to (-kx, -kw).  Spectra agree at the partners of a
-    Harper chain (harper_matrix(F, -k) = J H(F, k) J, J reversing n), of the
-    polariton matrix at kw = 0 (the (n, m) order reversed) and of the LLB and
-    reduced central matrices of a c2_symmetric potential.  The sweep takes
-    one map per axis value; polariton_partners shares more on the polariton
-    matrix, whose spectrum does not depend on k_x.
+    On the matrix route (polariton_route) the key is ("matrix", k_w): the
+    spectrum does not depend on k_x (the gauge U of polariton_harper_matrix).
+    The reduced chain does not depend on k_w, and at -k_x it is the chain at
+    k_x reversed (J H J, J reversing n), so on the reduced route the key is
+    ("reduced", |k_x|).
     """
-    first = {}  # k as a tuple -> its first index
-    partners = []
-    for idx, k in enumerate(k_grid):
-        key = tuple(np.atleast_1d(k).tolist())
-        partner = first.get(tuple(-x for x in key))
-        partners.append(idx if partner is None else partners[partner])
-        first.setdefault(key, idx)
-    return partners
-
-
-def polariton_partners(flux, g, k_grid, a1, v0, mode="auto"):
-    """The partner map of the (kx_a, kw_scaled) points `k_grid` of one
-    coupling g, for polariton_harper_matrix: each point shares the spectrum
-    of the first point with the same key, which is its own partner.
-
-    On the matrix route (polariton_route) the key is k_w: the spectrum does
-    not depend on k_x (the gauge U of polariton_harper_matrix), so one point
-    per k_w is solved.  The reduced chain does not depend on k_w, and at
-    -k_x it is the chain at k_x reversed (c2_partners), so on the reduced
-    route the key is |k_x|.
-    """
-    first = {}  # key -> the first index that has it
-    partners = []
-    for kx_a, kw_scaled in k_grid:
-        if polariton_route(flux, g, a1, v0, kw_scaled, mode) == "matrix":
-            key = ("matrix", kw_scaled)
-        else:
-            key = ("reduced", abs(kx_a))
-        partners.append(first.setdefault(key, len(partners)))
-    return partners
+    kx_a, kw_scaled = k
+    if polariton_route(flux, g, a1, v0, kw_scaled, mode) == "matrix":
+        return ("matrix", kw_scaled)
+    return ("reduced", abs(kx_a))
 
 
 def count_bands(values, gap_threshold):

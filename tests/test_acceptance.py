@@ -145,10 +145,10 @@ class TestAcceptance:
         assert union.max() == pytest.approx(4.0, abs=2e-4)
         assert not spectral_gaps(union, 1e-3)
         # 300-point flux sweep at n_max = 30 stays inside the budget
-        def assembler(flux, kxa):
-            return harper_matrix(flux, kxa, 30)
+        def build(flux):
+            return lambda kxa: harper_matrix(flux, kxa, 30)
 
-        grid = sweep(assembler, np.linspace(0.01, 2.0, 300), midpoint_kx_grid(32))
+        grid = sweep(build, np.linspace(0.01, 2.0, 300), midpoint_kx_grid(32))
         assert not grid.failures
         elapsed = time.perf_counter() - start
         assert elapsed < 120.0

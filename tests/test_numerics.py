@@ -226,7 +226,7 @@ def harper_chains(count):
 
 def sweep_points(mats):
     """The sweep of one axis value whose k points are the matrices `mats`."""
-    return sweep(lambda _axis, k_idx: mats[k_idx], [1.0], range(len(mats)))
+    return sweep(lambda _axis: lambda k_idx: mats[k_idx], [1.0], range(len(mats)))
 
 
 class TestSolveFailures:

@@ -136,10 +136,16 @@ def reference_svg(payload, window=None):
     return ("\n".join(parts) + "\n").encode()
 
 
+def identity_maps(eigenvalues):
+    """Partner maps that make every point its own partner."""
+    return [list(range(len(per_axis))) for per_axis in eigenvalues]
+
+
 def spectrum_envelope(axis_values, eigenvalues):
     payload = output.SpectrumPayload(
         columns=COLUMNS, axis_values=np.asarray(axis_values, dtype=float),
         eigenvalues=[[np.asarray(e, dtype=float) for e in per_axis] for per_axis in eigenvalues],
+        partners=identity_maps(eigenvalues),
     )
     return output.ResultEnvelope(config_text="[run]\ncommand = butterfly\n",
                                  command="butterfly", payload=payload)
@@ -205,11 +211,12 @@ class TestSpectrumWriters:
     def shared_layouts(self):
         a, b, failed = self.SHARED_A, self.SHARED_B, np.empty(0)
         shared = [[a, b, b, a], [b, a, a, b], [failed, b, b, failed]]
+        alone = identity_maps(shared)
         return {
             "partners": (shared, [[0, 1, 1, 0]] * 3),
-            "shared": (shared, None),
-            "copies": ([[e.copy() for e in per_axis] for per_axis in shared], None),
-            "lists": ([[e.tolist() for e in per_axis] for per_axis in shared], None),
+            "shared": (shared, alone),
+            "copies": ([[e.copy() for e in per_axis] for per_axis in shared], alone),
+            "lists": ([[e.tolist() for e in per_axis] for per_axis in shared], alone),
         }
 
     def shared_envelope(self, layout):
@@ -221,7 +228,7 @@ class TestSpectrumWriters:
     def test_shared_arrays_write_the_bytes_of_copies_and_lists(self, tmp_path):
         # C2 partner points hold one array object, which the writers format
         # once per axis value when the partner map names the sharing; shared
-        # objects without a map, equal copies and plain lists must give the
+        # objects under identity maps, equal copies and plain lists must give the
         # same bytes
         files = {}
         for name, layout in self.shared_layouts().items():
@@ -244,7 +251,7 @@ class TestSpectrumWriters:
     def test_partner_map_formats_each_array_once_per_axis_value(self, tmp_path, monkeypatch,
                                                                  writer, formatter, window):
         # with the partner map, each of the two solved points per axis value
-        # is formatted once; without it, every point is
+        # is formatted once; under identity maps, every point is
         formatted = []
         original = getattr(output, formatter)
         monkeypatch.setattr(output, formatter,

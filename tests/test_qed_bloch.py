@@ -3,6 +3,7 @@ matrices, central-equation limits, Harper bands and the polaritonic windows."""
 
 import cmath
 import errno
+import functools
 import itertools
 import math
 import os
@@ -36,7 +37,6 @@ from cavity_bloch.qed_bloch import (
     assemble_llb_matrix,
     beta_matrix,
     c2_blocks,
-    c2_partners,
     count_bands,
     coupling_window_end,
     harper_exact_bands,
@@ -64,6 +64,28 @@ SQUARE = Lattice2D(A, A, math.pi / 2)
 def square_setup(flux):
     b = field_for_flux_ratio(SQUARE, flux)
     return b, cyclotron_frequency(b)
+
+
+def pointwise(assembler):
+    """A sweep's build for assembler(axis, k): at each axis value, the
+    function of k that calls it."""
+    return lambda axis: functools.partial(assembler, axis)
+
+
+def c2_key(_axis, kx_a):
+    """The butterfly's sweep key: C2 gives k_x and -k_x one spectrum."""
+    return abs(kx_a)
+
+
+def flux_one_key(v0, mode="auto"):
+    """The polariton-butterfly's sweep key at flux 1 on the square lattice of
+    spacing A, at potential v0 and in `mode`."""
+    return lambda g, k: qed_bloch.polariton_key(1.0, g, k, A, v0, mode)
+
+
+def partners_of(key, k_grid, axis=1.0):
+    """The partner map a sweep makes from `key` at one axis value."""
+    return sweep(lambda _axis: lambda _k: np.zeros((1, 1)), [axis], k_grid, key).partners[0]
 
 
 class TestPolaritonParams:
@@ -489,6 +511,13 @@ class TestFourierLatticeOracle:
             mat = terms.matrix(kx_a / lat.a1)
             assert mat.dtype == self.expected_dtype(kind)
             assert_entrywise_close(mat, self.llb_reference(kind, kx_a / lat.a1))
+
+    @pytest.mark.parametrize("omega_c", [0.0, -1.0, math.inf, math.nan])
+    def test_llb_terms_need_a_positive_finite_cyclotron_frequency(self, omega_c):
+        # an overflowed omega_c (huge flux) is refused, not built into inf entries
+        _, pot, _, trunc = self.setup_for("square")
+        with pytest.raises(DomainError, match=f"positive and finite, not {omega_c:g}$"):
+            qed_bloch.llb_terms(pot, omega_c, trunc)
 
     @pytest.mark.parametrize("reduce_m", [True, False])
     @pytest.mark.parametrize("kind", KINDS)
@@ -929,17 +958,18 @@ class TestPolaritonGauge:
     def test_partners_solve_one_point_per_kw_on_the_matrix_route(self):
         # kx over [-3pi/4, -pi/4, pi/4, 3pi/4], kw over {0, 0.7/a1}
         k_grid = [(kx, kw) for kx in midpoint_kx_grid(4) for kw in (0.0, 0.7 / A)]
-        assert qed_bloch.polariton_partners(1.0, 1.0, k_grid, A, self.V0, "matrix") == (
-            [0, 1] * 4)
+        assert partners_of(flux_one_key(self.V0, "matrix"), k_grid) == [0, 1] * 4
         reduced = [0, 0, 2, 2, 2, 2, 0, 0]  # one point per +-k_x, whatever its kw
         for g, mode in ((1.0, "reduced"), (1e-12, "auto")):
-            assert qed_bloch.polariton_partners(1.0, g, k_grid, A, self.V0, mode) == reduced
+            assert partners_of(flux_one_key(self.V0, mode), k_grid, g) == reduced
+        assert flux_one_key(self.V0, "matrix")(1.0, (-0.3, 0.7 / A)) == ("matrix", 0.7 / A)
+        assert flux_one_key(self.V0, "reduced")(1.0, (-0.3, 0.7 / A)) == ("reduced", 0.3)
 
     @pytest.mark.parametrize("points", [1, 4, 7])
     def test_reduced_route_keeps_the_c2_partners(self, points):
-        k_grid = [(kx, 0.0) for kx in midpoint_kx_grid(points)]
-        assert qed_bloch.polariton_partners(1.0, 1e-12, k_grid, A, self.V0) == (
-            c2_partners(k_grid))
+        kx_grid = midpoint_kx_grid(points)
+        assert partners_of(flux_one_key(self.V0), [(kx, 0.0) for kx in kx_grid], 1e-12) == (
+            partners_of(c2_key, kx_grid))
 
 
 class TestPolaritonC2Blocks:
@@ -985,11 +1015,10 @@ class TestPolaritonC2Blocks:
         trunc = BasisTruncation(n_max=4)
         kx_grid = [(kx, 0.0) for kx in midpoint_kx_grid(4)]
         g_values = [0.3, 1.0, 2.0]
-        partners = [qed_bloch.polariton_partners(1.0, g, kx_grid, A, self.V0, "matrix")
-                    for g in g_values]
-        grid = sweep(lambda g, k: polariton_harper_blocks(1.0, g, *k, trunc, A, self.V0,
-                                                          "matrix"),
-                     g_values, kx_grid, partners)
+        grid = sweep(lambda g: lambda k: polariton_harper_blocks(1.0, g, *k, trunc, A, self.V0,
+                                                                 "matrix"),
+                     g_values, kx_grid, flux_one_key(self.V0, "matrix"))
+        assert grid.partners == [[0, 0, 0, 0]] * 3
         assert not grid.failures
         for g, row in zip(g_values, grid.eigenvalues):
             for (kx_a, _), eigs in zip(kx_grid, row):
@@ -1010,10 +1039,9 @@ class TestPolaritonC2Blocks:
         monkeypatch.setattr(qed_bloch, "polariton_harper_matrix", perturbed)
         trunc = BasisTruncation(n_max=3)
         kx_grid = [(kx, 0.0) for kx in midpoint_kx_grid(3)]
-        partners = qed_bloch.polariton_partners(1.0, 1.0, kx_grid, A, self.V0, "matrix")
-        grid = sweep(lambda g, k: polariton_harper_blocks(1.0, g, *k, trunc, A, self.V0,
-                                                          "matrix"),
-                     [1.0], kx_grid, [partners])
+        grid = sweep(lambda g: lambda k: polariton_harper_blocks(1.0, g, *k, trunc, A, self.V0,
+                                                                 "matrix"),
+                     [1.0], kx_grid, flux_one_key(self.V0, "matrix"))
         assert len(grid.failures) == 3
         for k_idx, message in enumerate(grid.failures):
             assert re.fullmatch(rf"axis\[0\]=1, k\[{k_idx}\]: matrix breaks C2: "
@@ -1060,7 +1088,7 @@ class TestSweep:
         def assembler(flux, kxa):
             return harper_matrix(flux, kxa, 8)
 
-        grid = sweep(assembler, [1.0], [0.3])
+        grid = sweep(pointwise(assembler), [1.0], [0.3])
         direct = hermitian_eigvals(harper_matrix(1.0, 0.3, 8))
         assert np.array_equal(grid.eigenvalues[0][0], direct)
 
@@ -1070,7 +1098,7 @@ class TestSweep:
                 raise DomainError("synthetic failure")
             return harper_matrix(flux, kxa, 4)
 
-        grid = sweep(assembler, [0.5, 1.5], [0.1, 0.2])
+        grid = sweep(pointwise(assembler), [0.5, 1.5], [0.1, 0.2])
         assert len(grid.failures) == 2
         assert grid.eigenvalues[0][0].size == 9
         assert grid.eigenvalues[1][0].size == 0
@@ -1082,7 +1110,7 @@ class TestSweep:
             return harper_matrix(flux, kxa, 4)
 
         with pytest.raises(TypeError, match="synthetic bug"):
-            sweep(assembler, [0.5, 1.5], [0.1, 0.2])
+            sweep(pointwise(assembler), [0.5, 1.5], [0.1, 0.2])
 
     def test_each_solved_point_is_one_matrix_solve(self, call_log):
         # one row mixes shapes and dtypes, as polariton-butterfly under
@@ -1101,7 +1129,9 @@ class TestSweep:
         call_log.record(qed_bloch, "hermitian_eigvals", lambda m: [list(m.shape), m.dtype.name])
         # the second axis value shares k[3] with k[0]
         maps = [[0, 1, 2, 3], [0, 1, 2, 0]]
-        grid = sweep(lambda _g, k: mats[k], [1.0, 2.0], k_grid, maps)
+        grid = sweep(lambda _g: mats.get, [1.0, 2.0], k_grid,
+                     lambda g, k: k_grid.index(k) % (4 if g == 1.0 else 3))
+        assert grid.partners == maps
         solves = [[[dim] * 2, np.dtype(dtype).name] for dim, dtype in kinds]
         assert sorted(call_log.entries()) == sorted(solves + solves[:3])
         assert grid.k_labels == k_grid and not grid.failures
@@ -1117,7 +1147,7 @@ class TestSweep:
                 mat[0, 1] += 1.0  # not Hermitian
             return mat
 
-        grid = sweep(assembler, [0.5], [0.1, 0.2, 0.3])
+        grid = sweep(pointwise(assembler), [0.5], [0.1, 0.2, 0.3])
         assert len(grid.failures) == 1
         assert grid.failures[0].startswith("axis[0]=0.5, k[1]: matrix is not Hermitian")
         assert grid.eigenvalues[0][1].size == 0
@@ -1134,7 +1164,7 @@ class TestSweep:
 
     def test_each_block_is_one_solve_and_the_row_is_merged(self, call_log):
         call_log.record(qed_bloch, "hermitian_eigvals", lambda m: list(m.shape))
-        grid = sweep(self.blocks_of, [0.5, 0.8], [0.1, 0.2])
+        grid = sweep(pointwise(self.blocks_of), [0.5, 0.8], [0.1, 0.2])
         assert sorted(call_log.entries()) == [[5, 5]] * 4 + [[9, 9]] * 4
         assert not grid.failures
         for flux, row in zip((0.5, 0.8), grid.eigenvalues):
@@ -1154,7 +1184,7 @@ class TestSweep:
                 blocks[bad][0, 1] += entry
             return tuple(blocks)
 
-        grid = sweep(assembler, [0.5], [0.1, -0.1, 0.2], [[0, 0, 2]])
+        grid = sweep(pointwise(assembler), [0.5], [0.1, -0.1, 0.2], c2_key)
         assert [failure.split(" (")[0].split(": ")[:2] for failure in grid.failures] == [
             ["axis[0]=0.5, k[0]", message],
             ["axis[0]=0.5, k[1]", message],
@@ -1162,7 +1192,7 @@ class TestSweep:
         assert [eigs.size for eigs in grid.eigenvalues[0]] == [0, 0, 14]
 
     def test_partners_share_the_merged_array(self):
-        grid = sweep(self.blocks_of, [0.5], [0.1, -0.1, 0.2], [[0, 0, 2]])
+        grid = sweep(pointwise(self.blocks_of), [0.5], [0.1, -0.1, 0.2], c2_key)
         row = grid.eigenvalues[0]
         assert row[1] is row[0] and row[2] is not row[0]
 
@@ -1172,7 +1202,7 @@ class TestSweep:
                 raise DomainError("synthetic failure")
             return harper_matrix(flux, kxa, 4)
 
-        grid = sweep(assembler, [0.5, 1.5], [0.1, 0.2, 0.3])
+        grid = sweep(pointwise(assembler), [0.5, 1.5], [0.1, 0.2, 0.3])
         assert grid.failures == ["axis[0]=0.5, k[1]: synthetic failure",
                                  "axis[1]=1.5, k[1]: synthetic failure"]
         for row, flux in zip(grid.eigenvalues, (0.5, 1.5)):
@@ -1186,7 +1216,7 @@ class TestSweep:
             call_log.append([flux, kxa])
             return harper_matrix(flux, kxa, 12)
 
-        grid = sweep(assembler, [0.6, 1.1], kx_grid, [c2_partners(kx_grid)] * 2)
+        grid = sweep(pointwise(assembler), [0.6, 1.1], kx_grid, c2_key)
         assert sorted(call_log.entries()) == [[flux, kxa] for flux in (0.6, 1.1)
                                               for kxa in kx_grid[:4]]
         assert grid.k_labels == [(kxa,) for kxa in kx_grid] and not grid.failures
@@ -1210,7 +1240,7 @@ class TestSweep:
                 mat[0, 1] += 1.0  # not Hermitian
             return mat
 
-        grid = sweep(assembler, [0.5], kx_grid, [c2_partners(kx_grid)])
+        grid = sweep(pointwise(assembler), [0.5], kx_grid, c2_key)
         assert [message.split(": ")[:2] for message in grid.failures] == [
             ["axis[0]=0.5, k[0]", "synthetic failure"],
             ["axis[0]=0.5, k[2]", "matrix is not Hermitian"],
@@ -1228,38 +1258,71 @@ class TestSweep:
             assembled.append(kxa)
             return harper_matrix(flux, kxa, 4)
 
-        grid = sweep(assembler, [0.5], kx_grid)
+        grid = sweep(pointwise(assembler), [0.5], kx_grid)
         assert assembled == kx_grid
         for eigs, kxa in zip(grid.eigenvalues[0], kx_grid):
             assert np.array_equal(eigs, hermitian_eigvals(harper_matrix(0.5, kxa, 4)))
 
-    @pytest.mark.parametrize("partners", [[0, 0], [1, 1, 2], [0, 0, 1]])
-    def test_partner_must_be_an_earlier_solved_point(self, partners):
-        with pytest.raises(DomainError, match="partner"):
-            sweep(lambda flux, kxa: harper_matrix(flux, kxa, 4), [0.5], [0.1, -0.1, 0.2],
-                  [partners])
-
-    @pytest.mark.parametrize("partners", [[0, 0, 2], [[0, 0, 2]], [[0, 0, 2], [0, 2, 2]]])
-    def test_each_axis_value_takes_a_valid_map(self, partners):
-        # a bare map, one map for two axis values, a bad map on the second
-        with pytest.raises(DomainError, match="partner"):
-            sweep(lambda flux, kxa: harper_matrix(flux, kxa, 4), [0.5, 0.7], [0.1, -0.1, 0.2],
-                  partners)
-
     def test_axis_values_take_their_own_maps(self, call_log):
-        # axis value 0 shares every k point, axis value 1 none
+        # axis value 0 keys every k point alike, axis value 1 each apart
         def assembler(flux, kxa):
             call_log.append([flux, kxa])
             return harper_matrix(flux, kxa, 4)
 
         kx_grid = [0.1, -0.1, 0.2]
-        grid = sweep(assembler, [0.5, 0.7], kx_grid, [[0, 0, 0], [0, 1, 2]])
+        grid = sweep(pointwise(assembler), [0.5, 0.7], kx_grid,
+                     lambda flux, kxa: 0.0 if flux == 0.5 else kxa)
         assert sorted(call_log.entries()) == [[0.5, 0.1], [0.7, -0.1], [0.7, 0.1], [0.7, 0.2]]
         assert grid.partners == [[0, 0, 0], [0, 1, 2]]
         first, second = grid.eigenvalues
         assert first[1] is first[0] and first[2] is first[0]
         for eigs, kxa in zip(second, kx_grid):
             assert np.array_equal(eigs, hermitian_eigvals(harper_matrix(0.7, kxa, 4)))
+
+    def test_build_runs_once_per_axis_value_and_again_while_it_raises(self, monkeypatch):
+        # one process, so the log is in call order: at flux 0.7 build raises
+        # at the solved points k[0] and k[1] and returns at k[2]; k[5], k[4]
+        # and k[3] are their C2 partners
+        monkeypatch.setattr(qed_bloch, "_available_cpus", lambda: 1)
+        kx_grid = midpoint_kx_grid(6)
+        log, raised = [], []
+
+        def build(flux):
+            log.append(["build", flux, type(flux)])
+            if flux == 0.7 and len(raised) < 2:
+                raised.append(None)
+                raise DomainError(f"synthetic build failure {len(raised)}")
+
+            def at_k(kxa):
+                log.append(["point", flux, kxa])
+                return harper_matrix(flux, kxa, 4)
+
+            return at_k
+
+        grid = sweep(build, np.array([0.5, 0.7]), kx_grid, c2_key)
+        assert log == ([["build", 0.5, float]] + [["point", 0.5, kxa] for kxa in kx_grid[:3]]
+                       + [["build", 0.7, float]] * 3 + [["point", 0.7, kx_grid[2]]])
+        assert grid.failures == [f"axis[1]=0.7, k[{k_idx}]: synthetic build failure {attempt}"
+                                 for k_idx, attempt in ((0, 1), (1, 2), (4, 2), (5, 1))]
+        first, second = grid.eigenvalues
+        assert [eigs.size for eigs in second] == [0, 0, 9, 9, 0, 0]
+        assert second[5] is second[0] and second[4] is second[1] and second[3] is second[2]
+        for row, flux in zip(grid.eigenvalues, (0.5, 0.7)):
+            assert np.array_equal(row[2], hermitian_eigvals(harper_matrix(flux, kx_grid[2], 4)))
+        assert all(eigs.size == 9 for eigs in first)
+
+    def test_key_error_raises_before_any_build(self):
+        # the partner maps are made first: a key that raises is not a point's failure
+        def key(flux, kxa):
+            if flux > 1.0:
+                raise DomainError("synthetic key failure")
+            return abs(kxa)
+
+        def build(flux):
+            raise AssertionError("build ran")
+
+        with pytest.raises(DomainError, match="synthetic key failure"):
+            sweep(build, [0.5, 1.5], [0.1, -0.1], key)
 
     def test_band_counting_helpers(self):
         values = [0.0, 0.01, 0.02, 1.0, 1.01, 2.5]
@@ -1279,9 +1342,9 @@ class TestForkedSweep:
     BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
     @classmethod
-    def sweep_in(cls, monkeypatch, processes, *args, blas=None):
-        """sweep(*args) with `processes` CPUs and, of the BLAS thread
-        variables, only those in `blas` set (by default
+    def sweep_in(cls, monkeypatch, processes, assembler, *args, blas=None):
+        """sweep(pointwise(assembler), *args) with `processes` CPUs and, of
+        the BLAS thread variables, only those in `blas` set (by default
         OPENBLAS_NUM_THREADS=1, so that the sweep splits)."""
         if blas is None:
             blas = {"OPENBLAS_NUM_THREADS": "1"}
@@ -1290,7 +1353,7 @@ class TestForkedSweep:
             monkeypatch.delenv(name, raising=False)
         for name, value in blas.items():
             monkeypatch.setenv(name, value)
-        return sweep(*args)
+        return sweep(pointwise(assembler), *args)
 
     # with no valid thread variable OpenBLAS runs one thread per CPU
     @pytest.mark.parametrize("blas, processes", [
@@ -1317,11 +1380,10 @@ class TestForkedSweep:
             call_log.append(os.getpid())
             return harper_matrix(flux, kxa, 12)
 
-        maps = [c2_partners(kx_grid)] * len(self.AXIS)
-        forked = self.sweep_in(monkeypatch, processes, assembler, self.AXIS, kx_grid, maps)
+        forked = self.sweep_in(monkeypatch, processes, assembler, self.AXIS, kx_grid, c2_key)
         assert len(set(call_log.entries())) == processes  # each process solved its share
         serial = self.sweep_in(monkeypatch, 1, lambda flux, kxa: harper_matrix(flux, kxa, 12),
-                               self.AXIS, kx_grid, maps)
+                               self.AXIS, kx_grid, c2_key)
         assert not forked.failures and not serial.failures
         assert np.array_equal(forked.axis_values, serial.axis_values)
         for forked_row, serial_row in zip(forked.eigenvalues, serial.eigenvalues, strict=True):
@@ -1329,6 +1391,24 @@ class TestForkedSweep:
                 assert np.array_equal(forked_eigs, serial_eigs)
             for k_idx in range(4):
                 assert forked_row[7 - k_idx] is forked_row[k_idx]  # still shared
+
+    def test_keys_are_made_here_before_the_split(self, monkeypatch, call_log):
+        # every key call happens in this process, so this list sees them all
+        keyed = []
+
+        def key(flux, kxa):
+            keyed.append([os.getpid(), flux, kxa])
+            return abs(kxa)
+
+        def assembler(flux, kxa):
+            call_log.append(os.getpid())
+            return harper_matrix(flux, kxa, 4)
+
+        k_grid = [0.1, -0.1, 0.2]
+        grid = self.sweep_in(monkeypatch, 2, assembler, self.AXIS, k_grid, key)
+        assert len(set(call_log.entries())) == 2
+        assert keyed == [[os.getpid(), flux, kxa] for flux in self.AXIS for kxa in k_grid]
+        assert grid.partners == [[0, 0, 2]] * len(self.AXIS)
 
     def test_failures_in_a_childs_share_keep_axis_and_k_order(self, monkeypatch):
         # two processes: axis[1] and axis[3] are the child's share
@@ -1462,19 +1542,13 @@ class TestC2Partners:
     @pytest.mark.parametrize("points", [1, 2, 7, 32, 33])
     def test_midpoint_grid_pairs_every_point(self, points):
         half = list(range(points // 2))
-        assert c2_partners(midpoint_kx_grid(points)) == (
+        assert partners_of(c2_key, midpoint_kx_grid(points)) == (
             half + [points // 2] * (points % 2) + half[::-1])
 
-    def test_tuple_points_negate_as_a_whole(self):
-        # polariton-butterfly's (kx, kw) grid: only the kw = 0 points pair up
-        k_grid = [(kx, kw) for kx in (-0.5, 0.5) for kw in (0.0, 0.7)]
-        assert c2_partners(k_grid) == [0, 1, 0, 3]
-        assert c2_partners([(-0.5, -0.7), (0.5, 0.7)]) == [0, 0]
-
     def test_points_without_partner_map_to_themselves(self):
-        assert c2_partners([0.1, 0.2, -0.3, 0.0]) == [0, 1, 2, 3]
-        # a point whose -k partner is itself a partner resolves to the solved one
-        assert c2_partners([0.4, -0.4, 0.4, 0.0, -0.0]) == [0, 0, 0, 3, 3]
+        assert partners_of(c2_key, [0.1, 0.2, -0.3, 0.0]) == [0, 1, 2, 3]
+        # every point shares the first point of its key, which is solved
+        assert partners_of(c2_key, [0.4, -0.4, 0.4, 0.0, -0.0]) == [0, 0, 0, 3, 3]
 
     @pytest.mark.parametrize("kind", ["square", "rectangular", "hexagonal", "oblique",
                                       "centered-rectangular"])
