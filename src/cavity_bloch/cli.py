@@ -6,7 +6,13 @@ failure while exporting.
 
 A sweep splits its axis values across CPUs // BLAS threads processes, the
 CPUs those this process may run on (`taskset` narrows them); see
-qed_bloch.sweep.  Output bytes do not depend on the split.
+qed_bloch.sweep.  The CSV or JSON export of a sweep's spectra is split the
+same way (output._write_chunks).  Output bytes do not depend on the split.
+The status line `wrote <format> to <path>` goes to stderr, so that
+`--out /dev/stdout` carries the output alone.
+
+cavity_gas, eft and response are imported by the handlers that run them, so
+that a butterfly, the largest output, pays for none of them at start.
 
 BLAS and LAPACK run on one thread unless the caller sets OPENBLAS_NUM_THREADS,
 GOTO_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS: a sweep's matrices
@@ -27,7 +33,7 @@ if not any(name in os.environ for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THR
 
 import numpy as np
 
-from . import cavity_gas, eft, landau, qed_bloch, response
+from . import landau, qed_bloch
 from .config import COMMANDS, FORMATS, format_violations, parse_config
 from .constants import EV, HBAR, THZ
 from .errors import CavityBlochError, ConfigError, DomainError, NumericalError, StabilityError
@@ -64,6 +70,8 @@ def _lattice_from(params):
 
 
 def _setup_from(params):
+    from . import cavity_gas
+
     return _build(
         cavity_gas.CavitySetup,
         omega_cav=params["cavity_thz"],
@@ -73,6 +81,8 @@ def _setup_from(params):
 
 
 def _run_gas(cfg):
+    from . import cavity_gas
+
     setup = _setup_from(cfg.parameters)
     area = cfg.parameters["area_um2"]
     gamma = setup.gamma
@@ -98,6 +108,8 @@ def _run_gas(cfg):
 
 
 def _run_response(cfg):
+    from . import response
+
     setup = _setup_from(cfg.parameters)
     wt = setup.omega_tilde
     grid = response.default_grid(wt, cfg.parameters["points"], cfg.parameters["span"])
@@ -125,6 +137,8 @@ def _run_response(cfg):
 
 
 def _run_conductivity(cfg):
+    from . import response
+
     setup = _setup_from(cfg.parameters)
     wt = setup.omega_tilde
     grid = response.default_grid(wt, cfg.parameters["points"], cfg.parameters["span"])
@@ -140,6 +154,8 @@ def _run_conductivity(cfg):
 
 
 def _run_eft(cfg):
+    from . import eft
+
     p = cfg.parameters
     setup = _build(
         eft.EftSetup, l_z=p["lz_mm"], n2d=p["density_cm2"], n_electrons=p["n_electrons"],
@@ -405,7 +421,7 @@ def main(argv=None):
     except (CavityBlochError, MemoryError) as exc:
         print(f"output failure: {exc}", file=sys.stderr)
         return EXIT_IO
-    print(f"wrote {cfg.output_format} to {cfg.output_path}")
+    print(f"wrote {cfg.output_format} to {cfg.output_path}", file=sys.stderr)
     return EXIT_NUMERICAL if failures else EXIT_OK
 
 

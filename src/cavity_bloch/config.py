@@ -11,11 +11,17 @@ import io
 import math
 from dataclasses import dataclass
 
-from .constants import ANGSTROM, CM2_DENSITY, EV, THZ
-from .eft import EftSetup
+from .constants import (
+    ANGSTROM,
+    CM2_DENSITY,
+    DEFAULT_ETA_FRACTION,
+    DEFAULT_GRID_POINTS,
+    DEFAULT_GRID_SPAN,
+    EV,
+    THZ,
+)
 from .errors import ConfigError
 from .lattice import BRAVAIS_KINDS
-from .response import DEFAULT_ETA_FRACTION, DEFAULT_GRID_POINTS, DEFAULT_GRID_SPAN
 
 COMMANDS = (
     "gas",
@@ -309,6 +315,8 @@ def _cross_checks(command, params):
         lam = params.get("lambda0")
         mr = params.get("mass_ratio", 1.0)
         if None not in (lz, n2d, n_el, lam):
+            from .eft import EftSetup  # imported here: only the eft command needs it
+
             # lambda0 = 1 is always inside the window, so the setup builds
             lam_max = EftSetup(
                 l_z=lz, n2d=n2d, n_electrons=n_el, lambda0=1.0, mass_ratio=mr

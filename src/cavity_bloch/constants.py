@@ -1,7 +1,9 @@
-"""Frozen CODATA 2018 constants.
+"""Frozen CODATA 2018 constants, unit conversions and the response grid
+defaults.
 
 Every dimensionful number in the package traces back to this table; no other
-module hard-codes a physical constant.
+module hard-codes a physical constant.  The grid defaults live here so that
+config reads them without importing response.
 """
 
 import math
@@ -24,3 +26,8 @@ EV = E_CHARGE                # J per eV
 ANGSTROM = 1e-10             # m
 CM2_DENSITY = 1e4            # (1/cm^2) -> (1/m^2)
 THZ = 1e12                   # Hz per THz (ordinary frequency)
+
+#: default response grid and broadening of the CLI's [grid] section
+DEFAULT_GRID_POINTS = 4001
+DEFAULT_GRID_SPAN = 5.0       # in units of omega_tilde
+DEFAULT_ETA_FRACTION = 0.01   # eta = omega_tilde / 100

@@ -2,6 +2,12 @@
 
 Every emitted file names its units in the header; the CSV payload carries no
 timestamp so identical runs produce byte-identical files.
+
+The CSV and JSON text of a SpectrumPayload is written by as many processes
+as its sweep ran on (parallel.process_count), each formatting a contiguous
+range of axis values into its own sibling file, which are joined in axis
+order; the bytes do not depend on that number.  SVG needs the extent of
+every value before its first circle, and is written by one process.
 """
 
 import contextlib
@@ -14,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import parallel
 from .errors import CavityBlochError
 
 SCHEMA_VERSION = "0.1.0"
@@ -61,24 +68,35 @@ class SpectrumPayload:
         """Number of (axis, k) points the sweep attempted."""
         return sum(len(per_axis) for per_axis in self.eigenvalues)
 
-    def converted(self, convert):
-        """convert(eigenvalues) of every point, one list per axis value: a
-        point that is its own partner is converted once, and every other
-        point holds its partner's result (the same object)."""
-        for per_axis, partners in zip(self.eigenvalues, self.partners):
+    def converted(self, convert, start=0, stop=None):
+        """convert(eigenvalues) of every point of the axis values
+        [start, stop), one list per axis value: a point that is its own
+        partner is converted once, and every other point holds its partner's
+        result (the same object)."""
+        for per_axis, partners in zip(self.eigenvalues[start:stop], self.partners[start:stop]):
             results = []
             for k_idx, partner in enumerate(partners):
                 results.append(convert(per_axis[k_idx]) if partner == k_idx else results[partner])
             yield results
 
-    def blocks(self, convert=np.asarray):
+    def blocks(self, convert=np.asarray, start=0, stop=None):
         """(axis value, k index, convert(eigenvalues as a float array)) of
-        every point that has any, in row order, converted as `converted` does."""
-        rows = self.converted(lambda eigs: convert(np.asarray(eigs, dtype=float)))
-        for axis, per_axis, results in zip(self.axis_values.tolist(), self.eigenvalues, rows):
+        every point of the axis values [start, stop) that has any, in row
+        order, converted as `converted` does."""
+        rows = self.converted(lambda eigs: convert(np.asarray(eigs, dtype=float)), start, stop)
+        for axis, per_axis, results in zip(self.axis_values[start:stop].tolist(),
+                                           self.eigenvalues[start:stop], rows):
             for k_idx, (eigs, values) in enumerate(zip(per_axis, results)):
                 if len(eigs):
                     yield axis, k_idx, values
+
+    def rows_before(self):
+        """Whether any point of the axis values before index i has a row, for
+        i from 0 to the number of axis values."""
+        flags = [False]
+        for per_axis in self.eigenvalues:
+            flags.append(flags[-1] or any(len(eigs) for eigs in per_axis))
+        return flags
 
     def to_jsonable(self):
         """The payload with ROWS_SLOT for its rows, which write_json fills."""
@@ -138,35 +156,70 @@ def _format_cell(value):
     return str(value)
 
 
-def _write_chunks(path, chunks, label):
-    """Write the text `chunks` to `path` as UTF-8, line ends untranslated,
-    one chunk at a time; returns the path.
+def _append(fd, path):
+    """Append the file at `path` to the file open at `fd`, in the kernel."""
+    with open(path, "rb") as segment:
+        size = os.fstat(segment.fileno()).st_size
+        offset = 0
+        while offset < size:
+            sent = os.sendfile(fd, segment.fileno(), offset, size - offset)
+            if not sent:
+                raise OSError(f"{path} ended at byte {offset} of {size}")
+            offset += sent
 
-    The chunks go to a sibling file named after this process's id, created
+
+def _write_chunks(path, chunks, label, items=1):
+    """Write the text chunks(0, items) to `path` as UTF-8, line ends
+    untranslated, one chunk at a time; returns the path.  chunks(start, stop)
+    gives the text of the items [start, stop), and the texts of contiguous
+    ranges joined in order are the text of their union.
+
+    The text goes to a sibling file named after this process's id, created
     exclusively, which then replaces the file at `path` (through any
-    symlink) in one step.  If writing fails, or the chunks raise, that file
-    is removed and any earlier file at `path` is left as it was.  A path
-    that exists but is no regular file, a pipe or a terminal such as
-    /dev/stdout, cannot be replaced and is written in place.  An empty path
+    symlink) in one step.  The items are split into P contiguous ranges of
+    equal count, P as parallel.process_count gives it: this process writes
+    range 0 to that file and a forked child writes each other range r to
+    its own sibling `<that file>.<r>`, created exclusively, which this
+    process appends in order before the replacement; the bytes do not
+    depend on P (parallel.split).  If writing fails, or the chunks raise
+    anywhere, every child is reaped, those files are removed and any
+    earlier file at `path` is left as it was.  A path that exists but is no
+    regular file, a pipe or a terminal such as /dev/stdout, cannot be
+    replaced and is written in place, by this process alone.  An empty path
     is refused before any file is touched."""
     if not os.fspath(path):
         raise CavityBlochError(f"cannot write {label} to an empty path")
-    in_place = os.path.exists(path) and not os.path.isfile(path)
-    target = path if in_place else os.path.realpath(path)
-    partial = target if in_place else f"{target}.{os.getpid()}.partial"
-    flags = os.O_WRONLY if in_place else os.O_WRONLY | os.O_CREAT | os.O_EXCL
     try:
-        fd = os.open(partial, flags, 0o666)
-        try:
+        if os.path.exists(path) and not os.path.isfile(path):
+            with open(os.open(path, os.O_WRONLY), "w", encoding="utf-8", newline="\n") as handle:
+                handle.writelines(chunks(0, items))
+            return path
+        target = os.path.realpath(path)
+        partial = f"{target}.{os.getpid()}.partial"
+        procs = parallel.process_count(items)
+        files = [partial] + [f"{partial}.{share}" for share in range(1, procs)]
+
+        def write_share(share, procs):
+            fd = os.open(files[share], os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             with open(fd, "w", encoding="utf-8", newline="\n") as handle:
-                handle.writelines(chunks)
-            if not in_place:
-                os.replace(partial, target)
-        except BaseException:
-            if not in_place:
+                handle.writelines(chunks(share * items // procs, (share + 1) * items // procs))
+            return {share: None}
+
+        def lost(share, procs, how):
+            return CavityBlochError(f"the process writing range {share} of {procs} of the "
+                                    f"{label} ended without finishing it ({how})")
+
+        try:
+            shares = parallel.split(write_share, procs, lost)
+            with open(partial, "r+b") as joined:
+                joined.seek(0, os.SEEK_END)  # sendfile refuses a target opened to append
+                for share in range(1, len(shares)):
+                    _append(joined.fileno(), files[share])
+            os.replace(partial, target)
+        finally:
+            for name in files:  # the partial file is gone once it replaced the target
                 with contextlib.suppress(OSError):
-                    os.unlink(partial)
-            raise
+                    os.unlink(name)
     except OSError as exc:
         raise CavityBlochError(f"cannot write {label} to {path}: {exc}") from exc
     return path
@@ -177,15 +230,19 @@ def _csv_lines(eigs):
     return [f"{e_idx},{value!r}" for e_idx, value in enumerate(eigs.tolist())]
 
 
-def _csv_chunks(payload):
-    """The CSV text of a payload: its header line, then one chunk per
-    spectrum point or table row."""
-    if isinstance(payload, SpectrumPayload):
+def _csv_blocks(payload, start, stop):
+    """The CSV text of a SpectrumPayload's axis values [start, stop), one
+    chunk per point, after its header line if start is 0."""
+    if start == 0:
         yield ",".join(payload.columns) + "\n"
-        for axis, k_idx, lines in payload.blocks(_csv_lines):
-            prefix = f"{axis!r},{k_idx},"
-            yield prefix + f"\n{prefix}".join(lines) + "\n"
-        return
+    for axis, k_idx, lines in payload.blocks(_csv_lines, start, stop):
+        prefix = f"{axis!r},{k_idx},"
+        yield prefix + f"\n{prefix}".join(lines) + "\n"
+
+
+def _csv_table(payload):
+    """The CSV text of a table or scalar payload: its header line, then one
+    chunk per row."""
     table = _table_of(payload)
     yield ",".join(table.columns) + "\n"
     for row in table.rows:
@@ -194,13 +251,20 @@ def _csv_chunks(payload):
 
 def write_csv(envelope, path):
     """Deterministic CSV: header row with units, one row per record."""
-    return _write_chunks(path, _csv_chunks(envelope.payload), "CSV")
+    payload = envelope.payload
+    if isinstance(payload, SpectrumPayload):
+        return _write_chunks(path, lambda start, stop: _csv_blocks(payload, start, stop), "CSV",
+                             len(payload.axis_values))
+    return _write_chunks(path, lambda *_: _csv_table(payload), "CSV")
 
 
-def _json_rows(payload, depth):
-    """The rows of a SpectrumPayload as JSON text, one chunk per point, laid
-    out as json.dumps(indent=1) lays out a list that opens on a line
-    indented by `depth` spaces."""
+def _json_rows(payload, depth, start, stop, rows_before):
+    """The rows of a SpectrumPayload's axis values [start, stop) as JSON
+    text, one chunk per point, laid out as json.dumps(indent=1) lays out a
+    list that opens on a line indented by `depth` spaces.  The list opens
+    at the first row, so with a row before `start` (rows_before[start],
+    from payload.rows_before()) the text continues it; the last axis value
+    closes it."""
     row, cell = "\n" + " " * (depth + 1), "\n" + " " * (depth + 2)
 
     def entries(eigs):
@@ -210,30 +274,36 @@ def _json_rows(payload, depth):
         texts = map(repr, values) if np.isfinite(eigs).all() else map(json.dumps, values)
         return [f"{e_idx},{cell}{text}{row}]" for e_idx, text in enumerate(texts)]
 
-    opening = f"[{row}"
-    for axis, k_idx, texts in payload.blocks(entries):
+    opening = f",{row}" if rows_before[start] else f"[{row}"
+    for axis, k_idx, texts in payload.blocks(entries, start, stop):
         prefix = f"[{cell}{json.dumps(axis)},{cell}{k_idx},{cell}"
         yield opening + prefix + f",{row}{prefix}".join(texts)
         opening = f",{row}"
-    yield "[]" if opening == f"[{row}" else "\n" + " " * depth + "]"
-
-
-def _json_chunks(envelope):
-    """The JSON text of an envelope: a SpectrumPayload's rows stream in
-    chunks between the text before and after ROWS_SLOT."""
-    text = json.dumps(envelope.to_jsonable(), indent=1, sort_keys=True) + "\n"
-    if not isinstance(envelope.payload, SpectrumPayload):
-        yield text
-        return
-    head, _, tail = text.rpartition(json.dumps(ROWS_SLOT))
-    line = head[head.rfind("\n") + 1:]
-    yield head
-    yield from _json_rows(envelope.payload, len(line) - len(line.lstrip(" ")))
-    yield tail
+    if stop == len(payload.axis_values):
+        yield "\n" + " " * depth + "]" if rows_before[stop] else "[]"
 
 
 def write_json(envelope, path):
-    return _write_chunks(path, _json_chunks(envelope), "JSON")
+    """The envelope as json.dumps(indent=1, sort_keys=True) lays it out; a
+    SpectrumPayload's rows stream in chunks between the text before and
+    after ROWS_SLOT."""
+    text = json.dumps(envelope.to_jsonable(), indent=1, sort_keys=True) + "\n"
+    payload = envelope.payload
+    if not isinstance(payload, SpectrumPayload):
+        return _write_chunks(path, lambda *_: [text], "JSON")
+    head, _, tail = text.rpartition(json.dumps(ROWS_SLOT))
+    line = head[head.rfind("\n") + 1:]
+    depth = len(line) - len(line.lstrip(" "))
+    rows_before = payload.rows_before()
+
+    def chunks(start, stop):
+        if start == 0:
+            yield head
+        yield from _json_rows(payload, depth, start, stop, rows_before)
+        if stop == len(payload.axis_values):
+            yield tail
+
+    return _write_chunks(path, chunks, "JSON", len(payload.axis_values))
 
 
 def _scatter_points(payload):
@@ -338,7 +408,7 @@ def write_svg_scatter(envelope, path, window=None):
         circles = (f'<circle cx="{a:.2f}" cy="{b:.2f}" r="1" fill="black"/>\n'
                    for a, b in zip(to_x(x[finite]).tolist(), to_y(y[finite]).tolist()))
     chunks = itertools.chain(["\n".join(parts) + "\n"], circles, ["</svg>\n"])
-    return _write_chunks(path, chunks, "SVG")
+    return _write_chunks(path, lambda *_: chunks, "SVG")
 
 
 def export(envelope, path, fmt, window=None):

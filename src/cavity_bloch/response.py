@@ -10,13 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import EPSILON_0, E_CHARGE
+from .constants import DEFAULT_GRID_POINTS, DEFAULT_GRID_SPAN, EPSILON_0, E_CHARGE
 from .errors import DomainError
-
-#: default grid and broadening used by the CLI
-DEFAULT_GRID_POINTS = 4001
-DEFAULT_GRID_SPAN = 5.0       # in units of omega_tilde
-DEFAULT_ETA_FRACTION = 0.01   # eta = omega_tilde / 100
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from cavity_bloch import cli, output, qed_bloch
+from cavity_bloch import cli, output, parallel
 from cavity_bloch.cavity_gas import (
     CavitySetup,
     GasEigenstateLabel,
@@ -413,8 +413,8 @@ format = csv
 """
         payloads = []
         for processes in (1, 1, 4):
-            monkeypatch.setattr(qed_bloch, "_available_cpus", lambda: processes)
-            monkeypatch.setattr(qed_bloch, "_blas_threads", lambda: 1)
+            monkeypatch.setattr(parallel, "_available_cpus", lambda: processes)
+            monkeypatch.setattr(parallel, "_blas_threads", lambda: 1)
             env = cli.run(parse_config(config))
             path = tmp_path / f"det-{len(payloads)}.csv"
             output.write_csv(env, path)

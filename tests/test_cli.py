@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavity_bloch import cli, config, numerics, output, qed_bloch
+from cavity_bloch import cli, config, numerics, output, parallel, qed_bloch
 from cavity_bloch.config import COMMANDS, FORMATS, parse_config
 from cavity_bloch.constants import EV
 from cavity_bloch.errors import ConfigError, NumericalError
@@ -275,14 +275,15 @@ def python_with_blas(args, cwd=None, **blas):
                           env=env_with_src({**env, **blas}), timeout=600)
 
 
-#: `python -c` program: the CLI with argv[2:], its sweeps split across
-#: argv[1] processes whatever the CPU and BLAS thread counts
+#: `python -c` program: the CLI with argv[2:], its sweeps and exports split
+#: across argv[1] processes whatever the CPU and BLAS thread counts
 CLI_WITH_SWEEP_PROCESSES = """
 import sys
 import cavity_bloch.cli as cli
+import cavity_bloch.parallel as parallel
 processes = int(sys.argv[1])
-cli.qed_bloch._available_cpus = lambda: processes
-cli.qed_bloch._blas_threads = lambda: 1
+parallel._available_cpus = lambda: processes
+parallel._blas_threads = lambda: 1
 sys.exit(cli.main(sys.argv[2:]))
 """
 
@@ -617,7 +618,7 @@ class TestCliProcess:
                 timeout=600,
             )
             assert result.returncode == 0, result.stderr
-            assert result.stderr == "" and out.exists()
+            assert result.stderr == f"wrote csv to {out}\n" and out.exists()
 
     def test_cli_import_leaves_scipy_out(self):
         # scipy is a test dependency: importing it would cost every CLI run
@@ -652,6 +653,45 @@ class TestCliProcess:
                                 text=True, env=env_with_src(os.environ), timeout=600)
         assert result.returncode == 0, result.stderr
         assert json.loads(result.stdout.splitlines()[-1]) == [[0, 0, 0], []]
+
+    def test_butterflies_load_only_the_modules_they_run(self, tmp_path):
+        # cavity_gas, eft and response serve the other commands; importing
+        # them would cost every butterfly's start
+        runs = [("butterfly", BUTTERFLY_CONFIG.format(path="{path}", points=2)),
+                ("polariton-butterfly", POLARITON_MATRIX_CONFIG)]
+        argv = []
+        for idx, (command, text) in enumerate(runs):
+            cfg = tmp_path / f"run{idx}.ini"
+            cfg.write_text(text.format(path=tmp_path / f"out{idx}.csv"))
+            argv.append(f"{command}|--config|{cfg}")
+        code = ("import json, sys, cavity_bloch.cli as cli\n"
+                "codes = [cli.main(args.split('|')) for args in sys.argv[1:]]\n"
+                "print(json.dumps([codes, sorted(m for m in sys.modules if m in ("
+                "'cavity_bloch.cavity_gas', 'cavity_bloch.eft', 'cavity_bloch.response'))]))")
+        result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                                text=True, env=env_with_src(os.environ), timeout=600)
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout.splitlines()[-1]) == [[0, 0], []]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_output_to_stdout_is_the_output_alone(self, tmp_path, fmt):
+        # the status line goes to stderr, not into the file written to stdout
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(BUTTERFLY_CONFIG.format(path="unused.csv", points=2))
+        result = self.run_cli(["butterfly", "--config", str(cfg), "--out", "/dev/stdout",
+                               "--format", fmt], tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == f"wrote {fmt} to /dev/stdout\n"
+        rows = 2 * 4 * 21  # flux values x k points x eigenvalues
+        if fmt == "json":
+            assert len(json.loads(result.stdout)["payload"]["rows"]) == rows
+        else:
+            lines = result.stdout.splitlines()
+            assert len(lines) == 1 + rows
+            flux, k_idx, e_idx, value = lines[-1].split(",")
+            assert (float(flux), int(k_idx), int(e_idx)) == (2.0, 3, 20)
+            assert math.isfinite(float(value))
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_cli_import_pins_one_blas_thread_unless_set(self):
         def child(code, **blas):
@@ -720,7 +760,7 @@ class TestMainExitCodes:
             return harper(flux, kx_a, n_max)
 
         monkeypatch.setattr(qed_bloch, "harper_matrix", killed_in_child)
-        monkeypatch.setattr(qed_bloch, "_available_cpus", lambda: 2)
+        monkeypatch.setattr(parallel, "_available_cpus", lambda: 2)
         text = BUTTERFLY_CONFIG.format(path="{path}", points=2)
         assert self.run_main(tmp_path, "butterfly", text) == cli.EXIT_NUMERICAL
         assert capsys.readouterr().err == (
@@ -1187,7 +1227,7 @@ class TestLlbTermsPerFlux:
     def test_terms_built_once_per_flux(self, monkeypatch, call_log):
         # one sweep process, so the log is in call order: per flux one build,
         # then one evaluation and one solve for each of the 2 solved k points
-        monkeypatch.setattr(qed_bloch, "_available_cpus", lambda: 1)
+        monkeypatch.setattr(parallel, "_available_cpus", lambda: 1)
         call_log.record(qed_bloch, "llb_terms", lambda pot, w_c, trunc: ["build", w_c])
         call_log.record(qed_bloch.CouplingTerms, "matrix", lambda terms, k_x: ["matrix", k_x])
         call_log.record(qed_bloch, "hermitian_eigvals", lambda mat: ["solve"])
@@ -1206,7 +1246,7 @@ class TestLlbTermsPerFlux:
     def test_non_finite_flux_fails_its_own_points(self, monkeypatch, call_log):
         # at flux 1e-150 the Laguerre table overflows into NaN band entries:
         # its 4 points fail in k order, and the next fluxes build their own
-        monkeypatch.setattr(qed_bloch, "_available_cpus", lambda: 1)
+        monkeypatch.setattr(parallel, "_available_cpus", lambda: 1)
         call_log.record(qed_bloch, "llb_terms", lambda pot, w_c, trunc: [w_c])
         cfg = self.config(1e-150, 1.0, 3)
         grid = cli.run(cfg).payload
@@ -1223,7 +1263,7 @@ class TestLlbTermsPerFlux:
         # at flux 5e299 and 1e300 omega_c overflows float64: llb_terms refuses
         # it, so each of their points fails in k order, and no RuntimeWarning
         # (an error under this suite's filter) ends the run
-        monkeypatch.setattr(qed_bloch, "_available_cpus", lambda: 1)
+        monkeypatch.setattr(parallel, "_available_cpus", lambda: 1)
         out, cfg = tmp_path / "out.csv", tmp_path / "run.ini"
         cfg.write_text(self.TEXT.format(path=out).replace("flux_max = 1.0", "flux_max = 1e300")
                        .replace("points = 2", "points = 3"))
@@ -1254,7 +1294,7 @@ class TestLlbTermsPerFlux:
                 raise NumericalError("synthetic build failure")
             return build(pot, w_c, trunc)
 
-        monkeypatch.setattr(qed_bloch, "_available_cpus", lambda: 1)
+        monkeypatch.setattr(parallel, "_available_cpus", lambda: 1)
         monkeypatch.setattr(qed_bloch, "llb_terms", failing_build)
         grid = cli.run(cfg).payload
         assert len(attempts) == 2  # once per solved k point

@@ -12,12 +12,14 @@ import io
 import json
 import math
 import os
+import re
+import signal
 import threading
 
 import numpy as np
 import pytest
 
-from cavity_bloch import cli, output
+from cavity_bloch import cli, output, parallel
 from cavity_bloch.config import parse_config
 from cavity_bloch.errors import CavityBlochError
 
@@ -49,6 +51,45 @@ kx_points = 3
 path = out.csv
 format = csv
 """
+
+
+RAW_JOULES_CONFIG = (BUTTERFLY_CONFIG.replace("scaling = harper-scaled", "scaling = raw-joules")
+                     .replace("n_max = 6", "n_max = 4\nj_max = 1"))
+
+POLARITON_KW2_CONFIG = """
+[run]
+command = polariton-butterfly
+
+[lattice]
+kind = square
+a1_angstrom = 2.0
+a2_angstrom = 2.0
+v0_ev = 3.0
+
+[sweep]
+flux_ratio = 1.0
+g_min = 0.0
+g_max = 2.0
+points = 5
+
+[truncation]
+n_max = 4
+
+[kgrid]
+kx_points = 3
+kw_points = 2
+
+[output]
+path = out.csv
+format = csv
+"""
+
+
+def with_processes(monkeypatch, processes):
+    """Split sweeps and exports across `processes` processes (at most one per
+    axis value), whatever the CPU and BLAS thread counts."""
+    monkeypatch.setattr(parallel, "_available_cpus", lambda: processes)
+    monkeypatch.setattr(parallel, "_blas_threads", lambda: 1)
 
 
 def reference_rows(payload):
@@ -185,6 +226,23 @@ SPECTRA = {
 }
 
 
+#: axis values whose points all failed: first, so that a later range opens
+#: the JSON rows, and last, so that the last ranges write no row
+SPLIT_SPECTRA = {
+    "first-axis-values-failed": (
+        [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7],
+        [[[], []], [[], []], [[], []], [[], []], [[1.0], [2.0, 3.0]], [[], [-1.0]],
+         [[0.5], []]],
+    ),
+    "last-axis-values-failed": (
+        [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7],
+        [[[1.0], [2.0]], [[-1.0], []], [[3.0], [4.0, 5.0]], [[], [6.0]], [[], []], [[], []],
+         [[], []]],
+    ),
+    "every-point-failed": ([0.1, 0.2, 0.3], [[[], []], [[], []], [[], []]]),
+}
+
+
 class TestSpectrumWriters:
     @pytest.mark.parametrize("name", sorted(SPECTRA))
     def test_byte_identical_to_row_reference(self, name, tmp_path):
@@ -249,20 +307,21 @@ class TestSpectrumWriters:
         (output.write_svg_scatter, "_svg_ys", (-1.0, 1.0)),
     ])
     def test_partner_map_formats_each_array_once_per_axis_value(self, tmp_path, monkeypatch,
-                                                                 writer, formatter, window):
+                                                                 call_log, writer, formatter,
+                                                                 window):
         # with the partner map, each of the two solved points per axis value
-        # is formatted once; under identity maps, every point is
-        formatted = []
+        # is formatted once; under identity maps, every point is.  The log
+        # sees the points formatted in the processes writing the CSV's ranges
         original = getattr(output, formatter)
         monkeypatch.setattr(output, formatter,
-                            lambda eigs, *args: formatted.append(eigs) or original(eigs, *args))
+                            lambda eigs, *args: call_log.append(eigs.size) or original(eigs, *args))
         kwargs = {} if window is None else {"window": window}
         layouts = self.shared_layouts()
         writer(self.shared_envelope(layouts["partners"]), tmp_path / "out", **kwargs)
-        assert len(formatted) == 3 * 2
-        formatted.clear()
+        assert len(call_log.entries()) == 3 * 2
+        call_log.path.unlink()
         writer(self.shared_envelope(layouts["shared"]), tmp_path / "out", **kwargs)
-        assert len(formatted) == 3 * 4
+        assert len(call_log.entries()) == 3 * 4
 
     def test_cli_spectra_at_one_and_two_threads(self, tmp_path):
         outputs = []
@@ -277,6 +336,107 @@ class TestSpectrumWriters:
         assert outputs[0] == outputs[1]
 
 
+#: what a writer raises when the process writing range 1 of 2 fails
+CHILD_FAILURES = {
+    "segment-exists": r"cannot write {label} to .*File exists",
+    "formatter-raises": r"synthetic failure in a child",
+    "killed": r"the process writing range 1 of 2 of the {label} ended without finishing it "
+              r"\(killed by signal 9\)",
+}
+
+
+def fail_in_child(monkeypatch, target, failure):
+    """Make the forked process writing range 1 of 2 of `target` fail: its
+    file already exists, or its formatting raises, or it is killed."""
+    parent = os.getpid()
+    if failure == "segment-exists":
+        target.with_name(f"{target.name}.{parent}.partial.1").write_bytes(b"stale\n")
+        return
+    blocks = output.SpectrumPayload.blocks
+
+    def failing(self, *args, **kwargs):
+        if os.getpid() != parent:
+            if failure == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise CavityBlochError("synthetic failure in a child")
+        yield from blocks(self, *args, **kwargs)
+
+    monkeypatch.setattr(output.SpectrumPayload, "blocks", failing)
+
+
+class TestSplitWriters:
+    """CSV and JSON written by P processes, each formatting a contiguous range
+    of axis values into its own file, are the bytes one process writes."""
+
+    def split_files(self, monkeypatch, tmp_path, call_log, env):
+        """The (CSV, JSON) bytes of env written by 1, 2, 3 and more processes
+        than axis values (one per axis value); checks that the CSV's ranges
+        were formatted in as many processes."""
+        original = output._csv_lines
+        monkeypatch.setattr(output, "_csv_lines",
+                            lambda eigs: call_log.append(os.getpid()) or original(eigs))
+        count = len(env.payload.axis_values)
+        files = []
+        for processes in (1, 2, 3, count + 2):
+            with_processes(monkeypatch, processes)
+            files.append((written(output.write_csv, env, tmp_path / "s.csv"),
+                          written(output.write_json, env, tmp_path / "s.json")))
+            assert len(set(call_log.entries())) == min(processes, count)
+            call_log.path.unlink()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv", "s.json"]
+        return files
+
+    @pytest.mark.parametrize("text", [
+        BUTTERFLY_CONFIG,
+        RAW_JOULES_CONFIG,
+        RAW_JOULES_CONFIG.replace("kind = square", "kind = oblique")
+        .replace("a2_angstrom = 2.0", "a2_angstrom = 2.3\ntheta_deg = 75"),
+        POLARITON_KW2_CONFIG,
+    ], ids=["harper-scaled", "raw-joules-square", "raw-joules-oblique", "polariton-kw2"])
+    def test_cli_spectra(self, tmp_path, monkeypatch, call_log, text):
+        env = cli.run(parse_config(text))
+        env.produced_at = "2000-01-01T00:00:00+00:00"
+        files = self.split_files(monkeypatch, tmp_path, call_log, env)
+        assert files == [(reference_csv(env.payload), reference_json(env))] * 4
+
+    @pytest.mark.parametrize("name", sorted(SPLIT_SPECTRA))
+    def test_failed_axis_values(self, tmp_path, monkeypatch, call_log, name):
+        env = spectrum_envelope(*SPLIT_SPECTRA[name])
+        files = self.split_files(monkeypatch, tmp_path, call_log, env)
+        assert files == [(reference_csv(env.payload), reference_json(env))] * 4
+
+    @pytest.mark.parametrize("writer, label", [(output.write_csv, "CSV"),
+                                               (output.write_json, "JSON")])
+    @pytest.mark.parametrize("failure", ["segment-exists", "formatter-raises", "killed"])
+    def test_failure_in_a_child_keeps_the_earlier_file(self, tmp_path, monkeypatch, writer,
+                                                         label, failure):
+        with_processes(monkeypatch, 2)
+        env = spectrum_envelope(*SPECTRA["failed-point-ragged"])
+        target = tmp_path / "out"
+        target.write_bytes(b"earlier run\n")
+        fail_in_child(monkeypatch, target, failure)
+        with pytest.raises(CavityBlochError, match=CHILD_FAILURES[failure].format(label=label)):
+            writer(env, target)
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert target.read_bytes() == b"earlier run\n"
+
+    @pytest.mark.parametrize("failure", ["segment-exists", "formatter-raises"])
+    def test_failure_in_a_child_is_an_output_failure(self, tmp_path, monkeypatch, capsys,
+                                                      failure):
+        with_processes(monkeypatch, 2)
+        target = tmp_path / "out.csv"
+        target.write_bytes(b"earlier run\n")
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(BUTTERFLY_CONFIG.replace("path = out.csv", f"path = {target}"))
+        fail_in_child(monkeypatch, target, failure)
+        assert cli.main(["butterfly", "--config", str(cfg)]) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("output failure: ")
+        assert re.search(CHILD_FAILURES[failure].format(label="CSV"), err)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "run.ini"]
+        assert target.read_bytes() == b"earlier run\n"
+
+
 class TestAtomicWriters:
     """Each writer streams its text to a sibling file that replaces the
     target only once the text is complete."""
@@ -284,6 +444,8 @@ class TestAtomicWriters:
     @pytest.mark.parametrize("writer", [output.write_csv, output.write_json])
     def test_failure_after_the_first_block_keeps_the_earlier_file(self, tmp_path, monkeypatch,
                                                                    writer):
+        # one process, so that no segment of another range is being written
+        monkeypatch.setattr(parallel, "_available_cpus", lambda: 1)
         env = spectrum_envelope(*SPECTRA["failed-point-ragged"])
         target = tmp_path / "out"
         target.write_bytes(b"earlier run\n")
@@ -340,8 +502,10 @@ class TestAtomicWriters:
         assert (tmp_path / "data.csv").read_bytes() == reference_csv(env.payload)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "link.csv"]
 
-    def test_pipe_is_written_in_place(self, tmp_path):
-        # a pipe (as /dev/stdout may be) cannot be replaced by a file
+    def test_pipe_is_written_in_place(self, tmp_path, monkeypatch):
+        # a pipe (as /dev/stdout may be) cannot be replaced by a file, and is
+        # written by one process whatever the split
+        with_processes(monkeypatch, 2)
         env = spectrum_envelope(*SPECTRA["failed-point-ragged"])
         fifo = tmp_path / "fifo"
         os.mkfifo(fifo)

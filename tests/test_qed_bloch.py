@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from cavity_bloch import qed_bloch
+from cavity_bloch import parallel, qed_bloch
 
 from cavity_bloch.cavity_gas import CavitySetup
 from cavity_bloch.constants import EV, HBAR, M_ELECTRON
@@ -1283,7 +1283,7 @@ class TestSweep:
         # one process, so the log is in call order: at flux 0.7 build raises
         # at the solved points k[0] and k[1] and returns at k[2]; k[5], k[4]
         # and k[3] are their C2 partners
-        monkeypatch.setattr(qed_bloch, "_available_cpus", lambda: 1)
+        monkeypatch.setattr(parallel, "_available_cpus", lambda: 1)
         kx_grid = midpoint_kx_grid(6)
         log, raised = [], []
 
@@ -1348,7 +1348,7 @@ class TestForkedSweep:
         OPENBLAS_NUM_THREADS=1, so that the sweep splits)."""
         if blas is None:
             blas = {"OPENBLAS_NUM_THREADS": "1"}
-        monkeypatch.setattr(qed_bloch, "_available_cpus", lambda: processes)
+        monkeypatch.setattr(parallel, "_available_cpus", lambda: processes)
         for name in cls.BLAS_THREAD_VARIABLES:
             monkeypatch.delenv(name, raising=False)
         for name, value in blas.items():
