@@ -4,12 +4,18 @@ Exit codes: 0 success, 2 invalid config, 3 numerical failure, 4 I/O failure.
 Running out of memory is a numerical failure while computing and an I/O
 failure while exporting.
 
+--out, --format and --seed replace [output] path, [output] format and
+[run] seed before the config is validated, in one pass (config.parse_config),
+so a flag also stands in for an invalid value of its key.  --threads is
+checked (>= 1) and selects nothing.
+
 A sweep splits its axis values across CPUs // BLAS threads processes, the
 CPUs those this process may run on (`taskset` narrows them); see
 qed_bloch.sweep.  The CSV or JSON export of a sweep's spectra is split the
 same way (output._write_chunks).  Output bytes do not depend on the split.
 The status line `wrote <format> to <path>` goes to stderr, so that
-`--out /dev/stdout` carries the output alone.
+`--out /dev/stdout` carries the output alone, written through the inherited
+descriptor.
 
 cavity_gas, eft and response are imported by the handlers that run them, so
 that a butterfly, the largest output, pays for none of them at start.
@@ -21,7 +27,6 @@ and spend twice the CPU on it, where a second process halves the wall time.
 """
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -34,7 +39,7 @@ if not any(name in os.environ for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THR
 import numpy as np
 
 from . import landau, qed_bloch
-from .config import COMMANDS, FORMATS, format_violations, parse_config
+from .config import COMMANDS, FORMATS, parse_config
 from .constants import EV, HBAR, THZ
 from .errors import CavityBlochError, ConfigError, DomainError, NumericalError, StabilityError
 from .lattice import (
@@ -222,7 +227,7 @@ def _run_butterfly(cfg):
     pot = _build(bravais_cosine_potential, p["kind"], p["v0_ev"], lat)
     trunc = _build(qed_bloch.BasisTruncation, n_max=p["n_max"], j_max=p["j_max"])
     kx_grid = qed_bloch.midpoint_kx_grid(p["kx_points"])
-    scaling = p.get("scaling") or "raw-joules"
+    scaling = p["scaling"]
     flux_values = np.linspace(p["flux_min"], p["flux_max"], p["points"])
 
     if scaling == "harper-scaled":
@@ -340,12 +345,12 @@ def main(argv=None):
     parser.add_argument("--out", default=None, help="output path (overrides [output] path)")
     parser.add_argument("--format", default=None, choices=FORMATS,
                         help="output format (overrides [output] format)")
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=int, default=1,
                         help="accepted and checked (>= 1) but selects nothing: a sweep "
                              "runs CPUs // BLAS threads processes, and output never "
                              "depends on it (default: 1)")
     parser.add_argument("--seed", type=int, default=None,
-                        help="seed recorded for sampled property runs")
+                        help="seed recorded for sampled property runs (overrides [run] seed)")
     args = parser.parse_args(argv)
 
     try:
@@ -359,42 +364,10 @@ def main(argv=None):
         return EXIT_CONFIG
 
     try:
-        cfg = parse_config(text)
-    except ConfigError as exc:
-        for violation in exc.violations:
-            print(f"config error: {violation}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    if cfg.command != args.command:
-        print(
-            f"config error: [run] command = {cfg.command!r} does not match "
-            f"the CLI command {args.command!r}",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
-
-    overrides = {}
-    violations = []
-    if args.threads is not None:
-        overrides["threads"] = args.threads
+        cfg = parse_config(text, command=args.command, out=args.out, fmt=args.format,
+                           seed=args.seed)
         if args.threads < 1:
-            violations.append("--threads must be >= 1")
-    if args.format is not None:
-        overrides["output_format"] = args.format
-        violations += format_violations(cfg.command, args.format)
-    if args.out is not None:
-        overrides["output_path"] = args.out
-        if not args.out:
-            violations.append("--out must not be empty")
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if violations:
-        for violation in violations:
-            print(f"config error: {violation}", file=sys.stderr)
-        return EXIT_CONFIG
-    cfg = dataclasses.replace(cfg, **overrides)
-
-    try:
+            raise ConfigError(["--threads must be >= 1"])
         envelope = run(cfg)
     except ConfigError as exc:
         for violation in exc.violations:

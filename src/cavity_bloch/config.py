@@ -2,8 +2,11 @@
 
 Input units at this boundary follow the numbers quoted throughout the
 problem domain (angstrom, eV, tesla, THz, 1/cm^2, mm); everything is
-converted to SI once, at parse time.  Validation collects every violation
-before failing.
+converted to SI once, at parse time.  parse_config is the one place a run
+request is validated: the CLI's --out, --format and --seed replace their INI
+keys before it reads them, and it collects every violation before failing.
+Rules on one key live in the command's schema (_schema_for), rules across
+keys in _cross_checks.
 """
 
 import configparser
@@ -51,8 +54,9 @@ class RunConfig:
     output_format: str
     source_text: str
     seed: int = 0
-    # selects nothing; kept because --threads parses into it and
-    # perfbench/child.py sets it with dataclasses.replace
+    # selects nothing and parse_config never sets it; only perfbench/child.py
+    # does, with dataclasses.replace, so removing it waits for the next
+    # change to that benchmark (ROADMAP item 1)
     threads: int = 1
 
 
@@ -61,9 +65,13 @@ class _Schema:
 
     def __init__(self):
         self.keys = {}  # (section, key) -> (required, converter, validator, default)
+        self.below = {}  # (section, key) -> the key of that section it must be below
 
-    def add(self, section, key, converter, required=True, check=None, default=None):
+    def add(self, section, key, converter, required=True, check=None, default=None,
+            below=None):
         self.keys[(section, key)] = (required, converter, check, default)
+        if below is not None:
+            self.below[(section, key)] = below
         return self
 
 
@@ -98,8 +106,12 @@ _INT_POS = (lambda v: v >= 1, "must be a positive integer")
 _AT_LEAST_ONE = (lambda v: v >= 1.0, "must be >= 1")
 
 
+def _one_of(choices):
+    return (lambda v: v in choices, f"not one of {choices}")
+
+
 def _lattice_schema(schema):
-    schema.add("lattice", "kind", str)
+    schema.add("lattice", "kind", str, check=_one_of(BRAVAIS_KINDS))
     schema.add("lattice", "a1_angstrom", _angstrom, check=_POS)
     schema.add("lattice", "a2_angstrom", _angstrom, check=_POS)
     schema.add("lattice", "theta_deg", _deg, required=False, default=None)
@@ -146,33 +158,34 @@ def _schema_for(command):
         s.add("landau", "points", int, required=False, check=_INT_POS, default=2001)
     elif command == "polariton":
         _cavity_schema(s)
-        s.add("sweep", "b_min_tesla", float, check=_NONNEG)
+        s.add("sweep", "b_min_tesla", float, check=_NONNEG, below="b_max_tesla")
         s.add("sweep", "b_max_tesla", float, check=_POS)
         s.add("sweep", "points", int, required=False, check=_INT_POS, default=200)
     elif command == "butterfly":
         _lattice_schema(s)
         s.add("lattice", "v0_ev", _ev, check=_POS)
-        s.add("sweep", "flux_min", float, check=_POS)
+        s.add("sweep", "flux_min", float, check=_POS, below="flux_max")
         s.add("sweep", "flux_max", float, check=_POS)
         s.add("sweep", "points", int, required=False, check=_INT_POS, default=300)
         s.add("truncation", "n_max", int, required=False, check=_INT_POS, default=30)
-        s.add("truncation", "j_max", int, required=False,
-              check=(lambda v: v >= 0, "must be >= 0"), default=0)
+        s.add("truncation", "j_max", int, required=False, check=_NONNEG, default=0)
         s.add("kgrid", "kx_points", int, required=False, check=_INT_POS, default=32)
-        s.add("sweep", "scaling", str, required=False, default="raw-joules")
-        s.add("plot", "emin_ev", float, required=False, default=None)
+        s.add("sweep", "scaling", str, required=False,
+              check=_one_of(("raw-joules", "harper-scaled")), default="raw-joules")
+        s.add("plot", "emin_ev", float, required=False, default=None, below="emax_ev")
         s.add("plot", "emax_ev", float, required=False, default=None)
     elif command == "polariton-butterfly":
         _lattice_schema(s)
         s.add("lattice", "v0_ev", _ev, check=_POS)
         s.add("sweep", "flux_ratio", float, check=_POS)
-        s.add("sweep", "g_min", float, check=_NONNEG)
+        s.add("sweep", "g_min", float, check=_NONNEG, below="g_max")
         s.add("sweep", "g_max", float, check=_POS)
         s.add("sweep", "points", int, required=False, check=_INT_POS, default=220)
         s.add("truncation", "n_max", int, required=False, check=_INT_POS, default=30)
         s.add("kgrid", "kx_points", int, required=False, check=_INT_POS, default=16)
         s.add("kgrid", "kw_points", int, required=False, check=_INT_POS, default=1)
-        s.add("solver", "mode", str, required=False, default="auto")
+        s.add("solver", "mode", str, required=False,
+              check=_one_of(("auto", "matrix", "reduced")), default="auto")
     elif command == "mtg-check":
         _lattice_schema(s)
         s.add("mtg", "flux_ratio", float, required=False, check=_POS, default=None)
@@ -183,51 +196,55 @@ def _schema_for(command):
     return s
 
 
-def format_violations(command, fmt):
-    """Why `command` cannot write its output as `fmt` (empty when it can)."""
-    if fmt not in FORMATS:
-        return [f"[output] format {fmt!r} not one of {FORMATS}"]
-    if fmt == "svg-scatter" and command not in SCATTER_COMMANDS:
-        return [f"[output] format 'svg-scatter' needs two numeric columns, which command "
-                f"{command!r} does not write; scatter commands are {SCATTER_COMMANDS}"]
-    return []
+def parse_config(text, *, command=None, out=None, fmt=None, seed=None):
+    """Parse and fully validate a run request; raises ConfigError listing
+    every violation.
 
-
-def parse_config(text):
-    """Parse and fully validate a config; raises ConfigError listing every violation."""
-    violations = []
+    `command` is the command the caller asked for, which [run] command must
+    name.  `out`, `fmt` and `seed`, when given, replace [output] path,
+    [output] format and [run] seed before anything is validated, so an
+    invalid INI value that a flag replaces is never read."""
     parser = configparser.ConfigParser(interpolation=None)  # values are read verbatim
     try:
         parser.read_file(io.StringIO(text))
     except configparser.Error as exc:
         raise ConfigError([f"malformed config: {exc}"]) from exc
 
-    command = parser.get("run", "command", fallback=None)
-    if command is None:
+    name = parser.get("run", "command", fallback=None)
+    if name is None:
         raise ConfigError(["[run] command is required"])
-    if command not in COMMANDS:
-        raise ConfigError([f"[run] command {command!r} not one of {COMMANDS}"])
+    if name not in COMMANDS:
+        raise ConfigError([f"[run] command {name!r} not one of {COMMANDS}"])
 
-    seed = parser.get("run", "seed", fallback="0")
-    out_path = parser.get("output", "path", fallback="result.csv")
-    out_format = parser.get("output", "format", fallback="csv")
+    violations = []
+    if command is not None and command != name:
+        violations.append(f"[run] command = {name!r} does not match the CLI command {command!r}")
+    out_path = parser.get("output", "path", fallback="result.csv") if out is None else out
     if not out_path:
-        violations.append("[output] path must not be empty")
-    violations += format_violations(command, out_format)
-    try:
-        seed = int(seed)
-    except ValueError:
-        violations.append(f"[run] seed must be an integer, got {seed!r}")
-        seed = 0
+        violations.append("[output] path must not be empty" if out is None
+                          else "--out must not be empty")
+    out_format = parser.get("output", "format", fallback="csv") if fmt is None else fmt
+    if out_format not in FORMATS:
+        violations.append(f"[output] format {out_format!r} not one of {FORMATS}")
+    elif out_format == "svg-scatter" and name not in SCATTER_COMMANDS:
+        violations.append(f"[output] format 'svg-scatter' needs two numeric columns, which "
+                          f"command {name!r} does not write; scatter commands are "
+                          f"{SCATTER_COMMANDS}")
+    if seed is None:
+        seed = parser.get("run", "seed", fallback="0")
+        try:
+            seed = int(seed)
+        except ValueError:
+            violations.append(f"[run] seed must be an integer, got {seed!r}")
 
-    schema = _schema_for(command)
+    schema = _schema_for(name)
     known = {("run", "command"), ("run", "seed"), ("output", "path"), ("output", "format")}
     known |= set(schema.keys)
 
     for section in parser.sections():
         for key in parser[section]:
             if (section, key) not in known:
-                violations.append(f"[{section}] unknown key {key!r} for command {command!r}")
+                violations.append(f"[{section}] unknown key {key!r} for command {name!r}")
 
     params = {}
     for (section, key), (required, conv, check, default) in schema.keys.items():
@@ -253,11 +270,14 @@ def parse_config(text):
                 continue
         params[key] = value
 
-    violations.extend(_cross_checks(command, params))
+    violations += _cross_checks(name, params)
+    for (section, low), high in schema.below.items():
+        if None not in (params.get(low), params.get(high)) and params[low] >= params[high]:
+            violations.append(f"[{section}] {low} must be below {high}")
     if violations:
         raise ConfigError(violations)
     return RunConfig(
-        command=command,
+        command=name,
         parameters=params,
         output_path=out_path,
         output_format=out_format,
@@ -269,42 +289,17 @@ def parse_config(text):
 def _cross_checks(command, params):
     """Validations spanning several keys (run after per-key conversion)."""
     violations = []
-    if command in ("butterfly", "polariton-butterfly", "mtg-check"):
-        kind = params.get("kind")
-        if kind is not None and kind not in BRAVAIS_KINDS:
-            violations.append(f"[lattice] kind {kind!r} not one of {BRAVAIS_KINDS}")
-    if command == "butterfly":
-        scaling = params.get("scaling")
-        if scaling not in ("raw-joules", "harper-scaled", None):
-            violations.append("[sweep] scaling must be raw-joules or harper-scaled")
-        if scaling == "harper-scaled" and params.get("kind") != "square":
+    if command == "butterfly" and params.get("scaling") == "harper-scaled":
+        if params.get("kind") != "square":
             violations.append("[sweep] harper-scaled output is defined for the square lattice")
-        fmin, fmax = params.get("flux_min"), params.get("flux_max")
-        if fmin is not None and fmax is not None and fmin >= fmax:
-            violations.append("[sweep] flux_min must be below flux_max")
-        emin, emax = params.get("emin_ev"), params.get("emax_ev")
-        if emin is not None and emax is not None and emin >= emax:
-            violations.append("[plot] emin_ev must be below emax_ev")
         # the scale t(flux) of harper-scaled output changes along the sweep,
         # so an eV window has no one value in its units
-        if scaling == "harper-scaled" and (emin is not None or emax is not None):
+        if params.get("emin_ev") is not None or params.get("emax_ev") is not None:
             violations.append("[plot] emin_ev/emax_ev apply to eV output only, "
                               "not to scaling = harper-scaled")
-    if command == "polariton-butterfly":
-        if params.get("kind") != "square":
-            violations.append(
-                "[lattice] the polaritonic Harper sweep is defined on the square lattice"
-            )
-        gmin, gmax = params.get("g_min"), params.get("g_max")
-        if gmin is not None and gmax is not None and gmin >= gmax:
-            violations.append("[sweep] g_min must be below g_max")
-        mode = params.get("mode")
-        if mode not in ("auto", "matrix", "reduced", None):
-            violations.append("[solver] mode must be auto, matrix or reduced")
-    if command == "polariton":
-        bmin, bmax = params.get("b_min_tesla"), params.get("b_max_tesla")
-        if bmin is not None and bmax is not None and bmin >= bmax:
-            violations.append("[sweep] b_min_tesla must be below b_max_tesla")
+    if command == "polariton-butterfly" and params.get("kind") != "square":
+        violations.append(
+            "[lattice] the polaritonic Harper sweep is defined on the square lattice")
     if command == "mtg-check":
         if params.get("flux_ratio") is None and params.get("b_tesla") is None:
             violations.append("[mtg] give either flux_ratio or b_tesla")

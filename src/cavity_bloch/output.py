@@ -168,6 +168,21 @@ def _append(fd, path):
             offset += sent
 
 
+#: paths that name a descriptor of the process that opens them
+_STD_STREAMS = {"/dev/stdin": 0, "/dev/stdout": 1, "/dev/stderr": 2}
+
+
+def _held_descriptor(path):
+    """The descriptor of this process that `path` names (/dev/stdout,
+    /dev/stderr, /dev/fd/N, /proc/self/fd/N), or None."""
+    if path in _STD_STREAMS:
+        return _STD_STREAMS[path]
+    for prefix in ("/dev/fd/", "/proc/self/fd/"):
+        if path.startswith(prefix) and path[len(prefix):].isdecimal():
+            return int(path[len(prefix):])
+    return None
+
+
 def _write_chunks(path, chunks, label, items=1):
     """Write the text chunks(0, items) to `path` as UTF-8, line ends
     untranslated, one chunk at a time; returns the path.  chunks(start, stop)
@@ -183,15 +198,20 @@ def _write_chunks(path, chunks, label, items=1):
     process appends in order before the replacement; the bytes do not
     depend on P (parallel.split).  If writing fails, or the chunks raise
     anywhere, every child is reaped, those files are removed and any
-    earlier file at `path` is left as it was.  A path that exists but is no
-    regular file, a pipe or a terminal such as /dev/stdout, cannot be
-    replaced and is written in place, by this process alone.  An empty path
-    is refused before any file is touched."""
+    earlier file at `path` is left as it was.  A path that names a
+    descriptor this process holds (/dev/stdout, /dev/fd/N, ...) is written
+    through that descriptor, so a shell's `>>` appends and its `>` writes at
+    the shell's offset; a path that exists but is no regular file, such as a
+    pipe, cannot be replaced and is written in place.  Both are written by
+    this process alone.  An empty path is refused before any file is
+    touched."""
     if not os.fspath(path):
         raise CavityBlochError(f"cannot write {label} to an empty path")
     try:
-        if os.path.exists(path) and not os.path.isfile(path):
-            with open(os.open(path, os.O_WRONLY), "w", encoding="utf-8", newline="\n") as handle:
+        held = _held_descriptor(os.fspath(path))
+        if held is not None or (os.path.exists(path) and not os.path.isfile(path)):
+            fd = os.open(path, os.O_WRONLY) if held is None else os.dup(held)
+            with open(fd, "w", encoding="utf-8", newline="\n") as handle:
                 handle.writelines(chunks(0, items))
             return path
         target = os.path.realpath(path)

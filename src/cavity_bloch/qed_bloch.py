@@ -335,6 +335,17 @@ def harper_hopping(flux, v_amplitude):
     return v_amplitude * math.exp(-0.5 * math.pi / flux)
 
 
+def _phase_step(flux):
+    """2 pi Phi0/Phi, the phase a Harper chain's onsite cosine advances per
+    site; DomainError where it overflows float64 (flux below ~1e-308), as
+    the chain's cosines would be NaN.  A Python float divides without
+    numpy's overflow warning."""
+    step = 2.0 * math.pi / float(flux)
+    if not math.isfinite(step):
+        raise DomainError(f"flux ratio {flux:g} is too small: 2 pi / flux overflows float64")
+    return step
+
+
 def harper_matrix(flux, kx_a, n_max, hop=1.0, onsite=1.0):
     """Dimensionless Harper chain at crystal momentum k_x (kx_a = k_x * a).
 
@@ -347,7 +358,7 @@ def harper_matrix(flux, kx_a, n_max, hop=1.0, onsite=1.0):
         raise DomainError("flux ratio must be positive")
     n_vals = np.arange(-n_max, n_max + 1)
     size = n_vals.size
-    diag = 2.0 * onsite * np.cos(2.0 * math.pi / flux * (kx_a / (2.0 * math.pi) + n_vals))
+    diag = 2.0 * onsite * np.cos(_phase_step(flux) * (kx_a / (2.0 * math.pi) + n_vals))
     mat = np.zeros((size, size))
     # diagonal, upper and lower diagonal as basic slices of a flat view
     flat = mat.reshape(size * size)
@@ -526,7 +537,7 @@ def polariton_harper_matrix(flux, g, kx_a, kw_scaled, trunc, a1, v0, mode="auto"
     trunc.dimension(fourier_dims=2)
     n_count = trunc.n_count
     n_vals = np.arange(-trunc.n_max, trunc.n_max + 1)
-    phase_arg = 2.0 * math.pi / (flux * (1.0 + g * g)) * (kx_a / (2.0 * math.pi) + n_vals)
+    phase_arg = _phase_step(flux * (1.0 + g * g)) * (kx_a / (2.0 * math.pi) + n_vals)
     kinetic = np.array([min(polariton_scaled_kinetic(flux, g, kw_scaled, int(m), a1, v0),
                             DIAG_SAFE_CAP) for m in n_vals])
     # (n, m) lattice of 1x1 blocks: kinetic[m] on the diagonal, tau1 hops

@@ -364,6 +364,82 @@ lambda0 = 2.0
             parse_config("[run]\ncommand = teleport\n")
 
 
+class TestRunRequest:
+    """parse_config validates a run request in one pass: the CLI's --out,
+    --format and --seed replace their INI keys first, and each rule on one
+    key is declared in the command's schema."""
+
+    def main(self, tmp_path, command, text, *flags):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(text)
+        return cli.main([command, "--config", str(cfg), *flags])
+
+    @pytest.mark.parametrize("ini_seed, flags, seed", [
+        (None, [], 0), ("5", [], 5), ("5", ["--seed", "9"], 9), (None, ["--seed", "-2"], -2),
+    ])
+    def test_seed_reaches_the_envelope(self, tmp_path, ini_seed, flags, seed):
+        out = tmp_path / "gas.json"
+        text = GAS_CONFIG.format(path=out, fmt="json")
+        if ini_seed is not None:
+            text = text.replace("command = gas", f"command = gas\nseed = {ini_seed}")
+        assert self.main(tmp_path, "gas", text, *flags) == cli.EXIT_OK
+        assert json.loads(out.read_text())["seed"] == seed
+
+    @pytest.mark.parametrize("path, fmt, seed, flag", [
+        ("", "csv", "0", ["--out", "{out}"]),
+        ("{out}", "svg-scatter", "0", ["--format", "csv"]),
+        ("{out}", "csv", "x", ["--seed", "3"]),
+    ], ids=["out", "format", "seed"])
+    def test_flag_replaces_an_invalid_ini_value(self, tmp_path, capsys, path, fmt, seed, flag):
+        out = tmp_path / "gas.csv"
+        text = (GAS_CONFIG.format(path=path.format(out=out), fmt=fmt)
+                .replace("command = gas", f"command = gas\nseed = {seed}"))
+        with pytest.raises(ConfigError):
+            parse_config(text)  # the INI value alone is refused
+        flag = [arg.format(out=out) for arg in flag]
+        assert self.main(tmp_path, "gas", text, *flag) == cli.EXIT_OK
+        assert capsys.readouterr().err == f"wrote csv to {out}\n"
+        assert out.read_text().startswith("quantity[name],value[mixed]\n")
+
+    @pytest.mark.parametrize("text, old, new, violation", [
+        (MTG_CONFIG, "kind = square", "kind = pentagonal",
+         f"[lattice] kind = 'pentagonal' not one of {BRAVAIS_KINDS}"),
+        (BUTTERFLY_CONFIG, "scaling = harper-scaled", "scaling = harper",
+         "[sweep] scaling = 'harper' not one of ('raw-joules', 'harper-scaled')"),
+        (POLARITON_MATRIX_CONFIG, "mode = matrix", "mode = dense",
+         "[solver] mode = 'dense' not one of ('auto', 'matrix', 'reduced')"),
+        (BUTTERFLY_CONFIG, "flux_min = 0.01", "flux_min = 2.0",
+         "[sweep] flux_min must be below flux_max"),
+        (BUTTERFLY_CONFIG, "scaling = harper-scaled",
+         "scaling = raw-joules\n[plot]\nemin_ev = 1\nemax_ev = -1",
+         "[plot] emin_ev must be below emax_ev"),
+        (POLARITON_MATRIX_CONFIG, "g_min = 0.5", "g_min = 1.5",
+         "[sweep] g_min must be below g_max"),
+        (POLARITON_CONFIG, "b_min_tesla = 0.1", "b_min_tesla = 6.0",
+         "[sweep] b_min_tesla must be below b_max_tesla"),
+    ], ids=["kind", "scaling", "mode", "flux", "energy", "coupling", "field"])
+    def test_single_key_rule_message(self, text, old, new, violation):
+        text = text.replace("{points}", "3").format(path="out.csv")
+        assert old in text
+        with pytest.raises(ConfigError) as err:
+            parse_config(text.replace(old, new))
+        assert err.value.violations == [violation]
+
+    def test_rules_across_keys_come_before_ordered_pairs(self):
+        text = (BUTTERFLY_CONFIG.format(path="out.csv", points=3)
+                .replace("kind = square", "kind = hexagonal")
+                .replace("flux_min = 0.01", "flux_min = 3.0")
+                .replace("[output]", "[plot]\nemin_ev = 1\nemax_ev = -1\n\n[output]"))
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.violations == [
+            "[sweep] harper-scaled output is defined for the square lattice",
+            "[plot] emin_ev/emax_ev apply to eV output only, not to scaling = harper-scaled",
+            "[sweep] flux_min must be below flux_max",
+            "[plot] emin_ev must be below emax_ev",
+        ]
+
+
 class TestRun:
     def test_gas_scalars(self):
         cfg = parse_config(GAS_CONFIG.format(path="x.csv", fmt="csv"))
@@ -602,6 +678,9 @@ class TestCliProcess:
         cfg.write_text(GAS_CONFIG.format(path="x.csv", fmt="csv"))
         result = self.run_cli(["eft", "--config", str(cfg)], tmp_path)
         assert result.returncode == cli.EXIT_CONFIG
+        assert result.stderr == ("config error: [run] command = 'gas' does not match the CLI "
+                                 "command 'eft'\n")
+        assert not (tmp_path / "x.csv").exists()
 
     def test_threads_env_default(self, tmp_path, monkeypatch):
         # CAVITY_BLOCH_THREADS is no setting: any value, valid or not, is ignored
@@ -692,6 +771,27 @@ class TestCliProcess:
             assert (float(flux), int(k_idx), int(e_idx)) == (2.0, 3, 20)
             assert math.isfinite(float(value))
         assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("redirect", [">>", ">"])
+    def test_output_to_redirected_stdout_writes_the_stream(self, tmp_path, redirect):
+        # `--out /dev/stdout >> log` appends through the descriptor the shell
+        # opened, and `>` writes at its offset: the log is not replaced, so
+        # what the shell wrote before and writes after the run stays in it
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(GAS_CONFIG.format(path="unused.csv", fmt="csv"))
+        reference = tmp_path / "reference.csv"
+        assert cli.main(["gas", "--config", str(cfg), "--out", str(reference)]) == cli.EXIT_OK
+        log = tmp_path / "log"
+        log.write_text("EXISTING\n")
+        script = ('{ echo before; "$0" -m cavity_bloch.cli gas --config run.ini '
+                  f'--out /dev/stdout; echo "exit $?"; }} {redirect} log')
+        result = subprocess.run(["sh", "-c", script, sys.executable], capture_output=True,
+                                text=True, cwd=tmp_path, env=env_with_src(os.environ),
+                                timeout=600)
+        assert result.returncode == 0 and result.stderr == "wrote csv to /dev/stdout\n"
+        kept = "EXISTING\n" if redirect == ">>" else ""
+        assert log.read_text() == f"{kept}before\n{reference.read_text()}exit 0\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["log", "reference.csv", "run.ini"]
 
     def test_cli_import_pins_one_blas_thread_unless_set(self):
         def child(code, **blas):
@@ -1304,6 +1404,50 @@ class TestLlbTermsPerFlux:
             want = self.direct_rows(cfg, grid.axis_values[a_idx])
             for eigs, expected in zip(grid.eigenvalues[a_idx], want, strict=True):
                 assert np.array_equal(eigs, expected)
+
+
+class TestTinyFlux:
+    """A flux so small that 2 pi / flux overflows float64 fails each of its
+    points, in k order, with a DomainError and no numpy warning (an error
+    under this suite's filter)."""
+
+    @staticmethod
+    def failures(labels_and_fluxes, total):
+        return ([f"numerical failure: {len(labels_and_fluxes)} of {total} points failed"]
+                + [f"  {label}: flux ratio {flux:g} is too small: 2 pi / flux overflows "
+                   f"float64" for label, flux in labels_and_fluxes])
+
+    def test_harper_scaled_butterfly(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(parallel, "_available_cpus", lambda: 1)
+        out, cfg = tmp_path / "out.csv", tmp_path / "run.ini"
+        cfg.write_text(BUTTERFLY_CONFIG.format(path=out, points=2)
+                       .replace("flux_min = 0.01", "flux_min = 1e-320")
+                       .replace("flux_max = 2.0", "flux_max = 1e-300"))
+        assert cli.main(["butterfly", "--config", str(cfg)]) == cli.EXIT_NUMERICAL
+        tiny, small = np.linspace(1e-320, 1e-300, 2).tolist()
+        assert capsys.readouterr().err.splitlines() == self.failures(
+            [(f"axis[0]={tiny:g}, k[{k_idx}]", tiny) for k_idx in range(4)], 8
+        ) + [f"wrote csv to {out}"]
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 4 * 21 and {float(flux) for flux, _, _, _ in rows} == {small}
+        assert all(math.isfinite(float(value)) for _, _, _, value in rows)
+
+    @pytest.mark.parametrize("mode", ["auto", "matrix", "reduced"])
+    def test_polariton_butterfly(self, tmp_path, capsys, monkeypatch, mode):
+        # the reduced chain and the (n, m) lattice both step their phase by
+        # 2 pi / (flux (1 + g^2))
+        monkeypatch.setattr(parallel, "_available_cpus", lambda: 1)
+        out, cfg = tmp_path / "out.csv", tmp_path / "run.ini"
+        cfg.write_text(POLARITON_MATRIX_CONFIG.format(path=out)
+                       .replace("flux_ratio = 1.0", "flux_ratio = 1e-320")
+                       .replace("mode = matrix", f"mode = {mode}"))
+        code = cli.main(["polariton-butterfly", "--config", str(cfg)])
+        assert code == cli.EXIT_NUMERICAL
+        points = [(f"axis[{a_idx}]={g:g}, k[{k_idx}]", 1e-320 * (1.0 + g * g))
+                  for a_idx, g in enumerate((0.5, 1.0)) for k_idx in range(2)]
+        assert capsys.readouterr().err.splitlines() == self.failures(points, 4) + [
+            f"wrote csv to {out}"]
+        assert out.read_text() == "coupling_g[1],k_index[1],eig_index[1],scaled[1]\n"
 
 
 class TestScatterFormat:

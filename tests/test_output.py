@@ -523,6 +523,31 @@ class TestAtomicWriters:
         assert received == [reference_csv(env.payload)]
         assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
 
+    @pytest.mark.parametrize("name", ["/dev/fd/{}", "/proc/self/fd/{}"])
+    def test_held_descriptor_is_written_through(self, tmp_path, monkeypatch, name):
+        # a path naming a descriptor of this process writes through it, by
+        # one process whatever the split: a file opened to append keeps its
+        # text, gets no partial sibling and is not replaced
+        with_processes(monkeypatch, 2)
+        env = spectrum_envelope(*SPECTRA["failed-point-ragged"])
+        log = tmp_path / "log"
+        log.write_bytes(b"earlier\n")
+        with open(log, "ab") as stream:
+            inode = os.fstat(stream.fileno()).st_ino
+            output.write_csv(env, name.format(stream.fileno()))
+            stream.write(b"later\n")
+        assert log.read_bytes() == b"earlier\n" + reference_csv(env.payload) + b"later\n"
+        assert os.stat(log).st_ino == inode
+        assert [p.name for p in tmp_path.iterdir()] == ["log"]
+
+    @pytest.mark.parametrize("path, fd", [
+        ("/dev/stdin", 0), ("/dev/stdout", 1), ("/dev/stderr", 2), ("/dev/fd/7", 7),
+        ("/proc/self/fd/12", 12), ("/dev/fd/x", None), ("/dev/fd/", None),
+        ("/proc/1/fd/1", None), ("dev/stdout", None), ("/dev/null", None),
+    ])
+    def test_held_descriptor_names(self, path, fd):
+        assert output._held_descriptor(path) == fd
+
     @pytest.mark.parametrize("writer", [output.write_csv, output.write_json,
                                         output.write_svg_scatter])
     def test_success_replaces_the_earlier_file(self, tmp_path, writer):
