@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 invalid config, 3 numerical failure, 4 I/O failure.
 Running out of memory is a numerical failure while computing and an I/O
-failure while exporting.
+failure while exporting.  An overflow or a division by zero
+(ArithmeticError, numpy's included: see run) and a table or scalar result
+that holds NaN are numerical failures.
 
 --out, --format and --seed replace [output] path, [output] format and
 [run] seed before the config is validated, in one pass (config.parse_config),
@@ -264,25 +266,11 @@ def _run_polariton_butterfly(cfg):
     if p["mode"] == "matrix":
         _build(trunc.dimension, fourier_dims=2)
     kx_grid = qed_bloch.midpoint_kx_grid(p["kx_points"])
-    kw_count = p["kw_points"]
-    kw_grid = [0.0] if kw_count == 1 else list(
-        np.linspace(0.0, 2.0 * math.pi / lat.a1, kw_count, endpoint=False)
-    )
-    k_grid = [(kx, kw) for kx in kx_grid for kw in kw_grid]
+    kw_grid = np.linspace(0.0, 2.0 * math.pi / lat.a1, p["kw_points"], endpoint=False)
+    k_grid = [(kx, kw) for kx in kx_grid for kw in kw_grid.tolist()]
     g_values = np.linspace(p["g_min"], p["g_max"], p["points"])
-    if g_values[0] == 0.0:
-        g_values = g_values.copy()
-        g_values[0] = 1e-12  # continuous Harper limit, transform singular at exactly 0
-
-    def build(g):
-        return lambda k: qed_bloch.polariton_harper_blocks(
-            p["flux_ratio"], g, *k, trunc, a1=lat.a1, v0=p["v0_ev"], mode=p["mode"])
-
-    def key(g, k):
-        # one solve per k_w on the matrix route (two half-size ones at k_w = 0),
-        # one per +-k_x pair on the reduced
-        return qed_bloch.polariton_key(p["flux_ratio"], g, k, lat.a1, p["v0_ev"], p["mode"])
-
+    build, key = qed_bloch.polariton_sweep(p["flux_ratio"], trunc, lat.a1, p["v0_ev"],
+                                           p["mode"])
     grid = qed_bloch.sweep(build, g_values, k_grid, key)
     grid.columns = ["coupling_g[1]", "k_index[1]", "eig_index[1]", "scaled[1]"]
     return grid
@@ -306,8 +294,29 @@ def _run_mtg(cfg):
     return ScalarPayload(values=values)
 
 
+def _refuse_nan(payload):
+    """Raise NumericalError naming the first column of a table or scalar
+    result that holds NaN.  An infinity is a result (a Landau pole beyond
+    float64, the mass enhancement at gamma = 1) and passes."""
+    if isinstance(payload, ScalarPayload):
+        columns, rows = list(payload.values), [list(payload.values.values())]
+    elif isinstance(payload, TablePayload):
+        columns, rows = payload.columns, payload.rows
+    else:
+        return  # a sweep fails each non-finite point on its own
+    for row in rows:
+        for name, value in zip(columns, row):
+            if isinstance(value, float) and math.isnan(value):
+                raise NumericalError(f"{name} is NaN")
+
+
 def run(cfg):
-    """Dispatch a validated config; returns a ResultEnvelope."""
+    """Dispatch a validated config; returns a ResultEnvelope.
+
+    The command runs with numpy's overflow, invalid-value and division
+    errors raised as FloatingPointError, which fails the run, or in a sweep
+    its point, where numpy would warn and go on with an inf or NaN.  A
+    table or scalar result that holds NaN all the same is refused."""
     handlers = {
         "gas": _run_gas,
         "response": _run_response,
@@ -321,7 +330,9 @@ def run(cfg):
     }
     if cfg.command not in handlers:  # pragma: no cover - parse_config guards the command set
         raise ConfigError([f"unknown command {cfg.command!r}"])
-    payload = handlers[cfg.command](cfg)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        payload = handlers[cfg.command](cfg)
+    _refuse_nan(payload)
     return ResultEnvelope(
         config_text=cfg.source_text, command=cfg.command, payload=payload, seed=cfg.seed
     )
@@ -373,7 +384,7 @@ def main(argv=None):
         for violation in exc.violations:
             print(f"config error: {violation}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericalError, CavityBlochError, FloatingPointError, MemoryError) as exc:
+    except (CavityBlochError, ArithmeticError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import FLUX_QUANTUM
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 
 BRAVAIS_KINDS = ("oblique", "rectangular", "centered-rectangular", "hexagonal", "square")
 
@@ -96,11 +96,14 @@ def mtg_flux_condition(lat, b_field, p, tol=1e-9):
     Closure of the magnetic translations requires an integer relative flux
     through the (enlarged) cell and a2*cos(theta) an integer multiple of a1.
     Returns (verdict, residual) with verdict in {"abelian-group", "not-group"}
-    and residual the worse of the two distances to integrality.
+    and residual the worse of the two distances to integrality; raises
+    NumericalError where the flux through the cell is not finite in float64.
     """
     if int(p) != p or p < 1:
         raise DomainError(f"enlargement factor must be a positive integer, got {p}")
     enlarged_flux = p * flux_ratio(lat, b_field)
+    if not math.isfinite(enlarged_flux):
+        raise NumericalError(f"flux through the enlarged cell is {enlarged_flux} in float64")
     flux_res = abs(enlarged_flux - round(enlarged_flux))
     geom = lat.a2 * math.cos(lat.theta) / lat.a1
     geom_res = abs(geom - round(geom))

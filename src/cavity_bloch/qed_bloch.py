@@ -431,17 +431,31 @@ def polariton_hoppings(flux, g):
     return tau1, 1.0 - tau1
 
 
+def _coupling_powers(g):
+    """(sqrt(1 + g^2), (1 + g^2)^(3/2)) as float64 gives them, or None where
+    the 3/2 power overflows (from g ~ 5.6e102; 1 + g^2 == g^2 there)."""
+    one_plus = 1.0 + g * g
+    try:
+        cube = one_plus**1.5
+    except OverflowError:
+        return None
+    return None if math.isinf(cube) else (math.sqrt(one_plus), cube)
+
+
 def _log_t2_minus_log_t1(flux, g):
     base = 0.5 * math.pi / flux
-    one_plus = 1.0 + g * g
-    return base * (1.0 / math.sqrt(one_plus) - 1.0 / one_plus**1.5)
+    powers = _coupling_powers(g)
+    if powers is None:  # g^-3 lies below an ulp of g^-1
+        return base / g
+    root, cube = powers
+    return base * (1.0 / root - 1.0 / cube)
 
 
 def _log_s_over_v0(flux, g):
     """ln(S / V0) with S = t1 + t2."""
     base = 0.5 * math.pi / flux
-    one_plus = 1.0 + g * g
-    log_t2 = -base / one_plus**1.5
+    powers = _coupling_powers(g)
+    log_t2 = -base * (1.0 / g) ** 3 if powers is None else -base / powers[1]
     delta = _log_t2_minus_log_t1(flux, g)
     return log_t2 + math.log1p(math.exp(-min(delta, 700.0)))
 
@@ -451,12 +465,14 @@ def polariton_scaled_kinetic(flux, g, kw_scaled, m, a1, v0):
 
     kinetic = hbar^2 (kw_scaled + 2 pi m/a1)^2 / (2 m_e (1 + g^-2)) with
     kw_scaled = sqrt(2) omega_c k_w (1/m units); returns inf on float overflow.
+    Where g^2 overflows float64 (from g ~ 1.3e154) g^2/(1 + g^2) is its
+    limit 1, the value float64 gives it from g ~ 1e8 up.
     """
     if g == 0.0:
         return 0.0
     one_plus = 1.0 + g * g
-    kin = (HBAR**2 * (kw_scaled + 2.0 * math.pi * m / a1) ** 2 / (2.0 * M_ELECTRON)
-           * (g * g / one_plus))
+    ratio = 1.0 if math.isinf(one_plus) else g * g / one_plus
+    kin = HBAR**2 * (kw_scaled + 2.0 * math.pi * m / a1) ** 2 / (2.0 * M_ELECTRON) * ratio
     if kin == 0.0:
         return 0.0
     log_scaled = math.log(kin / v0) - _log_s_over_v0(flux, g)
@@ -527,7 +543,7 @@ def polariton_harper_matrix(flux, g, kx_a, kw_scaled, trunc, a1, v0, mode="auto"
 
     At kx_a = 0 as well, that real matrix R also keeps the inversion C2,
     (n, m) -> (-n, -m): R[::-1, ::-1] == R, so c2_blocks splits it into two
-    half-size blocks.  polariton_harper_blocks returns what a sweep solves.
+    half-size blocks.  polariton_sweep builds what a sweep solves.
     """
     mode = polariton_route(flux, g, a1, v0, kw_scaled, mode)
     tau1, tau2 = polariton_hoppings(flux, g)
@@ -583,15 +599,32 @@ def c2_blocks(mat):
     return even, top[:h, :h] - cross[:h, :h]
 
 
-def polariton_harper_blocks(flux, g, kx_a, kw_scaled, trunc, a1, v0, mode="auto"):
-    """What a sweep solves for polariton_harper_matrix at these arguments: on
-    the matrix route (polariton_route) at kw_scaled = 0, the two c2_blocks of
-    the lattice at kx_a = 0, which has the spectrum of every k_x (the gauge U
-    of polariton_harper_matrix); otherwise that one matrix."""
-    if kw_scaled == 0.0 and polariton_route(flux, g, a1, v0, kw_scaled, mode) == "matrix":
-        return c2_blocks(polariton_harper_matrix(flux, g, 0.0, kw_scaled, trunc, a1, v0,
-                                                 "matrix"))
-    return polariton_harper_matrix(flux, g, kx_a, kw_scaled, trunc, a1, v0, mode)
+def polariton_sweep(flux, trunc, a1, v0, mode="auto"):
+    """(build, key) of a sweep over the coupling g of polariton_harper_matrix
+    at `flux`, whose points are k = (kx_a, kw_scaled); each point takes the
+    route polariton_route gives for (g, k_w).
+
+    On the matrix route the spectrum does not depend on k_x (the gauge U of
+    polariton_harper_matrix): the key is ("matrix", k_w), and at k_w = 0 the
+    point solves the two c2_blocks of the lattice at kx_a = 0.  The reduced
+    chain does not depend on k_w, and at -k_x it is the chain at k_x reversed
+    (J H J, J reversing n): the key is ("reduced", |k_x|).  Any other point
+    solves polariton_harper_matrix at the point.
+    """
+    def key(g, k):
+        kx_a, kw_scaled = k
+        if polariton_route(flux, g, a1, v0, kw_scaled, mode) == "matrix":
+            return ("matrix", kw_scaled)
+        return ("reduced", abs(kx_a))
+
+    def matrices(g, k):
+        kx_a, kw_scaled = k
+        route = polariton_route(flux, g, a1, v0, kw_scaled, mode)
+        if route == "matrix" and kw_scaled == 0.0:
+            return c2_blocks(polariton_harper_matrix(flux, g, 0.0, 0.0, trunc, a1, v0, route))
+        return polariton_harper_matrix(flux, g, kx_a, kw_scaled, trunc, a1, v0, route)
+
+    return (lambda g: lambda k: matrices(g, k)), key
 
 
 def _solve_axis(build, axis, k_grid, partners, failures, label):
@@ -620,7 +653,7 @@ def _solve_axis(build, axis, k_grid, partners, failures, label):
                                                        for m in matrices])))
                 else:
                     row.append(hermitian_eigvals(matrices))
-            except (CavityBlochError, FloatingPointError) as exc:
+            except (CavityBlochError, ArithmeticError) as exc:
                 errors[k_idx] = str(exc)
                 row.append(np.empty(0))
         if partner in errors:
@@ -638,7 +671,7 @@ def sweep(build, axis_values, k_grid, key=None):
     point while it raises, so what does not depend on k is built once per
     axis value.  Each matrix or block is solved alone by `hermitian_eigvals`,
     and a point's blocks' eigenvalues are merged in ascending order.  A point
-    whose build or matrix raises a package error or a floating-point error,
+    whose build or matrix raises a package error or an ArithmeticError,
     or whose matrix or any of whose blocks fails to solve, is recorded in the
     result's failures and keeps an empty eigenvalue array.  Any other
     exception propagates.
@@ -732,23 +765,6 @@ def c2_symmetric(pot):
     """
     coeff = pot.coefficients
     return all(coeff.get((-dn, -dm)) == v for (dn, dm), v in coeff.items())
-
-
-def polariton_key(flux, g, k, a1, v0, mode="auto"):
-    """The sweep key of the point k = (kx_a, kw_scaled) of coupling g for
-    polariton_harper_matrix: points of one g with equal keys have the same
-    spectrum.
-
-    On the matrix route (polariton_route) the key is ("matrix", k_w): the
-    spectrum does not depend on k_x (the gauge U of polariton_harper_matrix).
-    The reduced chain does not depend on k_w, and at -k_x it is the chain at
-    k_x reversed (J H J, J reversing n), so on the reduced route the key is
-    ("reduced", |k_x|).
-    """
-    kx_a, kw_scaled = k
-    if polariton_route(flux, g, a1, v0, kw_scaled, mode) == "matrix":
-        return ("matrix", kw_scaled)
-    return ("reduced", abs(kx_a))
 
 
 def count_bands(values, gap_threshold):

@@ -12,6 +12,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavity_bloch import cli, config, numerics, output, parallel, qed_bloch
+from cavity_bloch import cavity_gas, cli, config, numerics, output, parallel, qed_bloch
 from cavity_bloch.config import COMMANDS, FORMATS, parse_config
 from cavity_bloch.constants import EV
 from cavity_bloch.errors import ConfigError, NumericalError
@@ -1236,7 +1237,6 @@ class TestC2Sweeps:
         k_grid = [(kx, kw) for kx in qed_bloch.midpoint_kx_grid(p["kx_points"])
                   for kw in kw_grid.tolist()]
         g_values = np.linspace(p["g_min"], p["g_max"], p["points"])
-        g_values[g_values == 0.0] = 1e-12
         return g_values, k_grid, p, lat, qed_bloch.BasisTruncation(n_max=p["n_max"])
 
     def test_polariton_matrix_mode_builds_one_matrix_per_g_and_kw(self, tmp_path, call_log):
@@ -1283,9 +1283,9 @@ class TestC2Sweeps:
         code, calls, values = self.run_counting(tmp_path, call_log, "polariton-butterfly",
                                                 text, "polariton_harper_matrix")
         assert code == cli.EXIT_OK
-        assert sorted(args[1] for args in calls) == [1e-12] * 2 + [0.5] * 2 + [1.0] * 2
-        assert values[("1e-12", 7)] == values[("1e-12", 0)]
-        assert values[("1e-12", 2)] != values[("1e-12", 0)]
+        assert sorted(args[1] for args in calls) == [0.0] * 2 + [0.5] * 2 + [1.0] * 2
+        assert values[("0.0", 7)] == values[("0.0", 0)]
+        assert values[("0.0", 2)] != values[("0.0", 0)]
         for axis, kw_idx in itertools.product(("0.5", "1.0"), (0, 1)):
             # k index 2 kx + kw: every kx of one kw holds the same rows
             assert {tuple(rows) for (a, k), rows in values.items()
@@ -1450,6 +1450,121 @@ class TestTinyFlux:
         assert out.read_text() == "coupling_g[1],k_index[1],eig_index[1],scaled[1]\n"
 
 
+def _cavity(cavity_thz="0.208", density_cm2="1.3e12", mass_ratio="0.336", grid=""):
+    return (f"[cavity]\ncavity_thz = {cavity_thz}\ndensity_cm2 = {density_cm2}\n"
+            f"mass_ratio = {mass_ratio}\n{grid}")
+
+
+def _eft(lz_mm="1", density_cm2="1.3e12", mass_ratio="1"):
+    return (f"[eft]\nlz_mm = {lz_mm}\ndensity_cm2 = {density_cm2}\nn_electrons = 1\n"
+            f"lambda0 = 1.2\nmass_ratio = {mass_ratio}\n")
+
+
+def _landau(b_tesla="2.0", mass_ratio="1"):
+    return (f"[landau]\nb_tesla = {b_tesla}\ndensity_cm2 = 1.3e12\nmass_ratio = {mass_ratio}\n"
+            "points = 50\n")
+
+
+_GRID = "[grid]\npoints = 5\n"
+_MTG_1E200 = ("[lattice]\nkind = square\na1_angstrom = 1e200\na2_angstrom = 1e200\n"
+              "[mtg]\np = 2\n")
+
+#: (command, model sections) of schema-valid configs whose arithmetic leaves
+#: float64, by the command and the value that takes it there
+ARITHMETIC_FAILURES = [pytest.param(command, body, id=f"{command}-{case}")
+                       for command, case, body in [
+    ("gas", "cavity_thz=1e-300", _cavity(cavity_thz="1e-300")),
+    ("gas", "mass_ratio=1e-300", _cavity(mass_ratio="1e-300")),
+    ("gas", "density_cm2=1e200", _cavity(density_cm2="1e200")),
+    *[(command, "mass_ratio=1e-300", _cavity(mass_ratio="1e-300", grid=_GRID))
+      for command in ("response", "conductivity")],
+    *[(command, "density_cm2=1e200", _cavity(density_cm2="1e200", grid=_GRID))
+      for command in ("response", "conductivity")],
+    ("response", "span=1e300", _cavity(grid=_GRID + "span = 1e300\n")),
+    ("eft", "mass_ratio=1e-300", _eft(mass_ratio="1e-300")),
+    ("eft", "density_cm2=1e200", _eft(density_cm2="1e200")),
+    ("eft", "lz_mm=1e-300", _eft(lz_mm="1e-300")),
+    ("eft", "lz_mm=1e200", _eft(lz_mm="1e200")),
+    ("landau", "mass_ratio=1e-300", _landau(mass_ratio="1e-300")),
+    ("landau", "mass_ratio=1e200", _landau(mass_ratio="1e200")),
+    ("landau", "b_tesla=1e-320", _landau(b_tesla="1e-320")),
+    ("landau", "b_tesla=1e200", _landau(b_tesla="1e200")),
+    ("landau", "b_tesla=1e300", _landau(b_tesla="1e300")),
+    ("mtg-check", "a=1e200-flux_ratio", _MTG_1E200 + "flux_ratio = 0.5\n"),
+    ("mtg-check", "a=1e200-b_tesla", _MTG_1E200 + "b_tesla = 1\n"),
+    ("polariton", "b_max_tesla=1e200",
+     _cavity() + "[sweep]\nb_min_tesla = 0.1\nb_max_tesla = 1e200\npoints = 5\n"),
+]]
+
+
+class TestArithmeticFailures:
+    """A run whose arithmetic overflows, divides by zero or makes a NaN exits
+    3 with one `numerical failure:` line, warns nothing and writes nothing;
+    the polaritonic helpers take their large-g limits, and g = 0 is solved
+    as given."""
+
+    @staticmethod
+    def main_recording(tmp_path, command, body, fmt="csv"):
+        """(exit code, stderr, warnings, output path) of cli.main on `body`."""
+        out, cfg = tmp_path / "out", tmp_path / "run.ini"
+        cfg.write_text(config_text(command, body, out, fmt))
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = cli.main([command, "--config", str(cfg)])
+        return code, err.getvalue(), [str(w.message) for w in caught], out
+
+    @pytest.mark.parametrize("command, body", ARITHMETIC_FAILURES)
+    def test_exits_numerical_without_warning_or_file(self, tmp_path, command, body):
+        code, err, caught, out = self.main_recording(tmp_path, command, body)
+        assert code == cli.EXIT_NUMERICAL, err
+        assert re.fullmatch(r"numerical failure: [^\n]+\n", err), err
+        assert caught == []
+        assert not out.exists()
+
+    def test_nan_result_names_its_column(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cavity_gas, "ground_state_photon_occupation", lambda *_: math.nan)
+        code, err, _, out = self.main_recording(tmp_path, "gas", _cavity())
+        assert code == cli.EXIT_NUMERICAL
+        assert err == "numerical failure: photon_occupation_per_polarization[1] is NaN\n"
+        assert not out.exists()
+
+    @staticmethod
+    def polariton_rows(tmp_path, mode, g_min, g_max):
+        """{g: {(k index, eig index): value}} of a polariton-butterfly run
+        over g_min and g_max, and its exit code and stderr."""
+        body = ("[lattice]\nkind = square\na1_angstrom = 2.0\na2_angstrom = 2.0\nv0_ev = 3.0\n"
+                f"[sweep]\nflux_ratio = 1.0\ng_min = {g_min}\ng_max = {g_max}\npoints = 2\n"
+                "[truncation]\nn_max = 3\n[kgrid]\nkx_points = 2\nkw_points = 2\n"
+                f"[solver]\nmode = {mode}\n")
+        code, err, caught, out = TestArithmeticFailures.main_recording(
+            tmp_path, "polariton-butterfly", body)
+        assert caught == []
+        rows = {}
+        for line in out.read_text().splitlines()[1:]:
+            g, k_idx, eig_idx, value = line.split(",")
+            rows.setdefault(g, {})[(int(k_idx), int(eig_idx))] = float(value)
+        return code, err, rows
+
+    @pytest.mark.parametrize("mode", ["auto", "matrix", "reduced"])
+    @pytest.mark.parametrize("g_max", ["1e103", "1e150", "1e200"])
+    def test_large_coupling_takes_its_limit(self, tmp_path, mode, g_max):
+        code, err, rows = self.polariton_rows(tmp_path, mode, "1e100", g_max)
+        assert code == cli.EXIT_OK, err
+        assert sorted(rows, key=float) == ["1e+100", g_max.replace("e", "e+")]
+        near, far = rows["1e+100"], rows[g_max.replace("e", "e+")]
+        assert near.keys() == far.keys()
+        width = max(near.values()) - min(near.values())
+        assert max(abs(far[key] - near[key]) for key in near) <= 1e-12 * width
+
+    @pytest.mark.parametrize("mode", ["auto", "matrix", "reduced"])
+    def test_zero_coupling_is_solved_as_given(self, tmp_path, mode):
+        code, err, rows = self.polariton_rows(tmp_path, mode, "0", "1e-13")
+        assert code == cli.EXIT_OK, err
+        assert sorted(rows) == ["0.0", "1e-13"]
+        assert len(rows["0.0"]) == len(rows["1e-13"]) > 0
+
+
 class TestScatterFormat:
     @pytest.mark.parametrize("command", sorted(UNPLOTTABLE_BODIES))
     def test_config_format_rejected(self, tmp_path, capsys, command):
@@ -1530,7 +1645,8 @@ _MAIN_VALUES = {
 }
 #: keys whose default is a large size, so they are never left out
 _SIZE_KEYS = ("points", "kx_points", "kw_points", "n_max")
-_ANY_VALUE = ("0.05", "0.5", "1", "2.0", "7.5")
+_ANY_VALUE = ("0.05", "0.5", "1", "2.0", "7.5", "1e-320", "1e-300", "1e120", "1e200",
+              "1e300")
 _BAD_VALUE = ("0", "-1", "nan", "inf", "1e400", "x", "", "1%", "%(x)s")
 
 
@@ -1564,6 +1680,11 @@ class TestMainProperty:
             err = io.StringIO()
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
                 code = cli.main([command, "--config", str(cfg)])
+            out = Path(tmp) / "out"
+            written = out.read_text() if code == cli.EXIT_OK and out.exists() else ""
         assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERICAL, cli.EXIT_IO)
         assert "Traceback" not in err.getvalue()
+        if fmt == "json" and written:
+            written = json.dumps(json.loads(written)["payload"])  # the config echo aside
+        assert not re.search(r"\bnan\b", written, re.IGNORECASE)
 

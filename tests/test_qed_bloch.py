@@ -46,10 +46,10 @@ from cavity_bloch.qed_bloch import (
     landau_polariton_branches,
     landau_polariton_energy,
     midpoint_kx_grid,
-    polariton_harper_blocks,
     polariton_harper_matrix,
     polariton_hoppings,
     polariton_scaled_kinetic,
+    polariton_sweep,
     screening_chi,
     spectral_gaps,
     sweep,
@@ -77,10 +77,15 @@ def c2_key(_axis, kx_a):
     return abs(kx_a)
 
 
+def flux_one_sweep(v0, mode="auto", n_max=3):
+    """The polariton-butterfly's sweep (build, key) at flux 1 on the square
+    lattice of spacing A, at potential v0, in `mode` and up to n_max."""
+    return polariton_sweep(1.0, BasisTruncation(n_max=n_max), A, v0, mode)
+
+
 def flux_one_key(v0, mode="auto"):
-    """The polariton-butterfly's sweep key at flux 1 on the square lattice of
-    spacing A, at potential v0 and in `mode`."""
-    return lambda g, k: qed_bloch.polariton_key(1.0, g, k, A, v0, mode)
+    """The key of flux_one_sweep."""
+    return flux_one_sweep(v0, mode)[1]
 
 
 def partners_of(key, k_grid, axis=1.0):
@@ -742,6 +747,21 @@ class TestPolaritonHarper:
         assert 0.0 < tau1 < tau2 < 1.0
         assert tau1 + tau2 == pytest.approx(1.0, rel=1e-14)
 
+    @pytest.mark.parametrize("g", [1e103, 1e150, 1e200, 1e308])
+    def test_large_coupling_limits(self, g):
+        # (1 + g^2)^(3/2) overflows float64 from g ~ 5.6e102 and g^2 from
+        # ~1.3e154: the hoppings and kinetic ratio are those of g = 1e100
+        assert polariton_hoppings(1.0, g) == polariton_hoppings(1.0, 1e100) == (0.5, 0.5)
+        for m in (1, -3):
+            kinetic = polariton_scaled_kinetic(1.0, g, 0.0, m, A, 3.0 * EV)
+            assert kinetic == polariton_scaled_kinetic(1.0, 1e100, 0.0, m, A, 3.0 * EV)
+            assert 0.0 < kinetic < math.inf
+        # ln(t2/t1) -> (pi / 2 flux) / g, which tiny flux keeps away from 0
+        delta = 0.5 * math.pi / 1e-300 / g
+        tau1, tau2 = polariton_hoppings(1e-300, g)
+        assert tau1 == pytest.approx(1.0 / (1.0 + math.exp(min(delta, 700.0))), rel=1e-12)
+        assert tau1 + tau2 == 1.0
+
     def test_matrix_mode_at_order_one_flux(self):
         mat = polariton_harper_matrix(1.0, 1.0, 0.3, 0.0, BasisTruncation(n_max=5), a1=A,
                                       v0=3.0 * EV)
@@ -1015,9 +1035,8 @@ class TestPolaritonC2Blocks:
         trunc = BasisTruncation(n_max=4)
         kx_grid = [(kx, 0.0) for kx in midpoint_kx_grid(4)]
         g_values = [0.3, 1.0, 2.0]
-        grid = sweep(lambda g: lambda k: polariton_harper_blocks(1.0, g, *k, trunc, A, self.V0,
-                                                                 "matrix"),
-                     g_values, kx_grid, flux_one_key(self.V0, "matrix"))
+        build, key = flux_one_sweep(self.V0, "matrix", trunc.n_max)
+        grid = sweep(build, g_values, kx_grid, key)
         assert grid.partners == [[0, 0, 0, 0]] * 3
         assert not grid.failures
         for g, row in zip(g_values, grid.eigenvalues):
@@ -1039,9 +1058,8 @@ class TestPolaritonC2Blocks:
         monkeypatch.setattr(qed_bloch, "polariton_harper_matrix", perturbed)
         trunc = BasisTruncation(n_max=3)
         kx_grid = [(kx, 0.0) for kx in midpoint_kx_grid(3)]
-        grid = sweep(lambda g: lambda k: polariton_harper_blocks(1.0, g, *k, trunc, A, self.V0,
-                                                                 "matrix"),
-                     [1.0], kx_grid, flux_one_key(self.V0, "matrix"))
+        build, key = flux_one_sweep(self.V0, "matrix", trunc.n_max)
+        grid = sweep(build, [1.0], kx_grid, key)
         assert len(grid.failures) == 3
         for k_idx, message in enumerate(grid.failures):
             assert re.fullmatch(rf"axis\[0\]=1, k\[{k_idx}\]: matrix breaks C2: "
@@ -1058,7 +1076,8 @@ class TestPolaritonC2Blocks:
     ])
     def test_other_routes_return_one_matrix(self, g, kw_scaled, mode):
         trunc = BasisTruncation(n_max=3)
-        got = polariton_harper_blocks(1.0, g, 0.41, kw_scaled, trunc, A, self.V0, mode)
+        build, _ = polariton_sweep(1.0, trunc, A, self.V0, mode)
+        got = build(g)((0.41, kw_scaled))
         want = polariton_harper_matrix(1.0, g, 0.41, kw_scaled, trunc, A, self.V0, mode)
         assert isinstance(got, np.ndarray) and np.array_equal(got, want)
 
@@ -1067,8 +1086,9 @@ class TestPolaritonC2Blocks:
         trunc = BasisTruncation(n_max=3)
         want = c2_blocks(polariton_harper_matrix(1.0, 1.0, 0.0, 0.0, trunc, A, self.V0,
                                                  "matrix"))
+        build, _ = polariton_sweep(1.0, trunc, A, self.V0, mode)
         for kx_a in (0.0, 0.41, -2.9):
-            got = polariton_harper_blocks(1.0, 1.0, kx_a, 0.0, trunc, A, self.V0, mode)
+            got = build(1.0)((kx_a, 0.0))
             assert isinstance(got, tuple) and len(got) == 2
             assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
