@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C_LIGHT, EPSILON_0, E_CHARGE, HBAR, M_ELECTRON
-from .errors import DomainError, StabilityError
+from .errors import DomainError, StabilityError, derived
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,9 @@ class CavitySetup:
     @property
     def omega_p(self):
         """Diamagnetic (plasma) frequency sqrt(e^2 n_e / m* eps0)."""
-        return math.sqrt(E_CHARGE**2 * self.n_e / (self.mass * EPSILON_0))
+        with derived("omega_p^2", {"n2d[1/m^2]": self.n2d, "omega_cav[rad/s]": self.omega_cav,
+                                   "mass_ratio[1]": self.mass_ratio}):
+            return math.sqrt(E_CHARGE**2 * self.n_e / (self.mass * EPSILON_0))
 
     @property
     def omega_tilde(self):
@@ -99,7 +101,9 @@ def no_a2_coupling(omega, omega_p):
     """
     if omega <= 0.0:
         raise DomainError("omega must be positive (gamma' diverges at omega = 0)")
-    gamma_prime = omega_p**2 / omega**2
+    with derived("gamma' = omega_p^2/omega^2",
+                 {"omega[rad/s]": omega, "omega_p[rad/s]": omega_p}):
+        gamma_prime = omega_p**2 / omega**2
     return gamma_prime, stability_classify(gamma_prime)
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C_LIGHT, EPSILON_0, E_CHARGE, HBAR, M_ELECTRON
-from .errors import DomainError, StabilityError
+from .errors import DomainError, StabilityError, derived
 from .response import ResponseSample
 
 
@@ -50,7 +50,8 @@ class EftSetup:
     @property
     def alpha(self):
         """Dimensionless per-particle coupling e^2/(4 pi c^2 eps0 m L_z)."""
-        return E_CHARGE**2 / (4.0 * math.pi * C_LIGHT**2 * EPSILON_0 * self.mass * self.l_z)
+        with derived("alpha", {"l_z[m]": self.l_z, "mass_ratio[1]": self.mass_ratio}):
+            return E_CHARGE**2 / (4.0 * math.pi * C_LIGHT**2 * EPSILON_0 * self.mass * self.l_z)
 
     @property
     def lambda0_max(self):
@@ -129,8 +130,10 @@ def casimir_pressure(setup):
     """
     l_z = setup.l_z
     drive = E_CHARGE**2 * setup.n2d / (setup.mass * EPSILON_0)
-    bracket = 2.0 * math.pi**2 * C_LIGHT**2 / l_z**3 + drive / l_z**2
-    root = math.sqrt(math.pi**2 * C_LIGHT**2 / l_z**2 + drive / l_z)
+    with derived("Casimir pressure", {"l_z[m]": l_z, "n2d[1/m^2]": setup.n2d,
+                                      "mass_ratio[1]": setup.mass_ratio}):
+        bracket = 2.0 * math.pi**2 * C_LIGHT**2 / l_z**3 + drive / l_z**2
+        root = math.sqrt(math.pi**2 * C_LIGHT**2 / l_z**2 + drive / l_z)
     return HBAR * (setup.lambda0**1.5 - 1.0) / (4.0 * math.pi * C_LIGHT**2) * bracket * root
 
 

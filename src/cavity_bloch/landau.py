@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from .constants import CONDUCTANCE_QUANTUM, E_CHARGE, FLUX_QUANTUM, HBAR, M_ELECTRON
-from .errors import DomainError
+from .errors import DomainError, derived
 
 
 def cyclotron_frequency(b_field, mass_ratio=1.0):
@@ -94,5 +94,6 @@ def fermi_2d(n2d, mass_ratio=1.0):
         raise DomainError("density must be positive")
     mass = mass_ratio * M_ELECTRON
     k_f = math.sqrt(2.0 * math.pi * n2d)
-    energy_density = HBAR**2 * k_f**4 / (16.0 * math.pi * mass)
+    with derived("Fermi energy density", {"n2d[1/m^2]": n2d, "mass_ratio[1]": mass_ratio}):
+        energy_density = HBAR**2 * k_f**4 / (16.0 * math.pi * mass)
     return {"k_F": k_f, "energy_density": energy_density}

@@ -28,8 +28,11 @@ class Lattice2D:
             raise DomainError("lattice constants must be positive")
         if not (0.0 < self.theta < math.pi):
             raise DomainError("lattice angle must lie in (0, pi)")
-        if self.cell_area <= 0.0 or math.sin(self.theta) < 1e-12:
+        if math.sin(self.theta) < 1e-12:
             raise DomainError("degenerate lattice: sin(theta) ~ 0")
+        if self.cell_area <= 0.0:
+            raise DomainError(f"degenerate lattice: the cell area a1 a2 sin(theta) underflows "
+                              f"float64 (a1 = {self.a1:g} m, a2 = {self.a2:g} m)")
 
     @property
     def cell_area(self):

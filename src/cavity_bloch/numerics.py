@@ -1,12 +1,12 @@
 """Special functions and the dense Hermitian eigensolver contract.
 
 The physics modules funnel their eigenproblems through
-:func:`hermitian_eigvals`, which solves one matrix with one LAPACK call
-routed by dtype, so determinism and Hermiticity policy live in one place.
-Two call eigvalsh or eigh directly: qed_bloch.harper_exact_bands, which
-checks the Harper spectra the sweep solves through this function and so
-must not share it, and cavity_gas.many_mode_spectrum, which needs
-eigenvectors.
+:func:`hermitian_eigvals`, so determinism and Hermiticity policy live in one
+place, and it picks the LAPACK calls from the matrix itself: a matrix that
+equals its index reversal exactly is solved as its two C2 blocks, any other
+whole, each block or matrix by one ``eigvalsh`` call routed by dtype.  It is
+the package's only eigvalsh caller; cavity_gas.many_mode_spectrum calls eigh,
+because it needs eigenvectors.
 """
 
 import math
@@ -95,14 +95,36 @@ def _fingerprint(m):
     return hashlib.sha256(np.ascontiguousarray(m).tobytes()).hexdigest()[:16]
 
 
-def hermitian_eigvals(m):
-    """All eigenvalues of one Hermitian matrix, ascending (LAPACK order) and
-    deterministic.
+def c2_blocks(m):
+    """The even and odd C2 blocks of a matrix R of odd size N = 2h + 1 that
+    commutes with the reversal J of its index order (R[::-1, ::-1] == R).
 
-    One ``eigvalsh`` call solves it, a real matrix by the real symmetric
-    LAPACK route and a complex one by the Hermitian route.  LAPACK reads
-    only the lower triangle, so no symmetrized copy is made; instead a
-    matrix whose residual exceeds ``HERMITICITY_RTOL`` is rejected.
+    In the basis (e_i + e_{N-1-i})/sqrt(2) for i < h and e_h, R is the even
+    block R[:h+1, :h+1] + R[:h+1, ::-1][:, :h+1] ("top + cross"), whose middle
+    row and column are sqrt(2) R[h, :h] and sqrt(2) R[:h, h] and whose corner
+    is R[h, h]; in (e_i - e_{N-1-i})/sqrt(2) it is the odd block
+    R[:h, :h] - R[:h, ::-1][:, :h].  Their sizes are h + 1 and h, and their
+    spectra together are that of R.
+    """
+    h = m.shape[0] // 2
+    top, cross = m[:h + 1, :h + 1], m[:h + 1, ::-1][:, :h + 1]
+    even = top + cross
+    even[:h, h] = math.sqrt(2.0) * m[:h, h]
+    even[h, :h] = math.sqrt(2.0) * m[h, :h]
+    even[h, h] = m[h, h]
+    return even, top[:h, :h] - cross[:h, :h]
+
+
+def hermitian_eigvals(m):
+    """All eigenvalues of one Hermitian matrix, ascending and deterministic.
+
+    A matrix of odd size N > 1 that exactly equals its reversal m[::-1, ::-1]
+    keeps C2: two ``eigvalsh`` calls solve its c2_blocks, of sizes (N + 1)/2
+    and (N - 1)/2, a quarter of the arithmetic of one, and their eigenvalues
+    are merged.  One call solves any other matrix.  LAPACK routes a real
+    matrix as real symmetric and a complex one as Hermitian, and reads only
+    the lower triangle, so no symmetrized copy is made; instead a matrix
+    whose residual exceeds ``HERMITICITY_RTOL`` is rejected.
 
     Anything but a square matrix raises DomainError.  A non-finite entry, a
     rejected matrix, a LAPACK failure or a non-finite eigenvalue raises
@@ -118,8 +140,14 @@ def hermitian_eigvals(m):
             f"matrix is not Hermitian: residual {res:.3e} > {HERMITICITY_RTOL:.0e} "
             f"(fingerprint {_fingerprint(m)})"
         )
+    size = m.shape[0]
     try:
-        vals = np.linalg.eigvalsh(m)
+        # the first row before the whole: a matrix without C2 costs O(N) more
+        if (size % 2 and size > 1 and np.array_equal(m[0], m[-1, ::-1])
+                and np.array_equal(m, m[::-1, ::-1])):
+            vals = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in c2_blocks(m)]))
+        else:
+            vals = np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"eigensolver failed to converge (fingerprint {_fingerprint(m)}): {exc}"

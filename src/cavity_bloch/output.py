@@ -338,8 +338,6 @@ def _scatter_points(payload):
         return payload.columns[0], payload.columns[-1], x, y
     if not isinstance(payload, TablePayload):
         raise CavityBlochError(f"cannot plot payload of type {type(payload).__name__}")
-    if not payload.rows:
-        raise CavityBlochError("nothing to plot")
     try:
         x = np.array([row[0] for row in payload.rows], dtype=float)
         y = np.array([row[-1] for row in payload.rows], dtype=float)
@@ -349,10 +347,11 @@ def _scatter_points(payload):
     return payload.columns[0], payload.columns[-1], x, y
 
 
-def _in_window(y, window):
-    """Mask of the values of y inside the plot window (lo, hi), either end None
-    for no bound; every value when window is None."""
-    keep = np.ones_like(y, dtype=bool)
+def _plotted(y, window):
+    """Mask of the values of y that a scatter plot shows at a finite x: the
+    finite ones inside the plot window (lo, hi), either end None for no
+    bound; every finite one when window is None."""
+    keep = np.isfinite(y)
     if window is not None:
         lo, hi = window
         if lo is not None:
@@ -363,10 +362,8 @@ def _in_window(y, window):
 
 
 def _svg_ys(eigs, window, to_y):
-    """The cy texts of a spectrum point's plotted values: those in the
-    window and finite, mapped by to_y."""
-    y = eigs[_in_window(eigs, window)]
-    return [f"{v:.2f}" for v in to_y(y[np.isfinite(y)]).tolist()]
+    """The cy texts of a spectrum point's plotted values, mapped by to_y."""
+    return [f"{v:.2f}" for v in to_y(eigs[_plotted(eigs, window)]).tolist()]
 
 
 def _svg_circles(payload, window, to_x, to_y):
@@ -384,13 +381,17 @@ def write_svg_scatter(envelope, path, window=None):
     """Fixed-canvas (1200x900) point-cloud SVG with unit-labelled axes.
 
     `window` optionally restricts the plotted y range (full data always lives
-    in the CSV/JSON exports, never here).
+    in the CSV/JSON exports, never here).  A point is plotted where x and y
+    are finite and y is inside the window, and the axis ends are those of
+    the plotted points; a result with none fails.
     """
     x_label, y_label, x, y = _scatter_points(envelope.payload)
-    keep = _in_window(y, window)
+    keep = np.isfinite(x) & _plotted(y, window)
+    if not keep.any():
+        finite = np.isfinite(x) & np.isfinite(y)
+        raise CavityBlochError("plot window excludes every point" if finite.any()
+                               else "nothing to plot")
     x, y = x[keep], y[keep]
-    if x.size == 0:
-        raise CavityBlochError("plot window excludes every point")
     pad = 60
     x0, x1 = float(x.min()), float(x.max())
     y0, y1 = float(y.min()), float(y.max())
@@ -424,9 +425,8 @@ def write_svg_scatter(envelope, path, window=None):
     if isinstance(envelope.payload, SpectrumPayload):
         circles = _svg_circles(envelope.payload, window, to_x, to_y)
     else:
-        finite = np.isfinite(x) & np.isfinite(y)
         circles = (f'<circle cx="{a:.2f}" cy="{b:.2f}" r="1" fill="black"/>\n'
-                   for a, b in zip(to_x(x[finite]).tolist(), to_y(y[finite]).tolist()))
+                   for a, b in zip(to_x(x).tolist(), to_y(y).tolist()))
     chunks = itertools.chain(["\n".join(parts) + "\n"], circles, ["</svg>\n"])
     return _write_chunks(path, lambda *_: chunks, "SVG")
 

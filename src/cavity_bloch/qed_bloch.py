@@ -15,7 +15,7 @@ import numpy as np
 from . import parallel
 from .constants import HBAR, M_ELECTRON, E_CHARGE
 from .errors import CavityBlochError, DomainError, NumericalError
-from .numerics import HERMITICITY_RTOL, displacement_matrix, hermitian_eigvals
+from .numerics import displacement_matrix, hermitian_eigvals
 from .output import SpectrumPayload
 
 #: scaled diagonal beyond which a polariton-lattice state is treated as
@@ -391,31 +391,6 @@ def harper_bloch_matrix(p, q, kappa, theta):
     return mat
 
 
-def harper_exact_bands(p, q):
-    """Exact band intervals of the Harper spectrum at reciprocal flux p/q.
-
-    det(E - H(kappa, theta)) + 2 cos(q kappa) + 2 cos(q theta) = D(E) with a
-    k-independent polynomial D, so the spectrum is {E : |D(E)| <= 4} and the
-    band edges are the roots of D(E) = +-4.  Returns a (q, 2) array of
-    [lower, upper] edges, ascending; for even q the two central intervals
-    share an edge (the well-known band kissing).
-    """
-    kappa0, theta0 = 0.3137, 0.7477
-    lam = np.linalg.eigvalsh(harper_bloch_matrix(p, q, kappa0, theta0))
-    poly = np.poly(lam)  # det(E - H) at the reference point
-    offset = 2.0 * math.cos(q * kappa0) + 2.0 * math.cos(q * theta0)
-    edges = []
-    for target in (4.0, -4.0):
-        shifted = poly.copy()
-        shifted[-1] += offset - target
-        roots = np.roots(shifted)
-        if np.max(np.abs(roots.imag)) > 1e-7:
-            raise NumericalError(f"complex band-edge roots at p/q = {p}/{q}")
-        edges.extend(np.sort(roots.real))
-    edges = np.sort(np.asarray(edges))
-    return edges.reshape(q, 2)
-
-
 def polariton_hoppings(flux, g):
     """Scaled hoppings (t1/S, t2/S) of the polaritonic Harper equation.
 
@@ -542,8 +517,8 @@ def polariton_harper_matrix(flux, g, kx_a, kw_scaled, trunc, a1, v0, mode="auto"
     real matrix is returned.  Otherwise H itself is.
 
     At kx_a = 0 as well, that real matrix R also keeps the inversion C2,
-    (n, m) -> (-n, -m): R[::-1, ::-1] == R, so c2_blocks splits it into two
-    half-size blocks.  polariton_sweep builds what a sweep solves.
+    (n, m) -> (-n, -m): R[::-1, ::-1] == R, so hermitian_eigvals splits it
+    into two half-size blocks.  polariton_sweep builds what a sweep solves.
     """
     mode = polariton_route(flux, g, a1, v0, kw_scaled, mode)
     tau1, tau2 = polariton_hoppings(flux, g)
@@ -572,33 +547,6 @@ def polariton_harper_matrix(flux, g, kx_a, kw_scaled, trunc, a1, v0, mode="auto"
     return mat.real - im_p
 
 
-def c2_blocks(mat):
-    """The even and odd C2 blocks of a Hermitian matrix R of odd size N = 2h + 1
-    that commutes with the reversal J of its index order (R[::-1, ::-1] == R).
-
-    In the basis (e_i + e_{N-1-i})/sqrt(2) for i < h and e_h, R is the even
-    block R[:h+1, :h+1] + R[:h+1, ::-1][:, :h+1] ("top + cross"), whose middle
-    row and column are sqrt(2) R[h, :h] and sqrt(2) R[:h, h] and whose corner
-    is R[h, h]; in (e_i - e_{N-1-i})/sqrt(2) it is the odd block
-    R[:h, :h] - R[:h, ::-1][:, :h].  Their sizes are h + 1 and h, and their
-    spectra together are that of R.
-
-    Raises NumericalError when max|R - J R J| exceeds HERMITICITY_RTOL times
-    max|R|: the blocks would then drop the coupling between the sectors.
-    """
-    residual = np.abs(mat - mat[::-1, ::-1]).max()
-    if residual > HERMITICITY_RTOL * np.abs(mat).max():
-        raise NumericalError(f"matrix breaks C2: max|R - JRJ| {residual:.3e} exceeds "
-                             f"{HERMITICITY_RTOL:.0e} of max|R|")
-    h = mat.shape[0] // 2
-    top, cross = mat[:h + 1, :h + 1], mat[:h + 1, ::-1][:, :h + 1]
-    even = top + cross
-    even[:h, h] = math.sqrt(2.0) * mat[:h, h]
-    even[h, :h] = math.sqrt(2.0) * mat[h, :h]
-    even[h, h] = mat[h, h]
-    return even, top[:h, :h] - cross[:h, :h]
-
-
 def polariton_sweep(flux, trunc, a1, v0, mode="auto"):
     """(build, key) of a sweep over the coupling g of polariton_harper_matrix
     at `flux`, whose points are k = (kx_a, kw_scaled); each point takes the
@@ -606,10 +554,10 @@ def polariton_sweep(flux, trunc, a1, v0, mode="auto"):
 
     On the matrix route the spectrum does not depend on k_x (the gauge U of
     polariton_harper_matrix): the key is ("matrix", k_w), and at k_w = 0 the
-    point solves the two c2_blocks of the lattice at kx_a = 0.  The reduced
-    chain does not depend on k_w, and at -k_x it is the chain at k_x reversed
-    (J H J, J reversing n): the key is ("reduced", |k_x|).  Any other point
-    solves polariton_harper_matrix at the point.
+    point's matrix is the C2 lattice at kx_a = 0.  The reduced chain does not
+    depend on k_w, and at -k_x it is the chain at k_x reversed (J H J, J
+    reversing n): the key is ("reduced", |k_x|).  Any other point's matrix is
+    polariton_harper_matrix at the point.
     """
     def key(g, k):
         kx_a, kw_scaled = k
@@ -617,14 +565,14 @@ def polariton_sweep(flux, trunc, a1, v0, mode="auto"):
             return ("matrix", kw_scaled)
         return ("reduced", abs(kx_a))
 
-    def matrices(g, k):
+    def matrix(g, k):
         kx_a, kw_scaled = k
         route = polariton_route(flux, g, a1, v0, kw_scaled, mode)
         if route == "matrix" and kw_scaled == 0.0:
-            return c2_blocks(polariton_harper_matrix(flux, g, 0.0, 0.0, trunc, a1, v0, route))
+            kx_a = 0.0  # the spectrum of every k_x, from the lattice that keeps C2
         return polariton_harper_matrix(flux, g, kx_a, kw_scaled, trunc, a1, v0, route)
 
-    return (lambda g: lambda k: matrices(g, k)), key
+    return (lambda g: lambda k: matrix(g, k)), key
 
 
 def _solve_axis(build, axis, k_grid, partners, failures, label):
@@ -632,11 +580,10 @@ def _solve_axis(build, axis, k_grid, partners, failures, label):
 
     Each point that is its own partner is solved: build(axis), called at the
     first such point and again at each next one while it raises, gives the
-    function of k whose matrix is solved by one hermitian_eigvals call, or
-    whose tuple of blocks is solved block by block, their eigenvalues merged
-    in ascending order.  Every other point shares its partner's array, and
-    its failure.  Each failure is appended to `failures` as
-    "<label>, k[<index>]: <message>", in k order."""
+    function of k whose matrix is solved by one hermitian_eigvals call.
+    Every other point shares its partner's array, and its failure.  Each
+    failure is appended to `failures` as "<label>, k[<index>]: <message>",
+    in k order."""
     row = []
     errors = {}  # k index of a failed point -> its failure message
     at_k = None  # what build(axis) returned, once a call has returned
@@ -647,12 +594,7 @@ def _solve_axis(build, axis, k_grid, partners, failures, label):
             try:
                 if at_k is None:
                     at_k = build(axis)
-                matrices = at_k(k)
-                if isinstance(matrices, tuple):
-                    row.append(np.sort(np.concatenate([hermitian_eigvals(m)
-                                                       for m in matrices])))
-                else:
-                    row.append(hermitian_eigvals(matrices))
+                row.append(hermitian_eigvals(at_k(k)))
             except (CavityBlochError, ArithmeticError) as exc:
                 errors[k_idx] = str(exc)
                 row.append(np.empty(0))
@@ -665,16 +607,14 @@ def sweep(build, axis_values, k_grid, key=None):
     """Solve every point (axis value, k) of `axis_values` x `k_grid`.
 
     build(axis) returns a function of k that gives the point's Hermitian
-    matrix, or a tuple of Hermitian blocks whose spectra together are the
-    point's; each axis value reaches build as a Python float.  It is called
+    matrix; each axis value reaches build as a Python float.  It is called
     at the axis value's first solved point, and again at each next solved
     point while it raises, so what does not depend on k is built once per
-    axis value.  Each matrix or block is solved alone by `hermitian_eigvals`,
-    and a point's blocks' eigenvalues are merged in ascending order.  A point
-    whose build or matrix raises a package error or an ArithmeticError,
-    or whose matrix or any of whose blocks fails to solve, is recorded in the
-    result's failures and keeps an empty eigenvalue array.  Any other
-    exception propagates.
+    axis value.  Each matrix is solved alone by `hermitian_eigvals`, which
+    picks the LAPACK calls from the matrix itself.  A point whose build or
+    matrix raises a package error or an ArithmeticError, or whose matrix
+    fails to solve, is recorded in the result's failures and keeps an empty
+    eigenvalue array.  Any other exception propagates.
 
     key(axis, k) names the points of one axis value that share a spectrum:
     each point's partner is the first point with an equal key, and a point

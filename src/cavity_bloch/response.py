@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import DEFAULT_GRID_POINTS, DEFAULT_GRID_SPAN, EPSILON_0, E_CHARGE
-from .errors import DomainError
+from .errors import DomainError, derived
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,8 @@ def chi_jj(w_grid, eta, setup, n_electrons, volume):
     only the diamagnetic piece survives.
     """
     base = chi_aa(w_grid, eta, setup.omega_tilde, volume)
-    factor = (E_CHARGE**2 * n_electrons / setup.mass) ** 2
+    with derived("(e^2 N/m*)^2", {"N[1]": n_electrons, "mass_ratio[1]": setup.mass_ratio}):
+        factor = (E_CHARGE**2 * n_electrons / setup.mass) ** 2
     return ResponseSample(w=base.w, value=factor * base.value, eta=eta)
 
 
@@ -101,8 +102,10 @@ def optical_conductivity(w_grid, eta, setup):
     w = np.asarray(w_grid, dtype=float)
     wp = setup.omega_p
     wt = setup.omega_tilde
+    with derived("omega_p^4", {"omega_p[rad/s]": wp, "n2d[1/m^2]": setup.n2d}):
+        wp4 = wp**4
     drude = 1j * EPSILON_0 * wp**2 / (w + 1j * eta)
-    cavity = -1j * EPSILON_0 * wp**4 / ((w + 1j * eta) * 2.0 * wt) * _pole_pair(w, wt, eta)
+    cavity = -1j * EPSILON_0 * wp4 / ((w + 1j * eta) * 2.0 * wt) * _pole_pair(w, wt, eta)
     return ResponseSample(w=w, value=drude + cavity, eta=eta)
 
 

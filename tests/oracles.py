@@ -4,7 +4,7 @@ Each evaluates a quantity by a route other than the package's own: closed
 forms in place of complex arithmetic, a principal-value Hilbert transform, a
 discrete mode sum, Laguerre polynomials (an exact finite sum, not the
 package's recurrence) / displacement elements one at a time, and the Harper
-spectrum sampled densely over its Bloch cell.
+spectrum as exact band edges and sampled densely over its Bloch cell.
 """
 
 import math
@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from cavity_bloch.constants import C_LIGHT, EPSILON_0
-from cavity_bloch.errors import DomainError
+from cavity_bloch.errors import DomainError, NumericalError
 from cavity_bloch.qed_bloch import harper_bloch_matrix
 from cavity_bloch.response import ResponseSample
 
@@ -129,7 +129,7 @@ def displacement_matrix_element(i, j, alpha):
 
 def harper_bloch_union(p, q, samples=200000):
     """Low-discrepancy sampling of the exact Harper spectrum at p/q, the
-    dense-sampling check of qed_bloch.harper_exact_bands.
+    dense-sampling check of harper_exact_bands.
 
     Batched diagonalization over a golden-ratio lattice in (kappa, theta);
     deterministic, and dense enough that intra-band spacings sit well below
@@ -143,3 +143,28 @@ def harper_bloch_union(p, q, samples=200000):
                                                   theta[start : start + 20000])).ravel()
            for start in range(0, samples, 20000)]
     return np.sort(np.concatenate(out))
+
+
+def harper_exact_bands(p, q):
+    """Exact band intervals of the Harper spectrum at reciprocal flux p/q.
+
+    det(E - H(kappa, theta)) + 2 cos(q kappa) + 2 cos(q theta) = D(E) with a
+    k-independent polynomial D, so the spectrum is {E : |D(E)| <= 4} and the
+    band edges are the roots of D(E) = +-4.  Returns a (q, 2) array of
+    [lower, upper] edges, ascending; for even q the two central intervals
+    share an edge (the well-known band kissing).
+    """
+    kappa0, theta0 = 0.3137, 0.7477
+    lam = np.linalg.eigvalsh(harper_bloch_matrix(p, q, kappa0, theta0))
+    poly = np.poly(lam)  # det(E - H) at the reference point
+    offset = 2.0 * math.cos(q * kappa0) + 2.0 * math.cos(q * theta0)
+    edges = []
+    for target in (4.0, -4.0):
+        shifted = poly.copy()
+        shifted[-1] += offset - target
+        roots = np.roots(shifted)
+        if np.max(np.abs(roots.imag)) > 1e-7:
+            raise NumericalError(f"complex band-edge roots at p/q = {p}/{q}")
+        edges.extend(np.sort(roots.real))
+    edges = np.sort(np.asarray(edges))
+    return edges.reshape(q, 2)

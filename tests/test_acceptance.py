@@ -40,7 +40,6 @@ from cavity_bloch.qed_bloch import (
     assemble_central_matrix,
     assemble_llb_matrix,
     coupling_window_end,
-    harper_exact_bands,
     harper_hopping,
     harper_matrix,
     landau_polariton_branches,
@@ -59,7 +58,7 @@ from cavity_bloch.response import (
     optical_conductivity,
 )
 
-from oracles import harper_bloch_union, kramers_kronig_real
+from oracles import harper_bloch_union, harper_exact_bands, kramers_kronig_real
 
 A = 2e-10
 SQUARE = Lattice2D(A, A, math.pi / 2)

@@ -830,6 +830,16 @@ class TestMainExitCodes:
         assert code == cli.EXIT_CONFIG
         assert "config error: oblique lattice requires" in capsys.readouterr().err
 
+    def test_underflowing_cell_area_is_config_error(self, tmp_path, capsys):
+        body = ("[lattice]\nkind = square\na1_angstrom = 1e-300\na2_angstrom = 1e-300\n"
+                "[mtg]\np = 2\nflux_ratio = 0.5\n")
+        code = self.run_main(tmp_path, "mtg-check", config_text("mtg-check", body, "{path}", "csv"))
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: degenerate lattice: the cell area a1 a2 sin(theta) underflows "
+            "float64 (a1 = 1e-310 m, a2 = 1e-310 m)\n")
+        assert not (tmp_path / "out.csv").exists()
+
     def test_sweep_failures_reported(self, tmp_path, capsys, monkeypatch):
         harper = qed_bloch.harper_matrix
         fluxes = [0.01 + i * (2.0 - 0.01) / 4 for i in range(5)]
@@ -960,6 +970,14 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "numerical failure: 4 of 4 points failed" in err
         assert "output failure" not in err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_table_without_a_finite_point_as_svg_is_output_failure(self, tmp_path, capsys):
+        # at cavity_thz = 1e-300 gamma is 1 and every mass enhancement is inf
+        text = config_text("conductivity", _cavity(cavity_thz="1e-300", grid=_GRID),
+                           "{path}", "svg-scatter")
+        assert self.run_main(tmp_path, "conductivity", text) == cli.EXIT_IO
+        assert capsys.readouterr().err == "output failure: nothing to plot\n"
         assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("value", ["0", "-3"])
@@ -1469,31 +1487,47 @@ _GRID = "[grid]\npoints = 5\n"
 _MTG_1E200 = ("[lattice]\nkind = square\na1_angstrom = 1e200\na2_angstrom = 1e200\n"
               "[mtg]\np = 2\n")
 
-#: (command, model sections) of schema-valid configs whose arithmetic leaves
-#: float64, by the command and the value that takes it there
-ARITHMETIC_FAILURES = [pytest.param(command, body, id=f"{command}-{case}")
-                       for command, case, body in [
-    ("gas", "cavity_thz=1e-300", _cavity(cavity_thz="1e-300")),
-    ("gas", "mass_ratio=1e-300", _cavity(mass_ratio="1e-300")),
-    ("gas", "density_cm2=1e200", _cavity(density_cm2="1e200")),
-    *[(command, "mass_ratio=1e-300", _cavity(mass_ratio="1e-300", grid=_GRID))
-      for command in ("response", "conductivity")],
-    *[(command, "density_cm2=1e200", _cavity(density_cm2="1e200", grid=_GRID))
-      for command in ("response", "conductivity")],
-    ("response", "span=1e300", _cavity(grid=_GRID + "span = 1e300\n")),
-    ("eft", "mass_ratio=1e-300", _eft(mass_ratio="1e-300")),
-    ("eft", "density_cm2=1e200", _eft(density_cm2="1e200")),
-    ("eft", "lz_mm=1e-300", _eft(lz_mm="1e-300")),
-    ("eft", "lz_mm=1e200", _eft(lz_mm="1e200")),
-    ("landau", "mass_ratio=1e-300", _landau(mass_ratio="1e-300")),
-    ("landau", "mass_ratio=1e200", _landau(mass_ratio="1e200")),
-    ("landau", "b_tesla=1e-320", _landau(b_tesla="1e-320")),
-    ("landau", "b_tesla=1e200", _landau(b_tesla="1e200")),
-    ("landau", "b_tesla=1e300", _landau(b_tesla="1e300")),
-    ("mtg-check", "a=1e200-flux_ratio", _MTG_1E200 + "flux_ratio = 0.5\n"),
-    ("mtg-check", "a=1e200-b_tesla", _MTG_1E200 + "b_tesla = 1\n"),
+_CAVITY_OMEGA_P2 = ("omega_p^2 leaves float64 at n2d[1/m^2] = 1.3e+16, "
+                    "omega_cav[rad/s] = 1.3069e+12, mass_ratio[1] = 1e-300")
+_FERMI = "Fermi energy density leaves float64 at n2d[1/m^2] = 1e+204, mass_ratio[1] = {}"
+
+#: (command, model sections, the failure message) of schema-valid configs
+#: whose arithmetic leaves float64, by the command and the value that takes
+#: it there; a message names the derived quantity that failed and its inputs
+#: in SI units (None: not pinned)
+ARITHMETIC_FAILURES = [pytest.param(command, body, message, id=f"{command}-{case}")
+                       for command, case, body, message in [
+    ("gas", "cavity_thz=1e-300", _cavity(cavity_thz="1e-300"),
+     "gamma' = omega_p^2/omega^2 leaves float64 at omega[rad/s] = 6.28319e-288, "
+     "omega_p[rad/s] = 6.4089e-139"),
+    ("gas", "mass_ratio=1e-300", _cavity(mass_ratio="1e-300"), _CAVITY_OMEGA_P2),
+    ("gas", "density_cm2=1e200", _cavity(density_cm2="1e200"), _FERMI.format(0.336)),
+    *[(command, "mass_ratio=1e-300", _cavity(mass_ratio="1e-300", grid=_GRID),
+       _CAVITY_OMEGA_P2) for command in ("response", "conductivity")],
+    ("response", "density_cm2=1e200", _cavity(density_cm2="1e200", grid=_GRID),
+     "(e^2 N/m*)^2 leaves float64 at N[1] = 1e+204, mass_ratio[1] = 0.336"),
+    ("conductivity", "density_cm2=1e200", _cavity(density_cm2="1e200", grid=_GRID),
+     "omega_p^4 leaves float64 at omega_p[rad/s] = 2.56356e+105, n2d[1/m^2] = 1e+204"),
+    ("response", "span=1e300", _cavity(grid=_GRID + "span = 1e300\n"), None),
+    ("eft", "mass_ratio=1e-300", _eft(mass_ratio="1e-300"),
+     "alpha leaves float64 at l_z[m] = 0.001, mass_ratio[1] = 1e-300"),
+    ("eft", "density_cm2=1e200", _eft(density_cm2="1e200"), _FERMI.format(1)),
+    ("eft", "lz_mm=1e-300", _eft(lz_mm="1e-300"),
+     "alpha leaves float64 at l_z[m] = 1e-303, mass_ratio[1] = 1"),
+    ("eft", "lz_mm=1e200", _eft(lz_mm="1e200"),
+     "Casimir pressure leaves float64 at l_z[m] = 1e+197, n2d[1/m^2] = 1.3e+16, "
+     "mass_ratio[1] = 1"),
+    ("landau", "mass_ratio=1e-300", _landau(mass_ratio="1e-300"), None),
+    ("landau", "mass_ratio=1e200", _landau(mass_ratio="1e200"), None),
+    ("landau", "b_tesla=1e-320", _landau(b_tesla="1e-320"), None),
+    ("landau", "b_tesla=1e200", _landau(b_tesla="1e200"), None),
+    ("landau", "b_tesla=1e300", _landau(b_tesla="1e300"), None),
+    ("mtg-check", "a=1e200-flux_ratio", _MTG_1E200 + "flux_ratio = 0.5\n",
+     "flux through the enlarged cell is nan in float64"),
+    ("mtg-check", "a=1e200-b_tesla", _MTG_1E200 + "b_tesla = 1\n",
+     "flux through the enlarged cell is inf in float64"),
     ("polariton", "b_max_tesla=1e200",
-     _cavity() + "[sweep]\nb_min_tesla = 0.1\nb_max_tesla = 1e200\npoints = 5\n"),
+     _cavity() + "[sweep]\nb_min_tesla = 0.1\nb_max_tesla = 1e200\npoints = 5\n", None),
 ]]
 
 
@@ -1514,11 +1548,13 @@ class TestArithmeticFailures:
             code = cli.main([command, "--config", str(cfg)])
         return code, err.getvalue(), [str(w.message) for w in caught], out
 
-    @pytest.mark.parametrize("command, body", ARITHMETIC_FAILURES)
-    def test_exits_numerical_without_warning_or_file(self, tmp_path, command, body):
+    @pytest.mark.parametrize("command, body, message", ARITHMETIC_FAILURES)
+    def test_exits_numerical_without_warning_or_file(self, tmp_path, command, body, message):
         code, err, caught, out = self.main_recording(tmp_path, command, body)
         assert code == cli.EXIT_NUMERICAL, err
         assert re.fullmatch(r"numerical failure: [^\n]+\n", err), err
+        if message is not None:
+            assert err == f"numerical failure: {message}\n"
         assert caught == []
         assert not out.exists()
 

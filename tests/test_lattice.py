@@ -61,6 +61,15 @@ class TestReciprocal:
         with pytest.raises(DomainError):
             Lattice2D(-1e-10, 1e-10, 1.0)
 
+    def test_underflowing_cell_area_is_named(self):
+        # a1 a2 sin(theta) underflows to 0 for a square cell of side 1e-310 m
+        with pytest.raises(DomainError, match=r"^degenerate lattice: sin\(theta\) ~ 0$"):
+            Lattice2D(1e-10, 1e-10, 1e-14)
+        with pytest.raises(DomainError) as exc:
+            Lattice2D(1e-310, 1e-310, math.pi / 2)
+        assert str(exc.value) == ("degenerate lattice: the cell area a1 a2 sin(theta) "
+                                  "underflows float64 (a1 = 1e-310 m, a2 = 1e-310 m)")
+
 
 class TestFlux:
     def test_zero_field(self):

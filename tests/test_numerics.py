@@ -12,6 +12,7 @@ from cavity_bloch.errors import DomainError, NumericalError
 from cavity_bloch.landau import cyclotron_frequency
 from cavity_bloch.lattice import bravais_cosine_potential, bravais_lattice, field_for_flux_ratio
 from cavity_bloch.numerics import (
+    c2_blocks,
     displacement_matrix,
     hermitian_eigvals,
     hermiticity_residual,
@@ -203,6 +204,76 @@ class TestHermitianEigvals:
         assert hermiticity_residual(np.array([[0.0, 1.0], [0.0, 0.0]])) == pytest.approx(1.0)
 
 
+def c2_symmetrized(a):
+    """The Hermitian part of the square matrix `a` plus its index reversal:
+    Hermitian and exactly equal to its reversal m[::-1, ::-1]."""
+    herm = a + a.conj().T
+    return herm + herm[::-1, ::-1]
+
+
+class TestC2Route:
+    """hermitian_eigvals solves a matrix of odd size N > 1 that exactly equals
+    its reversal as its two C2 blocks, and any other matrix whole."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """The shapes eigvalsh is called on, in call order, from now on."""
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(m):
+            seen.append(m.shape)
+            return eigvalsh(m)
+
+        monkeypatch.setattr(numerics.np.linalg, "eigvalsh", recording)
+        return seen
+
+    @staticmethod
+    def c2_matrices():
+        """Exactly C2 matrices of odd size: real, complex and a Harper chain
+        at k_x = 0."""
+        rng = np.random.default_rng(21)
+        return [c2_symmetrized(rng.normal(size=(9, 9))),
+                c2_symmetrized(rng.normal(size=(7, 7)) + 1j * rng.normal(size=(7, 7))),
+                harper_matrix(1.4, 0.0, 6)]
+
+    def test_c2_matrix_is_two_block_solves_merged(self, monkeypatch):
+        mats = self.c2_matrices()
+        merged = [np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in c2_blocks(m)]))
+                  for m in mats]
+        whole = [np.linalg.eigvalsh(m) for m in mats]
+        seen = self.spy(monkeypatch)
+        for mat, want, full in zip(mats, merged, whole):
+            seen.clear()
+            vals = hermitian_eigvals(mat)
+            half = mat.shape[0] // 2
+            assert seen == [(half + 1, half + 1), (half, half)]
+            assert np.array_equal(vals, want)
+            assert np.max(np.abs(vals - full)) <= 1e-12 * (full[-1] - full[0])
+
+    @pytest.mark.parametrize("entry", [(0, 1), (2, 3)], ids=["first-row", "inner"])
+    def test_matrix_one_entry_pair_off_c2_is_one_solve(self, monkeypatch, entry):
+        mats = self.c2_matrices()
+        for mat in mats:
+            mat[entry] += 1e-9
+            mat[entry[::-1]] += 1e-9
+        whole = [np.linalg.eigvalsh(m) for m in mats]
+        seen = self.spy(monkeypatch)
+        for mat, want in zip(mats, whole):
+            seen.clear()
+            assert np.array_equal(hermitian_eigvals(mat), want)
+            assert seen == [mat.shape]
+
+    def test_even_size_and_single_entry_are_one_solve(self, monkeypatch):
+        mats = [c2_symmetrized(np.random.default_rng(22).normal(size=(8, 8))),
+                np.array([[7.0]])]
+        assert all(np.array_equal(m, m[::-1, ::-1]) for m in mats)
+        whole = [np.linalg.eigvalsh(m) for m in mats]
+        seen = self.spy(monkeypatch)
+        assert all(np.array_equal(hermitian_eigvals(m), want) for m, want in zip(mats, whole))
+        assert seen == [(8, 8), (1, 1)]
+
+
 def llb_matrices(count):
     """`count` complex oblique LLB matrices (dim 3 * 7) at one flux, varying k_x.
 
@@ -220,7 +291,8 @@ def llb_matrices(count):
 
 
 def harper_chains(count):
-    """`count` real Harper chains (dim 13) at one flux, varying k_x."""
+    """`count` real Harper chains (dim 13) at one flux, varying k_x; for odd
+    `count` the middle one is at k_x = 0, where the chain is C2."""
     return [harper_matrix(1.4, kxa, 6) for kxa in np.linspace(-2.0, 2.0, count)]
 
 
@@ -245,43 +317,56 @@ class TestSolveFailures:
         for idx in (0, 1, 3):
             assert np.array_equal(grid.eigenvalues[0][idx], hermitian_eigvals(mats[idx]))
 
-    def test_linalg_error_on_stack_falls_back_to_single_solves(self, monkeypatch):
+    def test_linalg_error_in_a_block_fails_only_its_own_point(self, monkeypatch):
+        # the chain at k_x = 0 (mats[2]) is C2: its even block fails
         mats = harper_chains(5)
         want = [hermitian_eigvals(mat) for mat in mats]
+        even, _ = c2_blocks(mats[2])
         eigvalsh = np.linalg.eigvalsh
+        seen = []
 
-        def third_matrix_fails(m):
-            if np.array_equal(m, mats[2]):
+        def even_block_fails(m):
+            seen.append(m.shape)
+            if np.array_equal(m, even):
                 raise np.linalg.LinAlgError("synthetic non-convergence")
             return eigvalsh(m)
 
-        monkeypatch.setattr(numerics.np.linalg, "eigvalsh", third_matrix_fails)
+        monkeypatch.setattr(numerics.np.linalg, "eigvalsh", even_block_fails)
         with pytest.raises(NumericalError) as single:
             hermitian_eigvals(mats[2])
+        assert seen == [(7, 7)]
         grid = sweep_points(mats)
         assert grid.failures == [f"axis[0]=1, k[2]: {single.value}"]
-        assert str(single.value).startswith("eigensolver failed to converge")
+        assert str(single.value) == (
+            f"eigensolver failed to converge (fingerprint {numerics._fingerprint(mats[2])}): "
+            "synthetic non-convergence")
         assert grid.eigenvalues[0][2].size == 0
         for idx in (0, 1, 3, 4):
             assert np.array_equal(grid.eigenvalues[0][idx], want[idx])
 
-    def test_non_finite_stack_falls_back_and_fails_per_matrix(self, monkeypatch):
+    def test_non_finite_block_eigenvalue_fails_only_its_own_point(self, monkeypatch):
+        # the chain at k_x = 0 (mats[1]) is C2: its odd block gives a NaN
         mats = harper_chains(3)
         want = [hermitian_eigvals(mat) for mat in mats]
+        _, odd = c2_blocks(mats[1])
         eigvalsh = np.linalg.eigvalsh
+        seen = []
 
-        def second_matrix_nan(m):
+        def odd_block_nan(m):
+            seen.append(m.shape)
             vals = eigvalsh(m)
-            if np.array_equal(m, mats[1]):
+            if np.array_equal(m, odd):
                 vals[0] = np.nan
             return vals
 
-        monkeypatch.setattr(numerics.np.linalg, "eigvalsh", second_matrix_nan)
+        monkeypatch.setattr(numerics.np.linalg, "eigvalsh", odd_block_nan)
         with pytest.raises(NumericalError) as single:
             hermitian_eigvals(mats[1])
+        assert seen == [(7, 7), (6, 6)]
         grid = sweep_points(mats)
         assert grid.failures == [f"axis[0]=1, k[1]: {single.value}"]
-        assert str(single.value).startswith("non-finite eigenvalues")
+        assert str(single.value) == (
+            f"non-finite eigenvalues (fingerprint {numerics._fingerprint(mats[1])})")
         assert grid.eigenvalues[0][1].size == 0
         for idx in (0, 2):
             assert np.array_equal(grid.eigenvalues[0][idx], want[idx])

@@ -127,19 +127,16 @@ def reference_json(envelope):
 
 
 def reference_svg(payload, window=None):
-    rows = reference_rows(payload)
+    """The scatter plot of the rows whose x and y are finite and whose y is
+    inside the window, its axis ends those of the plotted rows."""
+    lo, hi = window or (None, None)
+    rows = [(row[0], row[3]) for row in reference_rows(payload)
+            if math.isfinite(row[0]) and math.isfinite(row[3])
+            and (lo is None or row[3] >= lo) and (hi is None or row[3] <= hi)]
     if not rows:
         raise CavityBlochError("nothing to plot")
     x = np.array([row[0] for row in rows], dtype=float)
-    y = np.array([row[3] for row in rows], dtype=float)
-    if window is not None:
-        lo, hi = window
-        keep = np.ones_like(y, dtype=bool)
-        if lo is not None:
-            keep &= y >= lo
-        if hi is not None:
-            keep &= y <= hi
-        x, y = x[keep], y[keep]
+    y = np.array([row[1] for row in rows], dtype=float)
     width, height, pad = output.SVG_WIDTH, output.SVG_HEIGHT, 60
     x0, x1 = float(x.min()), float(x.max())
     y0, y1 = float(y.min()), float(y.max())
@@ -171,8 +168,7 @@ def reference_svg(payload, window=None):
         f'<text x="{pad - 5}" y="{pad + 5}" text-anchor="end" font-size="12">{y1:.6g}</text>',
     ]
     for xi, yi in zip(x, y):
-        if math.isfinite(xi) and math.isfinite(yi):
-            parts.append(f'<circle cx="{sx(xi):.2f}" cy="{sy(yi):.2f}" r="1" fill="black"/>')
+        parts.append(f'<circle cx="{sx(xi):.2f}" cy="{sy(yi):.2f}" r="1" fill="black"/>')
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode()
 
@@ -572,6 +568,35 @@ class TestScatterPoints:
                                     payload=output.ScalarPayload(values={"a[1]": 1.0}))
         with pytest.raises(CavityBlochError, match="cannot plot payload of type ScalarPayload"):
             output.write_svg_scatter(env, tmp_path / "s.svg")
+        assert not (tmp_path / "s.svg").exists()
+
+    @staticmethod
+    def table_envelope(rows):
+        payload = output.TablePayload(columns=["x[1]", "y[1]"], rows=rows)
+        return output.ResultEnvelope(config_text="cfg", command="conductivity", payload=payload)
+
+    def test_axis_ends_are_those_of_the_plotted_points(self, tmp_path):
+        # a row with a non-finite x or y is neither plotted nor an axis end
+        finite = [[1.0, 5.0], [2.0, -3.0], [4.0, 7.0]]
+        rows = finite + [[3.0, math.inf], [math.nan, 9.0], [-math.inf, 0.0], [5.0, math.nan]]
+        text = written(output.write_svg_scatter, self.table_envelope(rows), tmp_path / "a.svg")
+        assert text == written(output.write_svg_scatter, self.table_envelope(finite),
+                               tmp_path / "b.svg")
+        labels = re.findall(rb'font-size="12">([^<]*)</text>', text)
+        assert labels == [b"1", b"4", b"-3", b"7"]
+        assert text.count(b"<circle") == 3
+
+    @pytest.mark.parametrize("rows", [[], [[1.0, math.inf], [2.0, math.nan], [math.nan, 1.0]]],
+                             ids=["no-rows", "no-finite-point"])
+    def test_table_with_nothing_to_plot_is_an_export_error(self, tmp_path, rows):
+        with pytest.raises(CavityBlochError, match="^nothing to plot$"):
+            output.write_svg_scatter(self.table_envelope(rows), tmp_path / "s.svg")
+        assert not (tmp_path / "s.svg").exists()
+
+    def test_window_that_excludes_every_finite_point(self, tmp_path):
+        env = self.table_envelope([[1.0, 5.0], [2.0, math.nan], [3.0, 9.0]])
+        with pytest.raises(CavityBlochError, match="^plot window excludes every point$"):
+            output.write_svg_scatter(env, tmp_path / "s.svg", window=(6.0, 8.0))
         assert not (tmp_path / "s.svg").exists()
 
     def test_non_numeric_table_is_an_export_error(self, tmp_path):

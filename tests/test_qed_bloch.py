@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from cavity_bloch import parallel, qed_bloch
+from cavity_bloch import numerics, parallel, qed_bloch
 
 from cavity_bloch.cavity_gas import CavitySetup
 from cavity_bloch.constants import EV, HBAR, M_ELECTRON
@@ -27,7 +27,7 @@ from cavity_bloch.lattice import (
     bravais_cosine_potential,
     field_for_flux_ratio,
 )
-from cavity_bloch.numerics import hermitian_eigvals, hermiticity_residual
+from cavity_bloch.numerics import c2_blocks, hermitian_eigvals, hermiticity_residual
 from cavity_bloch.qed_bloch import (
     DIAG_SAFE_CAP,
     BasisTruncation,
@@ -36,10 +36,8 @@ from cavity_bloch.qed_bloch import (
     assemble_central_matrix,
     assemble_llb_matrix,
     beta_matrix,
-    c2_blocks,
     count_bands,
     coupling_window_end,
-    harper_exact_bands,
     harper_hopping,
     harper_bloch_matrix,
     harper_matrix,
@@ -55,7 +53,7 @@ from cavity_bloch.qed_bloch import (
     sweep,
 )
 
-from oracles import displacement_matrix_element, harper_bloch_union
+from oracles import displacement_matrix_element, harper_bloch_union, harper_exact_bands
 
 A = 2e-10
 SQUARE = Lattice2D(A, A, math.pi / 2)
@@ -994,7 +992,8 @@ class TestPolaritonGauge:
 
 class TestPolaritonC2Blocks:
     """At k_x = k_w = 0 the real (n, m) lattice keeps C2, (n, m) -> (-n, -m):
-    the sweep solves its even and odd blocks in place of the whole."""
+    the sweep hands it to hermitian_eigvals, which solves its even and odd
+    blocks in place of the whole."""
 
     V0 = 3.0 * EV
     GRID = list(itertools.product((3, 6, 10), (1e-12, 1e-3, 0.3, 1.0, 5.0),
@@ -1017,8 +1016,9 @@ class TestPolaritonC2Blocks:
             even, odd = c2_blocks(mat)
             dim = mat.shape[0]
             assert even.shape == ((dim + 1) // 2,) * 2 and odd.shape == ((dim - 1) // 2,) * 2
-            union = np.sort(np.concatenate([hermitian_eigvals(even), hermitian_eigvals(odd)]))
-            full = hermitian_eigvals(mat)
+            union = np.sort(np.concatenate([np.linalg.eigvalsh(even),
+                                            np.linalg.eigvalsh(odd)]))
+            full = np.linalg.eigvalsh(mat)
             assert np.max(np.abs(union - full)) <= 1e-12 * (full[-1] - full[0])
 
     def test_blocks_of_a_small_matrix_by_hand(self):
@@ -1045,8 +1045,9 @@ class TestPolaritonC2Blocks:
                                                                  self.V0, "matrix"))
                 assert np.max(np.abs(eigs - full)) <= 1e-12 * (full[-1] - full[0])
 
-    def test_matrix_that_breaks_c2_fails_its_point(self, monkeypatch):
-        # a symmetric perturbation that the blocks would silently drop
+    def test_matrix_that_breaks_c2_is_solved_whole(self, monkeypatch, call_log):
+        # a symmetric perturbation that the blocks would drop: the solver
+        # sees it and solves the lattice whole, once per g on the matrix route
         built = polariton_harper_matrix
 
         def perturbed(*args):
@@ -1057,16 +1058,16 @@ class TestPolaritonC2Blocks:
 
         monkeypatch.setattr(qed_bloch, "polariton_harper_matrix", perturbed)
         trunc = BasisTruncation(n_max=3)
+        mat = perturbed(1.0, 1.0, 0.0, 0.0, trunc, A, self.V0, "matrix")
+        assert not np.array_equal(mat, mat[::-1, ::-1])
+        want = np.linalg.eigvalsh(mat)
         kx_grid = [(kx, 0.0) for kx in midpoint_kx_grid(3)]
         build, key = flux_one_sweep(self.V0, "matrix", trunc.n_max)
+        call_log.record(numerics.np.linalg, "eigvalsh", lambda m: list(m.shape))
         grid = sweep(build, [1.0], kx_grid, key)
-        assert len(grid.failures) == 3
-        for k_idx, message in enumerate(grid.failures):
-            assert re.fullmatch(rf"axis\[0\]=1, k\[{k_idx}\]: matrix breaks C2: "
-                                r"max\|R - JRJ\| 1\.000e-06 exceeds 1e-10 of max\|R\|", message)
-        assert [eigs.size for eigs in grid.eigenvalues[0]] == [0, 0, 0]
-        with pytest.raises(NumericalError, match="breaks C2"):
-            c2_blocks(perturbed(1.0, 1.0, 0.0, 0.0, trunc, A, self.V0, "matrix"))
+        assert call_log.entries() == [[49, 49]]
+        assert not grid.failures and grid.partners == [[0, 0, 0]]
+        assert np.max(np.abs(grid.eigenvalues[0][0] - want)) <= 1e-12 * (want[-1] - want[0])
 
     @pytest.mark.parametrize("g, kw_scaled, mode", [
         (1.0, 0.6 * math.pi / A, "matrix"),  # complex: k_w breaks C2
@@ -1082,15 +1083,16 @@ class TestPolaritonC2Blocks:
         assert isinstance(got, np.ndarray) and np.array_equal(got, want)
 
     @pytest.mark.parametrize("mode", ["matrix", "auto"])
-    def test_matrix_route_at_kw_zero_returns_the_kx_zero_blocks(self, mode):
+    def test_matrix_route_at_kw_zero_returns_the_kx_zero_lattice(self, mode, call_log):
         trunc = BasisTruncation(n_max=3)
-        want = c2_blocks(polariton_harper_matrix(1.0, 1.0, 0.0, 0.0, trunc, A, self.V0,
-                                                 "matrix"))
+        want = polariton_harper_matrix(1.0, 1.0, 0.0, 0.0, trunc, A, self.V0, "matrix")
         build, _ = polariton_sweep(1.0, trunc, A, self.V0, mode)
+        call_log.record(numerics.np.linalg, "eigvalsh", lambda m: list(m.shape))
         for kx_a in (0.0, 0.41, -2.9):
             got = build(1.0)((kx_a, 0.0))
-            assert isinstance(got, tuple) and len(got) == 2
-            assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+            assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+            hermitian_eigvals(got)
+        assert call_log.entries() == [[25, 25], [24, 24]] * 3
 
 
 class TestPolaritonWindows:
@@ -1176,45 +1178,66 @@ class TestSweep:
                                   hermitian_eigvals(harper_matrix(0.5, [0.1, 0.2, 0.3][k_idx], 4)))
 
     @staticmethod
-    def blocks_of(flux, kxa):
-        """Two Hermitian blocks whose spectra interleave: a Harper chain and
-        the same chain shifted by a quarter."""
+    def c2_chain(flux, kxa):
+        """A Harper chain plus its reversal: exactly C2 at every k_x, and the
+        same matrix at k_x and -k_x."""
         chain = harper_matrix(flux, kxa, 4)
-        return chain, chain[:5, :5] + 0.25 * np.eye(5)
+        return chain + chain[::-1, ::-1]
 
-    def test_each_block_is_one_solve_and_the_row_is_merged(self, call_log):
-        call_log.record(qed_bloch, "hermitian_eigvals", lambda m: list(m.shape))
-        grid = sweep(pointwise(self.blocks_of), [0.5, 0.8], [0.1, 0.2])
-        assert sorted(call_log.entries()) == [[5, 5]] * 4 + [[9, 9]] * 4
-        assert not grid.failures
-        for flux, row in zip((0.5, 0.8), grid.eigenvalues):
-            for kxa, eigs in zip((0.1, 0.2), row):
-                want = np.concatenate([hermitian_eigvals(m) for m in self.blocks_of(flux, kxa)])
+    @staticmethod
+    def merged_blocks(mat):
+        """The eigenvalues of the two C2 blocks of `mat`, merged in ascending
+        order."""
+        return np.sort(np.concatenate([np.linalg.eigvalsh(m) for m in c2_blocks(mat)]))
+
+    def test_each_c2_point_is_two_block_solves_and_the_row_is_merged(self, call_log):
+        # a plain Harper chain is C2 at k_x = 0 and not at 0.2
+        def chain(flux, kxa):
+            return harper_matrix(flux, kxa, 4)
+
+        want = [[self.merged_blocks(self.c2_chain(flux, kxa)) for kxa in (0.0, 0.2)]
+                for flux in (0.5, 0.8)]
+        want_chains = [self.merged_blocks(chain(0.5, 0.0)), np.linalg.eigvalsh(chain(0.5, 0.2))]
+        call_log.record(numerics.np.linalg, "eigvalsh", lambda m: list(m.shape))
+        grid = sweep(pointwise(self.c2_chain), [0.5, 0.8], [0.0, 0.2])
+        chains = sweep(pointwise(chain), [0.5], [0.0, 0.2])
+        assert sorted(call_log.entries()) == [[4, 4]] * 5 + [[5, 5]] * 5 + [[9, 9]]
+        assert not grid.failures and not chains.failures
+        for row, want_row in zip(grid.eigenvalues + chains.eigenvalues, want + [want_chains]):
+            for eigs, merged in zip(row, want_row, strict=True):
                 assert np.all(np.diff(eigs) >= 0.0)
-                assert np.array_equal(eigs, np.sort(want))
+                assert np.array_equal(eigs, merged)
 
-    @pytest.mark.parametrize("bad, entry, message", [
-        (0, 1.0, "matrix is not Hermitian"),
-        (1, math.nan, "non-finite matrix entries"),
+    @pytest.mark.parametrize("bad, message", [
+        (0, "eigensolver failed to converge"),
+        (1, "non-finite eigenvalues"),
     ])
-    def test_failed_block_fails_the_point_and_its_partners(self, bad, entry, message):
-        def assembler(flux, kxa):
-            blocks = list(self.blocks_of(flux, kxa))
-            if kxa == 0.1:
-                blocks[bad][0, 1] += entry
-            return tuple(blocks)
+    def test_failed_block_fails_the_point_and_its_partners(self, monkeypatch, bad, message):
+        # k[0] and k[1] share one C2 matrix, one of whose blocks fails
+        block = c2_blocks(self.c2_chain(0.5, 0.1))[bad]
+        eigvalsh = np.linalg.eigvalsh
 
-        grid = sweep(pointwise(assembler), [0.5], [0.1, -0.1, 0.2], c2_key)
-        assert [failure.split(" (")[0].split(": ")[:2] for failure in grid.failures] == [
-            ["axis[0]=0.5, k[0]", message],
-            ["axis[0]=0.5, k[1]", message],
-        ]
-        assert [eigs.size for eigs in grid.eigenvalues[0]] == [0, 0, 14]
+        def failing_block(m):
+            if np.array_equal(m, block):
+                if bad == 0:
+                    raise np.linalg.LinAlgError("synthetic non-convergence")
+                return np.full(m.shape[0], math.nan)
+            return eigvalsh(m)
+
+        monkeypatch.setattr(numerics.np.linalg, "eigvalsh", failing_block)
+        with pytest.raises(NumericalError) as single:
+            hermitian_eigvals(self.c2_chain(0.5, 0.1))
+        fingerprint = numerics._fingerprint(self.c2_chain(0.5, 0.1))
+        assert str(single.value).startswith(f"{message} (fingerprint {fingerprint})")
+        grid = sweep(pointwise(self.c2_chain), [0.5], [0.1, -0.1, 0.2], c2_key)
+        assert grid.failures == [f"axis[0]=0.5, k[{k_idx}]: {single.value}" for k_idx in (0, 1)]
+        assert [eigs.size for eigs in grid.eigenvalues[0]] == [0, 0, 9]
 
     def test_partners_share_the_merged_array(self):
-        grid = sweep(pointwise(self.blocks_of), [0.5], [0.1, -0.1, 0.2], c2_key)
+        grid = sweep(pointwise(self.c2_chain), [0.5], [0.1, -0.1, 0.2], c2_key)
         row = grid.eigenvalues[0]
         assert row[1] is row[0] and row[2] is not row[0]
+        assert np.array_equal(row[0], self.merged_blocks(self.c2_chain(0.5, 0.1)))
 
     def test_assembly_failure_fails_only_its_point(self):
         def assembler(flux, kxa):
