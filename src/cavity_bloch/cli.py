@@ -22,10 +22,12 @@ descriptor.
 cavity_gas, eft and response are imported by the handlers that run them, so
 that a butterfly, the largest output, pays for none of them at start.
 
-BLAS and LAPACK run on one thread unless the caller sets OPENBLAS_NUM_THREADS,
-GOTO_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS: a sweep's matrices
-(dim 61 to 441 at default sizes) gain no wall time from a second BLAS thread
-and spend twice the CPU on it, where a second process halves the wall time.
+BLAS and LAPACK run on one thread unless the caller sets one of the variables
+OpenBLAS reads (parallel.BLAS_THREAD_VARIABLES): a sweep's matrices (dim 61
+to 441 at default sizes) gain no wall time from a second BLAS thread and
+spend twice the CPU on it, where a second process halves the wall time.  The
+pin sets OPENBLAS_NUM_THREADS and OMP_NUM_THREADS to 1, and MKL_NUM_THREADS
+to 1 where it is unset.
 """
 
 import argparse
@@ -33,17 +35,20 @@ import math
 import os
 import sys
 
+from . import parallel
+
 # BLAS reads its thread count when numpy loads it, so the pin precedes numpy
-if not any(name in os.environ for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                                           "OMP_NUM_THREADS", "MKL_NUM_THREADS")):
-    os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+if not any(name in os.environ for name in parallel.BLAS_THREAD_VARIABLES):
+    os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    os.environ.setdefault("MKL_NUM_THREADS", "1")
 
 import numpy as np
 
 from . import landau, qed_bloch
 from .config import COMMANDS, FORMATS, parse_config
 from .constants import EV, HBAR, THZ
-from .errors import CavityBlochError, ConfigError, DomainError, NumericalError, StabilityError
+from .errors import (CavityBlochError, ConfigError, DomainError, NumericalError, StabilityError,
+                     derived)
 from .lattice import (
     bravais_cosine_potential,
     bravais_lattice,
@@ -190,10 +195,13 @@ def _run_landau(cfg):
     n2d = p["density_cm2"]
     mass_ratio = p["mass_ratio"]
     w_c = landau.cyclotron_frequency(b, mass_ratio)
-    nu = landau.filling_factor(n2d, b)
-    sigma_xy, sigma_yy = landau.hall_conductance(int(nu))
+    with derived("filling factor", {"n2d[1/m^2]": n2d, "B[T]": b}):
+        nu = landau.filling_factor(n2d, b)
+        sigma_xy, sigma_yy = landau.hall_conductance(int(nu))
     eta = p["eta_fraction"] * HBAR * w_c
-    energies = np.linspace(0.0, HBAR * w_c * (p["n_max"] + 1), p["points"])
+    with derived("energy window hbar omega_c (n_max + 1)",
+                 {"B[T]": b, "mass_ratio[1]": mass_ratio}):
+        energies = np.linspace(0.0, HBAR * w_c * (p["n_max"] + 1), p["points"])
     dos = landau.landau_dos(energies, b, eta, p["n_max"], mass_ratio)
     # long format: scalar context rows first, then the DOS grid
     rows = [
@@ -244,7 +252,7 @@ def _run_butterfly(cfg):
 
         def build(flux):
             w_c = landau.cyclotron_frequency(field_for_flux_ratio(lat, flux))
-            terms = qed_bloch.llb_terms(pot, w_c, trunc)
+            terms = qed_bloch.central_terms(pot, 0.0, w_c, trunc)
             return lambda kx_a: terms.matrix(kx_a / lat.a1)
 
         unit = "energy[eV]"

@@ -13,7 +13,8 @@ def cyclotron_frequency(b_field, mass_ratio=1.0):
     """omega_c = e B / m* in rad/s."""
     if b_field < 0.0:
         raise DomainError("magnetic field must be >= 0")
-    return E_CHARGE * b_field / (mass_ratio * M_ELECTRON)
+    with derived("omega_c = e B/m*", {"B[T]": b_field, "mass_ratio[1]": mass_ratio}):
+        return E_CHARGE * b_field / (mass_ratio * M_ELECTRON)
 
 
 def landau_energy(n, k_z, b_field, mass_ratio=1.0):
@@ -61,8 +62,10 @@ def landau_dos(energies, b_field, eta, n_max, mass_ratio=1.0, spin_degeneracy=2)
     centers = HBAR * w_c * (np.arange(n_max + 1) + 0.5)
     weight = spin_degeneracy * E_CHARGE * b_field / (2.0 * math.pi * HBAR)
     comb = np.zeros_like(energies)
-    for c in centers:
-        comb += (eta / math.pi) / ((energies - c) ** 2 + eta**2)
+    with derived("Landau-level DOS",
+                 {"B[T]": b_field, "eta[J]": eta, "mass_ratio[1]": mass_ratio}):
+        for c in centers:
+            comb += (eta / math.pi) / ((energies - c) ** 2 + eta**2)
     return weight * comb
 
 

@@ -15,6 +15,10 @@ import signal
 import threading
 import traceback
 
+#: the variables OpenBLAS (the BLAS of numpy's wheels) reads its thread count
+#: from, in the order it reads them
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
 
 def _available_cpus():
     """CPUs this process may run on: its affinity mask, which `taskset`
@@ -26,10 +30,9 @@ def _available_cpus():
 
 def _blas_threads():
     """BLAS threads per process, read as OpenBLAS reads them: the first of
-    OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS that holds a
-    positive integer, else one per available CPU, OpenBLAS's own default."""
-    values = (os.environ.get(name, "").strip()
-              for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
+    BLAS_THREAD_VARIABLES that holds a positive integer, else one per
+    available CPU, OpenBLAS's own default."""
+    values = (os.environ.get(name, "").strip() for name in BLAS_THREAD_VARIABLES)
     return next((int(v) for v in values if v.isdecimal() and int(v) > 0), _available_cpus())
 
 

@@ -1,6 +1,10 @@
 """QED-Bloch solver: Landau polaritons, the central equation in the combined
-Fourier x polariton-level basis, its no-quantized-field limit, the Harper
-chain and the polaritonic Harper chain.
+Fourier x polariton-level basis, the Harper chain and the polaritonic Harper
+chain.
+
+central_terms is the central equation's one builder.  Its omega_p = 0 case,
+the quantized field switched off, is the Landau-level x Bloch problem that
+the raw-joules butterfly solves.
 
 Assembled matrices are row-major in (Fourier index, level index); Fourier
 indices run -n_max..n_max.  Energies are joules unless a function explicitly
@@ -14,7 +18,7 @@ import numpy as np
 
 from . import parallel
 from .constants import HBAR, M_ELECTRON, E_CHARGE
-from .errors import CavityBlochError, DomainError, NumericalError
+from .errors import CavityBlochError, DomainError, NumericalError, derived
 from .numerics import displacement_matrix, hermitian_eigvals
 from .output import SpectrumPayload
 
@@ -65,11 +69,6 @@ class PolaritonParams:
         return math.hypot(self.omega_p, self.omega_c)
 
     @property
-    def mp_over_m(self):
-        """Bounded ratio m_p / M = 2 omega_c^2 / Omega^2 in (0, 2)."""
-        return 2.0 * self.omega_c**2 / (self.omega_p**2 + self.omega_c**2)
-
-    @property
     def g(self):
         """Light-matter coupling g = omega_p / omega_c."""
         return self.omega_p / self.omega_c
@@ -95,9 +94,13 @@ def landau_polariton_branches(b_fields, setup):
     b_fields = np.asarray(b_fields, dtype=float)
     omega_p = setup.omega_p
     omega_c = E_CHARGE * b_fields / (setup.mass_ratio * M_ELECTRON)
-    omega2 = omega_p**2 + omega_c**2
+    inputs = {"b_max[T]": np.abs(b_fields).max(initial=0.0), "omega_p[rad/s]": omega_p,
+              "mass_ratio[1]": setup.mass_ratio}
+    with derived("Omega^2 = omega_p^2 + omega_c^2", inputs):
+        omega2 = omega_p**2 + omega_c**2
     upper = np.sqrt(omega2)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with derived("lower branch omega_p omega_c^2 / 2 Omega^2", inputs), \
+            np.errstate(invalid="ignore", divide="ignore"):
         lower = np.where(omega2 > 0.0, 0.5 * omega_p * omega_c**2 / omega2, 0.0)
     return {"omega_c": omega_c, "upper": upper, "lower": lower, "lp_ceiling": 0.5 * omega_p}
 
@@ -144,28 +147,20 @@ class BasisTruncation:
         return dim
 
 
-def alpha_matrix(dn, dm, lat, params):
-    """Displacement amplitude alpha_{dn,dm} of the central equation.
+def alpha_matrix(dn, dm, lat, omega_p, omega_c):
+    """Displacement amplitude alpha_{dn,dm} of the central equation,
+    sqrt(hbar/2 m_e Omega) (-G^x_dn - i (omega_c/Omega) G_{dm,dn}) with
+    Omega = hypot(omega_p, omega_c).
 
-    alpha = -sqrt(mu Omega/2 hbar) A^0_dn - i sqrt(hbar/2 mu Omega) G^v_{dm,dn}
-    with A^0_dn = hbar G^x_dn/(sqrt(2) m_e) and
-    G^v_{dm,dn} = m_p G_{dm,dn}/(sqrt(2) M omega_c).
+    That is the thesis form -sqrt(mu Omega/2 hbar) A^0_dn
+    - i sqrt(hbar/2 mu Omega) G^v_{dm,dn}, with A^0_dn = hbar G^x_dn/(sqrt(2) m_e)
+    and G^v_{dm,dn} = m_p G_{dm,dn}/(sqrt(2) M omega_c), written so that at
+    omega_p = 0 (Omega = omega_c exactly) it is the Landau-level x Bloch
+    amplitude beta = sqrt(hbar/2 m_e omega_c)(-G^x_dn - i G_{dm,dn}).
     """
-    mu_omega = params.mu * params.big_omega
-    a0 = HBAR * lat.g_x(dn) / (math.sqrt(2.0) * M_ELECTRON)
-    gv = params.mp_over_m * lat.g_oblique(dm, dn) / (math.sqrt(2.0) * params.omega_c)
-    return -math.sqrt(mu_omega / (2.0 * HBAR)) * a0 - 1j * math.sqrt(HBAR / (2.0 * mu_omega)) * gv
-
-
-def beta_matrix(dn, dm, lat, omega_c):
-    """No-field-limit amplitude beta = sqrt(hbar/2 m_e omega_c)(-G^x_dn - i G_{dm,dn}).
-
-    The omega_p -> 0 limit of alpha_matrix.
-    """
-    if omega_c <= 0.0:
-        raise DomainError("cyclotron frequency must be positive")
-    scale = math.sqrt(HBAR / (2.0 * M_ELECTRON * omega_c))
-    return scale * (-lat.g_x(dn) - 1j * lat.g_oblique(dm, dn))
+    big_omega = math.hypot(omega_p, omega_c)
+    return math.sqrt(HBAR / (2.0 * M_ELECTRON * big_omega)) * (
+        -lat.g_x(dn) - 1j * (omega_c / big_omega) * lat.g_oblique(dm, dn))
 
 
 @dataclass(frozen=True, eq=False)  # arrays compare elementwise: equality is identity
@@ -246,21 +241,47 @@ def _x_mirror(pot):
     return None
 
 
-def _potential_terms(pot, trunc, diagonal, phase_scale, amplitude, reduce_m):
-    """CouplingTerms of `diagonal` and one term per Fourier coefficient
-    V_{dn,dm} of `pot` at the shift (dn,) with reduce_m (m summed out), else
-    (dn, dm): frequency f = phase_scale G_{dm,dn}, phases
-    exp(-i f G^x_{(n+n')/2}) (the half index n - dn/2 is exact in binary64),
-    block V_{dn,dm} <phi_i|D(amplitude(dn, dm))|phi_j>.
+def central_terms(pot, omega_p, omega_c, trunc, k_w=0.0, reduce_m=True):
+    """CouplingTerms of the QED-Bloch central equation of a 2D crystal in a
+    magnetic field and a cavity mode, for every k_x.
+
+    Basis (n, m, j), Omega = hypot(omega_p, omega_c): diagonal
+    hbar^2 (k_w + G^w_{m,n})^2/2M + hbar Omega (j + 1/2); per Fourier
+    coefficient V_{dn,dm} of `pot` one term at the shift (dn, dm),
+    V_{dn,dm} exp(-i s G_{dm,dn} (k_x + G^x_{(n+n')/2})) <phi_i|D(alpha_{dn,dm})|phi_j>
+    with s = hbar omega_c/(m_e Omega^2), so that the phase is G^v A^{k_x}
+    (the half index n - dn/2 is exact in binary64).
+
+    reduce_m (the default) projects on the zero-Bloch-phase sector of the
+    w-Fourier lattice: basis (n, j), each term at the shift (dn,), no k_w.
+    At omega_p = 0, the quantized field switched off, that is the exact
+    Landau-level x Bloch problem: Omega is omega_c, s is hbar/(m_e omega_c)
+    and alpha the LLB amplitude beta, all bit for bit.
 
     With reduce_m and an x -> -x mirror (_x_mirror), the partner
     (dn, c dn - dm) has -G, and its phases, amplitude and V are the complex
     conjugates of the first member's: the pair is one real-route term of
     twice the first member's block (weight 1 for its own partner,
-    2 dm = c dn), so the matrix is real by construction."""
+    2 dm = c dn), so the matrix is real (float64) by construction;
+    otherwise, and always without reduce_m, it is complex.
+    """
+    if not 0.0 < omega_c < math.inf:
+        raise DomainError(f"cyclotron frequency must be positive and finite, not {omega_c:g}")
+    if not 0.0 <= omega_p < math.inf:
+        raise DomainError(f"omega_p must be non-negative and finite, not {omega_p:g}")
     lat = pot.lattice
-    c = _x_mirror(pot) if reduce_m else None
+    trunc.dimension(fourier_dims=1 if reduce_m else 2)
+    big_omega = math.hypot(omega_p, omega_c)
+    ladder = HBAR * big_omega * (np.arange(trunc.j_max + 1) + 0.5)
+    phase_scale = HBAR / (M_ELECTRON * big_omega) * (omega_c / big_omega)
     n_vals = np.arange(-trunc.n_max, trunc.n_max + 1)
+    diagonal = np.broadcast_to(ladder, (trunc.n_count, ladder.size))
+    if not reduce_m:  # k_w enters the diagonal only; 1/M as PolaritonParams.inv_m_total
+        inv_m_total = 2.0 * omega_p**2 * omega_c**2 / (M_ELECTRON * (omega_p**2 + omega_c**2))
+        g_w = lat.g_oblique(n_vals[None, :], n_vals[:, None]) / (math.sqrt(2.0) * omega_c)
+        kinetic = 0.5 * HBAR**2 * (k_w + g_w) ** 2 * inv_m_total
+        diagonal = kinetic[:, :, None] + ladder
+    c = _x_mirror(pot) if reduce_m else None
     terms = []
     for (dn, dm), v in pot.coefficients.items():
         if c is not None and c * dn - dm < dm:
@@ -268,64 +289,20 @@ def _potential_terms(pot, trunc, diagonal, phase_scale, amplitude, reduce_m):
         weight = 2.0 if c is not None and c * dn - dm != dm else 1.0
         freq = phase_scale * lat.g_oblique(dm, dn)
         phases = np.exp(-1j * (freq * lat.g_x((2 * n_vals - dn) / 2)))
-        block = weight * v * displacement_matrix(trunc.j_max + 1, amplitude(dn, dm))
+        amplitude = alpha_matrix(dn, dm, lat, omega_p, omega_c)
+        block = weight * v * displacement_matrix(trunc.j_max + 1, amplitude)
         terms.append(((dn,) if reduce_m else (dn, dm), freq, phases, block))
     return _fourier_terms(diagonal, terms, real=c is not None)
 
 
 def assemble_central_matrix(pot, params, k_x, k_w, trunc, reduce_m=False):
-    """QED-Bloch central-equation matrix for a 2D crystal in field + cavity.
-
-    Basis (n, m, j): diagonal hbar^2 (k_w + G^w_{m,n})^2/2M + hbar Omega (j+1/2),
-    couplings V_{dn,dm} exp(-i G^v A^{k_x}_{(n+n')/2}) <phi_i|D(alpha_{dn,dm})|phi_j>.
-
-    With reduce_m=True the matrix is projected on the zero-Bloch-phase sector
-    of the w-Fourier lattice (basis (n, j), couplings summed over dm) -- the
-    sector that survives the no-quantized-field limit, where the m index
-    becomes redundant.  That reduced matrix is real (float64) when the
-    potential has an x -> -x mirror (_potential_terms); otherwise, and always
-    without reduce_m, it is complex.
-    """
-    lat = pot.lattice
-    trunc.dimension(fourier_dims=1 if reduce_m else 2)
-    ladder = HBAR * params.big_omega * (np.arange(trunc.j_max + 1) + 0.5)
-    # G^v A^{k_x}_s = (m_p/M) hbar G_{dm,dn} (k_x + G^x_s) / (2 omega_c m_e)
-    scale = params.mp_over_m * HBAR / (2.0 * params.omega_c * M_ELECTRON)
-    diagonal = np.broadcast_to(ladder, (trunc.n_count, ladder.size))
-    if not reduce_m:  # k_w enters the diagonal only
-        n_vals = np.arange(-trunc.n_max, trunc.n_max + 1)
-        g_w = lat.g_oblique(n_vals[None, :], n_vals[:, None]) / (math.sqrt(2.0) * params.omega_c)
-        kinetic = 0.5 * HBAR**2 * (k_w + g_w) ** 2 * params.inv_m_total
-        diagonal = kinetic[:, :, None] + ladder
-    return _potential_terms(pot, trunc, diagonal, scale,
-                            lambda dn, dm: alpha_matrix(dn, dm, lat, params),
-                            reduce_m).matrix(k_x)
-
-
-def llb_terms(pot, omega_c, trunc):
-    """CouplingTerms of the no-quantized-field central equation at one flux:
-    Landau levels x Bloch waves, for every k_x.
-
-    The omega_p -> 0 limit of the reduced central equation.  Basis (n, i):
-    diagonal hbar omega_c (i + 1/2); couplings
-    V_{dn,m'} exp(-i hbar (k_x + G^x_{(n+n')/2}) G_{m',dn} / (m_e omega_c))
-    <phi_i|D(beta_{dn,m'})|phi_j>, summed over the potential's m' content.
-    Real (float64) when the potential has an x -> -x mirror (square,
-    rectangular and hexagonal cosine potentials), complex otherwise.
-    """
-    if not 0.0 < omega_c < math.inf:
-        raise DomainError(f"cyclotron frequency must be positive and finite, not {omega_c:g}")
-    lat = pot.lattice
-    trunc.dimension(fourier_dims=1)
-    ladder = HBAR * omega_c * (np.arange(trunc.j_max + 1) + 0.5)
-    return _potential_terms(pot, trunc, np.broadcast_to(ladder, (trunc.n_count, ladder.size)),
-                            HBAR / (M_ELECTRON * omega_c),
-                            lambda dn, dm: beta_matrix(dn, dm, lat, omega_c), reduce_m=True)
+    """The central-equation matrix of central_terms at (k_x, k_w)."""
+    return central_terms(pot, params.omega_p, params.omega_c, trunc, k_w, reduce_m).matrix(k_x)
 
 
 def assemble_llb_matrix(pot, omega_c, k_x, trunc):
-    """The Landau-level x Bloch matrix of llb_terms at k_x."""
-    return llb_terms(pot, omega_c, trunc).matrix(k_x)
+    """The Landau-level x Bloch matrix, central_terms at omega_p = 0, at k_x."""
+    return central_terms(pot, 0.0, omega_c, trunc).matrix(k_x)
 
 
 def harper_hopping(flux, v_amplitude):
@@ -365,29 +342,6 @@ def harper_matrix(flux, kx_a, n_max, hop=1.0, onsite=1.0):
     flat[:: size + 1] = diag
     flat[1 :: size + 1] = hop
     flat[size :: size + 1] = hop
-    return mat
-
-
-def harper_bloch_matrix(p, q, kappa, theta):
-    """q x q Bloch reduction of the infinite Harper chain at reciprocal flux p/q.
-
-    Diagonal 2 cos(2 pi p r / q + theta); every forward hop carries the chain
-    Bloch phase e^{i kappa}, wrapping modulo q (q = 1 and q = 2, where both
-    neighbors alias onto one element, come out automatically).  kappa and
-    theta broadcast against each other; the result is a (..., q, q) stack.
-    """
-    if q < 1 or p < 1:
-        raise DomainError("need positive integers p, q")
-    if math.gcd(p, q) != 1:
-        raise DomainError("p/q must be in lowest terms")
-    kappa, theta = np.broadcast_arrays(np.asarray(kappa, dtype=float),
-                                       np.asarray(theta, dtype=float))
-    r = np.arange(q)
-    mat = np.zeros(kappa.shape + (q, q), dtype=np.complex128)
-    mat[..., r, r] = 2.0 * np.cos(2.0 * math.pi * p / q * r + theta[..., None])
-    fwd = np.exp(1j * kappa)[..., None]
-    mat[..., r, (r + 1) % q] += fwd
-    mat[..., r, (r - 1) % q] += np.conj(fwd)
     return mat
 
 
@@ -698,8 +652,8 @@ def c2_symmetric(pot):
 
     In the Landau gauge C2 maps k_x to -k_x.  The coefficient (-dn, -dm) has
     -G and -G^x, so at -k_x and the reversed Fourier index it carries the
-    phases of (dn, dm) and the amplitude -beta (or -alpha); with
-    D(-beta) = P D(beta) P, P = diag((-1)^j), the LLB and reduced central
+    phases of (dn, dm) and the amplitude -alpha; with
+    D(-alpha) = P D(alpha) P, P = diag((-1)^j), the LLB and reduced central
     matrices obey A(-k_x) = U A(k_x) U^T with U = J (x) P, J reversing n.
     Every bravais_cosine_potential passes; mirrors _x_mirror.
     """

@@ -31,7 +31,9 @@ class ResponseSample:
 
 def default_grid(omega_tilde, points=DEFAULT_GRID_POINTS, span=DEFAULT_GRID_SPAN):
     """Symmetric grid over [-span, span] * omega_tilde."""
-    return np.linspace(-span * omega_tilde, span * omega_tilde, points)
+    with derived("grid half-width span omega_tilde",
+                 {"span[1]": span, "omega_tilde[rad/s]": omega_tilde}):
+        return np.linspace(-span * omega_tilde, span * omega_tilde, points)
 
 
 def _pole_pair(w, omega_tilde, eta):

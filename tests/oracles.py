@@ -4,7 +4,8 @@ Each evaluates a quantity by a route other than the package's own: closed
 forms in place of complex arithmetic, a principal-value Hilbert transform, a
 discrete mode sum, Laguerre polynomials (an exact finite sum, not the
 package's recurrence) / displacement elements one at a time, and the Harper
-spectrum as exact band edges and sampled densely over its Bloch cell.
+spectrum as exact band edges and sampled densely over its Bloch cell, from
+its q x q Bloch reduction.
 """
 
 import math
@@ -14,7 +15,6 @@ import numpy as np
 
 from cavity_bloch.constants import C_LIGHT, EPSILON_0
 from cavity_bloch.errors import DomainError, NumericalError
-from cavity_bloch.qed_bloch import harper_bloch_matrix
 from cavity_bloch.response import ResponseSample
 
 
@@ -125,6 +125,29 @@ def displacement_matrix_element(i, j, alpha):
         ratio = math.exp(0.5 * (math.lgamma(j + 1.0) - math.lgamma(i + 1.0)))
         return ratio * alpha ** (i - j) * math.exp(-0.5 * x) * laguerre_assoc(j, i - j, x)
     return (-1.0) ** (j - i) * np.conj(displacement_matrix_element(j, i, alpha))
+
+
+def harper_bloch_matrix(p, q, kappa, theta):
+    """q x q Bloch reduction of the infinite Harper chain at reciprocal flux p/q.
+
+    Diagonal 2 cos(2 pi p r / q + theta); every forward hop carries the chain
+    Bloch phase e^{i kappa}, wrapping modulo q (q = 1 and q = 2, where both
+    neighbors alias onto one element, come out automatically).  kappa and
+    theta broadcast against each other; the result is a (..., q, q) stack.
+    """
+    if q < 1 or p < 1:
+        raise DomainError("need positive integers p, q")
+    if math.gcd(p, q) != 1:
+        raise DomainError("p/q must be in lowest terms")
+    kappa, theta = np.broadcast_arrays(np.asarray(kappa, dtype=float),
+                                       np.asarray(theta, dtype=float))
+    r = np.arange(q)
+    mat = np.zeros(kappa.shape + (q, q), dtype=np.complex128)
+    mat[..., r, r] = 2.0 * np.cos(2.0 * math.pi * p / q * r + theta[..., None])
+    fwd = np.exp(1j * kappa)[..., None]
+    mat[..., r, (r + 1) % q] += fwd
+    mat[..., r, (r - 1) % q] += np.conj(fwd)
+    return mat
 
 
 def harper_bloch_union(p, q, samples=200000):

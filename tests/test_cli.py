@@ -804,14 +804,20 @@ class TestCliProcess:
         # reaches the pin before BLAS is loaded
         assert child("import json, sys, cavity_bloch; print(json.dumps('numpy' in sys.modules))") \
             is False
-        probe = ("import json, os, cavity_bloch.cli; print(json.dumps([os.environ.get(name) "
-                 "for name in ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS')] + [len(os.listdir("
-                 "'/proc/self/task')) if os.path.isdir('/proc/self/task') else None]))")
-        openblas, omp, tasks = child(probe)
-        assert openblas == omp == "1"
+        probe = ("import json, os, cavity_bloch.cli; from cavity_bloch import parallel; "
+                 "print(json.dumps([os.environ.get(name) for name in ('OPENBLAS_NUM_THREADS', "
+                 "'OMP_NUM_THREADS', 'MKL_NUM_THREADS')] + [parallel._blas_threads(), len("
+                 "os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None]))")
+        openblas, omp, mkl, blas, tasks = child(probe)
+        assert openblas == omp == mkl == "1" and blas == 1
         assert tasks in (1, None)  # no BLAS worker thread was started
-        openblas, omp, _ = child(probe, OPENBLAS_NUM_THREADS="2")
-        assert (openblas, omp) == ("2", None)
+        openblas, omp, mkl, blas, _ = child(probe, OPENBLAS_NUM_THREADS="2")
+        assert (openblas, omp, mkl, blas) == ("2", None, None, 2)
+        # MKL_NUM_THREADS alone is not read by OpenBLAS: the pin still holds
+        # for OpenBLAS and OpenMP, and the caller's MKL value is kept
+        openblas, omp, mkl, blas, tasks = child(probe, MKL_NUM_THREADS="3")
+        assert (openblas, omp, mkl, blas) == ("1", "1", "3", 1)
+        assert tasks in (1, None)
 
 
 class TestMainExitCodes:
@@ -1312,9 +1318,10 @@ class TestC2Sweeps:
 
 class TestLlbTermsPerFlux:
     """The raw-joules butterfly builds each flux's coupling terms once
-    (qed_bloch.llb_terms) and evaluates them at each solved k point; a flux
-    whose terms or matrices fail fails each of its own points, and never
-    lends its terms to another flux or borrows another's."""
+    (qed_bloch.central_terms at omega_p = 0) and evaluates them at each
+    solved k point; a flux whose terms or matrices fail fails each of its
+    own points, and never lends its terms to another flux or borrows
+    another's."""
 
     #: square raw-joules butterfly over 4 k points, flux window and j_max set here
     TEXT = (TestC2Sweeps.raw_joules("square", "a2_angstrom = 2.0")
@@ -1346,7 +1353,8 @@ class TestLlbTermsPerFlux:
         # one sweep process, so the log is in call order: per flux one build,
         # then one evaluation and one solve for each of the 2 solved k points
         monkeypatch.setattr(parallel, "_available_cpus", lambda: 1)
-        call_log.record(qed_bloch, "llb_terms", lambda pot, w_c, trunc: ["build", w_c])
+        call_log.record(qed_bloch, "central_terms",
+                        lambda pot, w_p, w_c, trunc: ["build", w_p, w_c])
         call_log.record(qed_bloch.CouplingTerms, "matrix", lambda terms, k_x: ["matrix", k_x])
         call_log.record(qed_bloch, "hermitian_eigvals", lambda mat: ["solve"])
         cfg = self.config(0.5, 1.0, 3)
@@ -1355,7 +1363,7 @@ class TestLlbTermsPerFlux:
         kx_grid = qed_bloch.midpoint_kx_grid(4)
         expected = []
         for flux in grid.axis_values:
-            expected.append(["build", cyclotron_frequency(field_for_flux_ratio(lat, flux))])
+            expected.append(["build", 0.0, cyclotron_frequency(field_for_flux_ratio(lat, flux))])
             for kx in kx_grid[:2]:
                 expected += [["matrix", kx / lat.a1], ["solve"]]
         assert call_log.entries() == expected
@@ -1365,7 +1373,7 @@ class TestLlbTermsPerFlux:
         # at flux 1e-150 the Laguerre table overflows into NaN band entries:
         # its 4 points fail in k order, and the next fluxes build their own
         monkeypatch.setattr(parallel, "_available_cpus", lambda: 1)
-        call_log.record(qed_bloch, "llb_terms", lambda pot, w_c, trunc: [w_c])
+        call_log.record(qed_bloch, "central_terms", lambda pot, w_p, w_c, trunc: [w_c])
         cfg = self.config(1e-150, 1.0, 3)
         grid = cli.run(cfg).payload
         assert len(call_log.entries()) == 3
@@ -1378,7 +1386,7 @@ class TestLlbTermsPerFlux:
                 assert np.array_equal(eigs, want)
 
     def test_huge_flux_fails_its_points_without_a_warning(self, tmp_path, capsys, monkeypatch):
-        # at flux 5e299 and 1e300 omega_c overflows float64: llb_terms refuses
+        # at flux 5e299 and 1e300 omega_c overflows float64: central_terms refuses
         # it, so each of their points fails in k order, and no RuntimeWarning
         # (an error under this suite's filter) ends the run
         monkeypatch.setattr(parallel, "_available_cpus", lambda: 1)
@@ -1404,16 +1412,16 @@ class TestLlbTermsPerFlux:
         cfg = self.config(0.5, 1.0, 3)
         lat = cli._lattice_from(cfg.parameters)
         failing = cyclotron_frequency(field_for_flux_ratio(lat, 0.75))
-        build, attempts = qed_bloch.llb_terms, []
+        build, attempts = qed_bloch.central_terms, []
 
-        def failing_build(pot, w_c, trunc):
+        def failing_build(pot, w_p, w_c, trunc):
             if w_c == failing:
                 attempts.append(w_c)
                 raise NumericalError("synthetic build failure")
-            return build(pot, w_c, trunc)
+            return build(pot, w_p, w_c, trunc)
 
         monkeypatch.setattr(parallel, "_available_cpus", lambda: 1)
-        monkeypatch.setattr(qed_bloch, "llb_terms", failing_build)
+        monkeypatch.setattr(qed_bloch, "central_terms", failing_build)
         grid = cli.run(cfg).payload
         assert len(attempts) == 2  # once per solved k point
         assert grid.failures == [f"axis[1]=0.75, k[{k_idx}]: synthetic build failure"
@@ -1494,7 +1502,7 @@ _FERMI = "Fermi energy density leaves float64 at n2d[1/m^2] = 1e+204, mass_ratio
 #: (command, model sections, the failure message) of schema-valid configs
 #: whose arithmetic leaves float64, by the command and the value that takes
 #: it there; a message names the derived quantity that failed and its inputs
-#: in SI units (None: not pinned)
+#: in SI units
 ARITHMETIC_FAILURES = [pytest.param(command, body, message, id=f"{command}-{case}")
                        for command, case, body, message in [
     ("gas", "cavity_thz=1e-300", _cavity(cavity_thz="1e-300"),
@@ -1508,7 +1516,9 @@ ARITHMETIC_FAILURES = [pytest.param(command, body, message, id=f"{command}-{case
      "(e^2 N/m*)^2 leaves float64 at N[1] = 1e+204, mass_ratio[1] = 0.336"),
     ("conductivity", "density_cm2=1e200", _cavity(density_cm2="1e200", grid=_GRID),
      "omega_p^4 leaves float64 at omega_p[rad/s] = 2.56356e+105, n2d[1/m^2] = 1e+204"),
-    ("response", "span=1e300", _cavity(grid=_GRID + "span = 1e300\n"), None),
+    ("response", "span=1e300", _cavity(grid=_GRID + "span = 1e300\n"),
+     "grid half-width span omega_tilde leaves float64 at span[1] = 1e+300, "
+     "omega_tilde[rad/s] = 1.33919e+12"),
     ("eft", "mass_ratio=1e-300", _eft(mass_ratio="1e-300"),
      "alpha leaves float64 at l_z[m] = 0.001, mass_ratio[1] = 1e-300"),
     ("eft", "density_cm2=1e200", _eft(density_cm2="1e200"), _FERMI.format(1)),
@@ -1517,17 +1527,28 @@ ARITHMETIC_FAILURES = [pytest.param(command, body, message, id=f"{command}-{case
     ("eft", "lz_mm=1e200", _eft(lz_mm="1e200"),
      "Casimir pressure leaves float64 at l_z[m] = 1e+197, n2d[1/m^2] = 1.3e+16, "
      "mass_ratio[1] = 1"),
-    ("landau", "mass_ratio=1e-300", _landau(mass_ratio="1e-300"), None),
-    ("landau", "mass_ratio=1e200", _landau(mass_ratio="1e200"), None),
-    ("landau", "b_tesla=1e-320", _landau(b_tesla="1e-320"), None),
-    ("landau", "b_tesla=1e200", _landau(b_tesla="1e200"), None),
-    ("landau", "b_tesla=1e300", _landau(b_tesla="1e300"), None),
+    ("landau", "mass_ratio=1e-300", _landau(mass_ratio="1e-300"),
+     "omega_c = e B/m* leaves float64 at B[T] = 2, mass_ratio[1] = 1e-300"),
+    ("landau", "mass_ratio=1e200", _landau(mass_ratio="1e200"),
+     "Landau-level DOS leaves float64 at B[T] = 2, eta[J] = 3.7096e-225, mass_ratio[1] = 1e+200"),
+    ("landau", "b_tesla=1e-320", _landau(b_tesla="1e-320"),
+     "filling factor leaves float64 at n2d[1/m^2] = 1.3e+16, B[T] = 9.99989e-321"),
+    ("landau", "b_tesla=1e200", _landau(b_tesla="1e200"),
+     "Landau-level DOS leaves float64 at B[T] = 1e+200, eta[J] = 1.8548e+175, mass_ratio[1] = 1"),
+    ("landau", "b_tesla=1e300", _landau(b_tesla="1e300"),
+     "energy window hbar omega_c (n_max + 1) leaves float64 at B[T] = 1e+300, mass_ratio[1] = 1"),
     ("mtg-check", "a=1e200-flux_ratio", _MTG_1E200 + "flux_ratio = 0.5\n",
      "flux through the enlarged cell is nan in float64"),
     ("mtg-check", "a=1e200-b_tesla", _MTG_1E200 + "b_tesla = 1\n",
      "flux through the enlarged cell is inf in float64"),
     ("polariton", "b_max_tesla=1e200",
-     _cavity() + "[sweep]\nb_min_tesla = 0.1\nb_max_tesla = 1e200\npoints = 5\n", None),
+     _cavity() + "[sweep]\nb_min_tesla = 0.1\nb_max_tesla = 1e200\npoints = 5\n",
+     "Omega^2 = omega_p^2 + omega_c^2 leaves float64 at b_max[T] = 1e+200, "
+     "omega_p[rad/s] = 2.92291e+11, mass_ratio[1] = 0.336"),
+    ("polariton", "b_max_tesla=1e140",
+     _cavity() + "[sweep]\nb_min_tesla = 0.1\nb_max_tesla = 1e140\npoints = 5\n",
+     "lower branch omega_p omega_c^2 / 2 Omega^2 leaves float64 at b_max[T] = 1e+140, "
+     "omega_p[rad/s] = 2.92291e+11, mass_ratio[1] = 0.336"),
 ]]
 
 
@@ -1552,9 +1573,7 @@ class TestArithmeticFailures:
     def test_exits_numerical_without_warning_or_file(self, tmp_path, command, body, message):
         code, err, caught, out = self.main_recording(tmp_path, command, body)
         assert code == cli.EXIT_NUMERICAL, err
-        assert re.fullmatch(r"numerical failure: [^\n]+\n", err), err
-        if message is not None:
-            assert err == f"numerical failure: {message}\n"
+        assert err == f"numerical failure: {message}\n"
         assert caught == []
         assert not out.exists()
 

@@ -35,11 +35,9 @@ from cavity_bloch.qed_bloch import (
     alpha_matrix,
     assemble_central_matrix,
     assemble_llb_matrix,
-    beta_matrix,
     count_bands,
     coupling_window_end,
     harper_hopping,
-    harper_bloch_matrix,
     harper_matrix,
     landau_polariton_branches,
     landau_polariton_energy,
@@ -53,7 +51,12 @@ from cavity_bloch.qed_bloch import (
     sweep,
 )
 
-from oracles import displacement_matrix_element, harper_bloch_union, harper_exact_bands
+from oracles import (
+    displacement_matrix_element,
+    harper_bloch_matrix,
+    harper_bloch_union,
+    harper_exact_bands,
+)
 
 A = 2e-10
 SQUARE = Lattice2D(A, A, math.pi / 2)
@@ -178,8 +181,8 @@ class TestCouplingMatrices:
     def test_zero_offset_vanishes(self):
         _, w_c = square_setup(1.0)
         params = PolaritonParams(0.3 * w_c, w_c)
-        assert alpha_matrix(0, 0, SQUARE, params) == 0.0
-        assert beta_matrix(0, 0, SQUARE, w_c) == 0.0
+        assert alpha_matrix(0, 0, SQUARE, params.omega_p, params.omega_c) == 0.0
+        assert alpha_matrix(0, 0, SQUARE, 0.0, w_c) == 0.0
 
     def test_alpha_star_magnitudes(self):
         flux = 1.3
@@ -188,18 +191,16 @@ class TestCouplingMatrices:
         params = PolaritonParams(g * w_c, w_c)
         expect_10 = math.pi / flux / math.sqrt(1.0 + g * g)
         expect_01 = math.pi / flux / (1.0 + g * g) ** 1.5
-        assert abs(alpha_matrix(1, 0, SQUARE, params)) ** 2 == pytest.approx(
-            expect_10, rel=1e-12
-        )
-        assert abs(alpha_matrix(0, 1, SQUARE, params)) ** 2 == pytest.approx(
-            expect_01, rel=1e-12
-        )
+        assert abs(alpha_matrix(1, 0, SQUARE, params.omega_p, params.omega_c)) ** 2 \
+            == pytest.approx(expect_10, rel=1e-12)
+        assert abs(alpha_matrix(0, 1, SQUARE, params.omega_p, params.omega_c)) ** 2 \
+            == pytest.approx(expect_01, rel=1e-12)
 
     def test_beta_star_magnitudes(self):
         flux = 0.8
         _, w_c = square_setup(flux)
         for dn, dm in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            assert abs(beta_matrix(dn, dm, SQUARE, w_c)) ** 2 == pytest.approx(
+            assert abs(alpha_matrix(dn, dm, SQUARE, 0.0, w_c)) ** 2 == pytest.approx(
                 math.pi / flux, rel=1e-12
             )
 
@@ -207,9 +208,45 @@ class TestCouplingMatrices:
         _, w_c = square_setup(0.7)
         params = PolaritonParams(1e-9 * w_c, w_c)
         for dn, dm in ((1, 0), (0, 1), (1, -1), (-2, 1)):
-            assert alpha_matrix(dn, dm, SQUARE, params) == pytest.approx(
-                beta_matrix(dn, dm, SQUARE, w_c), rel=1e-10
+            assert alpha_matrix(dn, dm, SQUARE, params.omega_p, params.omega_c) == pytest.approx(
+                alpha_matrix(dn, dm, SQUARE, 0.0, w_c), rel=1e-10
             )
+
+    #: cyclotron frequencies (rad/s) at which the amplitudes are compared
+    OMEGA_C = np.logspace(10, 17, 200).tolist()
+    OFFSETS = list(itertools.product(range(-2, 3), repeat=2))
+
+    @pytest.mark.parametrize("kind", ["square", "rectangular", "hexagonal", "oblique",
+                                      "centered-rectangular"])
+    def test_alpha_at_zero_omega_p_is_beta_bit_for_bit(self, kind):
+        # the Landau-level x Bloch amplitude beta, written out, for every
+        # offset: the raw-joules butterfly keeps its bytes
+        lat = TestFourierLatticeOracle.LATTICES[kind]
+        for w_c in self.OMEGA_C:
+            length = math.sqrt(HBAR / (2.0 * M_ELECTRON * w_c))
+            beta = [length * (-lat.g_x(dn) - 1j * lat.g_oblique(dm, dn))
+                    for dn, dm in self.OFFSETS]
+            alpha = [alpha_matrix(dn, dm, lat, 0.0, w_c) for dn, dm in self.OFFSETS]
+            assert np.array(alpha).tobytes() == np.array(beta).tobytes(), w_c
+
+    @pytest.mark.parametrize("g", [1e-6, 0.3, 1.0, 3.0, 50.0])
+    @pytest.mark.parametrize("kind", ["square", "rectangular", "hexagonal", "oblique",
+                                      "centered-rectangular"])
+    def test_alpha_matches_the_thesis_form(self, kind, g):
+        # -sqrt(mu Omega/2 hbar) A^0 - i sqrt(hbar/2 mu Omega) G^v with
+        # A^0 = hbar G^x/(sqrt(2) m_e), G^v = (m_p/M) G/(sqrt(2) omega_c)
+        lat = TestFourierLatticeOracle.LATTICES[kind]
+        for w_c in self.OMEGA_C[::10]:
+            params = PolaritonParams(g * w_c, w_c)
+            mu_omega = params.mu * params.big_omega
+            for dn, dm in self.OFFSETS:
+                a0 = HBAR * lat.g_x(dn) / (math.sqrt(2.0) * M_ELECTRON)
+                gv = (params.m_p / params.m_total * lat.g_oblique(dm, dn)
+                      / (math.sqrt(2.0) * w_c))
+                thesis = (-math.sqrt(mu_omega / (2.0 * HBAR)) * a0
+                          - 1j * math.sqrt(HBAR / (2.0 * mu_omega)) * gv)
+                alpha = alpha_matrix(dn, dm, lat, params.omega_p, w_c)
+                assert abs(alpha - thesis) <= 1e-15 * abs(thesis), (w_c, dn, dm)
 
     def test_beta_antisymmetry(self):
         # the general Hermiticity-supporting identity is linear antisymmetry;
@@ -217,12 +254,12 @@ class TestCouplingMatrices:
         # star of the orthogonal square lattice
         _, w_c = square_setup(0.7)
         for dn, dm in ((1, 0), (0, 1), (2, -1)):
-            assert beta_matrix(-dn, -dm, SQUARE, w_c) == pytest.approx(
-                -beta_matrix(dn, dm, SQUARE, w_c), rel=1e-12
+            assert alpha_matrix(-dn, -dm, SQUARE, 0.0, w_c) == pytest.approx(
+                -alpha_matrix(dn, dm, SQUARE, 0.0, w_c), rel=1e-12
             )
-        real_star = beta_matrix(1, 0, SQUARE, w_c)
+        real_star = alpha_matrix(1, 0, SQUARE, 0.0, w_c)
         assert abs(real_star.imag) < 1e-12 * abs(real_star)
-        assert beta_matrix(-1, 0, SQUARE, w_c) == pytest.approx(
+        assert alpha_matrix(-1, 0, SQUARE, 0.0, w_c) == pytest.approx(
             -np.conj(real_star), rel=1e-12
         )
 
@@ -509,7 +546,7 @@ class TestFourierLatticeOracle:
     def test_llb_terms_give_every_kx(self, kind):
         # the terms of one flux, built once, hold every k_x's matrix
         lat, pot, w_c, trunc = self.setup_for(kind)
-        terms = qed_bloch.llb_terms(pot, w_c, trunc)
+        terms = qed_bloch.central_terms(pot, 0.0, w_c, trunc)
         for kx_a in self.TERMS_KXA:
             mat = terms.matrix(kx_a / lat.a1)
             assert mat.dtype == self.expected_dtype(kind)
@@ -520,7 +557,13 @@ class TestFourierLatticeOracle:
         # an overflowed omega_c (huge flux) is refused, not built into inf entries
         _, pot, _, trunc = self.setup_for("square")
         with pytest.raises(DomainError, match=f"positive and finite, not {omega_c:g}$"):
-            qed_bloch.llb_terms(pot, omega_c, trunc)
+            qed_bloch.central_terms(pot, 0.0, omega_c, trunc)
+
+    @pytest.mark.parametrize("omega_p", [-1.0, math.inf, math.nan])
+    def test_central_terms_need_a_non_negative_finite_omega_p(self, omega_p):
+        _, pot, w_c, trunc = self.setup_for("square")
+        with pytest.raises(DomainError, match=f"non-negative and finite, not {omega_p:g}$"):
+            qed_bloch.central_terms(pot, omega_p, w_c, trunc)
 
     @pytest.mark.parametrize("reduce_m", [True, False])
     @pytest.mark.parametrize("kind", KINDS)
