@@ -6,6 +6,13 @@ central_terms is the central equation's one builder.  Its omega_p = 0 case,
 the quantized field switched off, is the Landau-level x Bloch problem that
 the raw-joules butterfly solves.
 
+harper_sweep, llb_sweep and polariton_sweep give each sweep its
+(k_grid, build, key) for sweep: a grid over midpoint_kx_grid, whose exact
+antisymmetry the C2 pairing |k_x| (_c2_key) relies on.  A point looks its
+builder (harper_matrix, central_terms, CouplingTerms.matrix,
+polariton_harper_matrix) up when it is built, so a rebinding of that name
+(a test's spy, perfbench's tracer) sees every call.
+
 Assembled matrices are row-major in (Fourier index, level index); Fourier
 indices run -n_max..n_max.  Energies are joules unless a function explicitly
 returns scaled dimensionless values.
@@ -19,6 +26,8 @@ import numpy as np
 from . import parallel
 from .constants import HBAR, M_ELECTRON, E_CHARGE
 from .errors import CavityBlochError, DomainError, NumericalError, derived
+from .landau import cyclotron_frequency
+from .lattice import field_for_flux_ratio
 from .numerics import displacement_matrix, hermitian_eigvals
 from .output import SpectrumPayload
 
@@ -501,34 +510,6 @@ def polariton_harper_matrix(flux, g, kx_a, kw_scaled, trunc, a1, v0, mode="auto"
     return mat.real - im_p
 
 
-def polariton_sweep(flux, trunc, a1, v0, mode="auto"):
-    """(build, key) of a sweep over the coupling g of polariton_harper_matrix
-    at `flux`, whose points are k = (kx_a, kw_scaled); each point takes the
-    route polariton_route gives for (g, k_w).
-
-    On the matrix route the spectrum does not depend on k_x (the gauge U of
-    polariton_harper_matrix): the key is ("matrix", k_w), and at k_w = 0 the
-    point's matrix is the C2 lattice at kx_a = 0.  The reduced chain does not
-    depend on k_w, and at -k_x it is the chain at k_x reversed (J H J, J
-    reversing n): the key is ("reduced", |k_x|).  Any other point's matrix is
-    polariton_harper_matrix at the point.
-    """
-    def key(g, k):
-        kx_a, kw_scaled = k
-        if polariton_route(flux, g, a1, v0, kw_scaled, mode) == "matrix":
-            return ("matrix", kw_scaled)
-        return ("reduced", abs(kx_a))
-
-    def matrix(g, k):
-        kx_a, kw_scaled = k
-        route = polariton_route(flux, g, a1, v0, kw_scaled, mode)
-        if route == "matrix" and kw_scaled == 0.0:
-            kx_a = 0.0  # the spectrum of every k_x, from the lattice that keeps C2
-        return polariton_harper_matrix(flux, g, kx_a, kw_scaled, trunc, a1, v0, route)
-
-    return (lambda g: lambda k: matrix(g, k)), key
-
-
 def _solve_axis(build, axis, k_grid, partners, failures, label):
     """Eigenvalues of every k point of one axis value (empty where it failed).
 
@@ -659,6 +640,72 @@ def c2_symmetric(pot):
     """
     coeff = pot.coefficients
     return all(coeff.get((-dn, -dm)) == v for (dn, dm), v in coeff.items())
+
+
+def _c2_key(_axis, kx_a):
+    """The sweep key of a chain whose spectrum at -k_x is the one at k_x
+    (C2 in the Landau gauge).  midpoint_kx_grid is exactly antisymmetric,
+    so |k_x| pairs each of its points with its mirror and with no other."""
+    return abs(kx_a)
+
+
+def harper_sweep(n_max, kx_points):
+    """(k_grid, build, key) of a flux sweep of the Harper chain up to n_max
+    over midpoint_kx_grid(kx_points).  At -k_x the chain is the chain at
+    k_x reversed, so the key pairs +-k_x."""
+    def build(flux):
+        return lambda kx_a: harper_matrix(flux, kx_a, n_max)
+
+    return midpoint_kx_grid(kx_points), build, _c2_key
+
+
+def llb_sweep(pot, trunc, kx_points):
+    """(k_grid, build, key) of a flux sweep of the Landau-level x Bloch
+    matrix of `pot`, central_terms at omega_p = 0, over
+    midpoint_kx_grid(kx_points) (k_x a1).  build(flux) builds the flux's
+    terms once, and each point evaluates them at k_x.  The key pairs +-k_x
+    when `pot` keeps C2 (c2_symmetric); otherwise every point is solved."""
+    lat = pot.lattice
+
+    def build(flux):
+        terms = central_terms(pot, 0.0, cyclotron_frequency(field_for_flux_ratio(lat, flux)),
+                              trunc)
+        return lambda kx_a: terms.matrix(kx_a / lat.a1)
+
+    return midpoint_kx_grid(kx_points), build, _c2_key if c2_symmetric(pot) else None
+
+
+def polariton_sweep(flux, trunc, a1, v0, mode, kx_points, kw_points):
+    """(k_grid, build, key) of a sweep over the coupling g of
+    polariton_harper_matrix at `flux`.  The points are k = (kx_a, kw_scaled)
+    over midpoint_kx_grid(kx_points) and kw_points values of k_w spaced
+    evenly over [0, 2 pi/a1), k_w varying fastest; each point takes the
+    route polariton_route gives for (g, k_w).
+
+    On the matrix route the spectrum does not depend on k_x (the gauge U of
+    polariton_harper_matrix): the key is ("matrix", k_w), and at k_w = 0 the
+    point's matrix is the C2 lattice at kx_a = 0.  The reduced chain does not
+    depend on k_w, and at -k_x it is the chain at k_x reversed (J H J, J
+    reversing n): the key is ("reduced", |k_x|).  Any other point's matrix is
+    polariton_harper_matrix at the point.
+    """
+    kw_grid = np.linspace(0.0, 2.0 * math.pi / a1, kw_points, endpoint=False).tolist()
+    k_grid = [(kx, kw) for kx in midpoint_kx_grid(kx_points) for kw in kw_grid]
+
+    def key(g, k):
+        kx_a, kw_scaled = k
+        if polariton_route(flux, g, a1, v0, kw_scaled, mode) == "matrix":
+            return ("matrix", kw_scaled)
+        return ("reduced", _c2_key(g, kx_a))
+
+    def matrix(g, k):
+        kx_a, kw_scaled = k
+        route = polariton_route(flux, g, a1, v0, kw_scaled, mode)
+        if route == "matrix" and kw_scaled == 0.0:
+            kx_a = 0.0  # the spectrum of every k_x, from the lattice that keeps C2
+        return polariton_harper_matrix(flux, g, kx_a, kw_scaled, trunc, a1, v0, route)
+
+    return k_grid, (lambda g: lambda k: matrix(g, k)), key
 
 
 def count_bands(values, gap_threshold):

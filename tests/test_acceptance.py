@@ -42,6 +42,7 @@ from cavity_bloch.qed_bloch import (
     coupling_window_end,
     harper_hopping,
     harper_matrix,
+    harper_sweep,
     landau_polariton_branches,
     midpoint_kx_grid,
     polariton_harper_matrix,
@@ -144,10 +145,9 @@ class TestAcceptance:
         assert union.max() == pytest.approx(4.0, abs=2e-4)
         assert not spectral_gaps(union, 1e-3)
         # 300-point flux sweep at n_max = 30 stays inside the budget
-        def build(flux):
-            return lambda kxa: harper_matrix(flux, kxa, 30)
-
-        grid = sweep(build, np.linspace(0.01, 2.0, 300), midpoint_kx_grid(32))
+        # every point solved: the sweep's pairing key is left out
+        k_grid, build, _ = harper_sweep(30, 32)
+        grid = sweep(build, np.linspace(0.01, 2.0, 300), k_grid)
         assert not grid.failures
         elapsed = time.perf_counter() - start
         assert elapsed < 120.0

@@ -588,7 +588,7 @@ class TestCliProcess:
             timeout=600,
         )
 
-    def test_exit_codes(self, tmp_path):
+    def test_exit_codes(self, tmp_path, capsys):
         good = tmp_path / "gas.ini"
         good.write_text(GAS_CONFIG.format(path=tmp_path / "gas.csv", fmt="csv"))
         result = self.run_cli(["gas", "--config", str(good)], tmp_path)
@@ -599,6 +599,9 @@ class TestCliProcess:
         result = self.run_cli(["gas", "--config", str(bad)], tmp_path)
         assert result.returncode == cli.EXIT_CONFIG
         assert "cavity_thz" in result.stderr
+        capsys.readouterr()
+        assert cli.main(["gas", "--config", str(bad)]) == cli.EXIT_CONFIG
+        assert result.stderr == capsys.readouterr().err  # the process ends as main returns
 
         result = self.run_cli(["gas", "--config", str(tmp_path / "missing.ini")], tmp_path)
         assert result.returncode == cli.EXIT_IO
@@ -755,23 +758,47 @@ class TestCliProcess:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_output_to_stdout_is_the_output_alone(self, tmp_path, fmt):
-        # the status line goes to stderr, not into the file written to stdout
+        # the status line goes to stderr, not into the file written to stdout,
+        # and the process writes what an in-process main writes to a file
         cfg = tmp_path / "run.ini"
         cfg.write_text(BUTTERFLY_CONFIG.format(path="unused.csv", points=2))
         result = self.run_cli(["butterfly", "--config", str(cfg), "--out", "/dev/stdout",
                                "--format", fmt], tmp_path)
         assert result.returncode == 0, result.stderr
         assert result.stderr == f"wrote {fmt} to /dev/stdout\n"
+        assert list(tmp_path.iterdir()) == [cfg]
+        reference = tmp_path / "reference"
+        assert cli.main(["butterfly", "--config", str(cfg), "--out", str(reference),
+                         "--format", fmt]) == cli.EXIT_OK
         rows = 2 * 4 * 21  # flux values x k points x eigenvalues
         if fmt == "json":
-            assert len(json.loads(result.stdout)["payload"]["rows"]) == rows
+            written, want = json.loads(result.stdout), json.loads(reference.read_text())
+            assert len(written["payload"]["rows"]) == rows
+            assert written.pop("produced_at") and want.pop("produced_at")
+            assert written == want
         else:
             lines = result.stdout.splitlines()
             assert len(lines) == 1 + rows
             flux, k_idx, e_idx, value = lines[-1].split(",")
             assert (float(flux), int(k_idx), int(e_idx)) == (2.0, 3, 20)
             assert math.isfinite(float(value))
-        assert list(tmp_path.iterdir()) == [cfg]
+            assert result.stdout == reference.read_text()
+
+    def test_process_exit_flushes_buffered_stdout(self, tmp_path):
+        # a pipe makes stdout block-buffered (without PYTHONUNBUFFERED):
+        # console_main flushes it before os._exit, and an exception escaping
+        # main (argparse's SystemExit) still ends the process the usual way
+        cfg = tmp_path / "gas.ini"
+        cfg.write_text(GAS_CONFIG.format(path=tmp_path / "gas.csv", fmt="csv"))
+        code = "import sys, cavity_bloch.cli as cli\nprint('before')\ncli.console_main(sys.argv[1:])"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        result = subprocess.run([sys.executable, "-c", code, "gas", "--config", str(cfg)],
+                                capture_output=True, text=True, cwd=tmp_path,
+                                env=env_with_src(env), timeout=600)
+        assert (result.returncode, result.stdout) == (0, "before\n")
+        assert result.stderr == f"wrote csv to {tmp_path / 'gas.csv'}\n"
+        result = self.run_cli(["--help"], tmp_path)
+        assert result.returncode == 0 and result.stdout.startswith("usage: cavity-bloch")
 
     @pytest.mark.parametrize("redirect", [">>", ">"])
     def test_output_to_redirected_stdout_writes_the_stream(self, tmp_path, redirect):
@@ -1196,7 +1223,7 @@ class TestC2Sweeps:
         lat = cli._lattice_from(p)
         pot = bravais_cosine_potential(p["kind"], p["v0_ev"], lat)
         trunc = qed_bloch.BasisTruncation(n_max=p["n_max"], j_max=p["j_max"])
-        kx_grid = qed_bloch.midpoint_kx_grid(p["kx_points"])
+        kx_grid, _, _ = qed_bloch.llb_sweep(pot, trunc, p["kx_points"])
         assert grid.partners == [[0, 1, 1, 0]] * 2
         for flux, row, partners in zip(grid.axis_values, grid.eigenvalues, grid.partners,
                                        strict=True):
@@ -1257,11 +1284,11 @@ class TestC2Sweeps:
         polariton-butterfly config, as the CLI sets them up."""
         p = parse_config(text.format(path="x")).parameters
         lat = cli._lattice_from(p)
-        kw_grid = np.linspace(0.0, 2.0 * math.pi / lat.a1, p["kw_points"], endpoint=False)
-        k_grid = [(kx, kw) for kx in qed_bloch.midpoint_kx_grid(p["kx_points"])
-                  for kw in kw_grid.tolist()]
+        trunc = qed_bloch.BasisTruncation(n_max=p["n_max"])
+        k_grid, _, _ = qed_bloch.polariton_sweep(p["flux_ratio"], trunc, lat.a1, p["v0_ev"],
+                                                 p["mode"], p["kx_points"], p["kw_points"])
         g_values = np.linspace(p["g_min"], p["g_max"], p["points"])
-        return g_values, k_grid, p, lat, qed_bloch.BasisTruncation(n_max=p["n_max"])
+        return g_values, k_grid, p, lat, trunc
 
     def test_polariton_matrix_mode_builds_one_matrix_per_g_and_kw(self, tmp_path, call_log):
         text = self.polariton("matrix")
@@ -1343,7 +1370,7 @@ class TestLlbTermsPerFlux:
         pot = bravais_cosine_potential(p["kind"], p["v0_ev"], lat)
         trunc = qed_bloch.BasisTruncation(n_max=p["n_max"], j_max=p["j_max"])
         w_c = cyclotron_frequency(field_for_flux_ratio(lat, flux))
-        kx_grid = qed_bloch.midpoint_kx_grid(p["kx_points"])
+        kx_grid, _, _ = qed_bloch.llb_sweep(pot, trunc, p["kx_points"])
         last = len(kx_grid) - 1
         return [numerics.hermitian_eigvals(qed_bloch.assemble_llb_matrix(
                     pot, w_c, kx_grid[min(k_idx, last - k_idx)] / lat.a1, trunc)) / EV
@@ -1359,8 +1386,11 @@ class TestLlbTermsPerFlux:
         call_log.record(qed_bloch, "hermitian_eigvals", lambda mat: ["solve"])
         cfg = self.config(0.5, 1.0, 3)
         grid = cli.run(cfg).payload
-        lat = cli._lattice_from(cfg.parameters)
-        kx_grid = qed_bloch.midpoint_kx_grid(4)
+        p = cfg.parameters
+        lat = cli._lattice_from(p)
+        pot = bravais_cosine_potential(p["kind"], p["v0_ev"], lat)
+        trunc = qed_bloch.BasisTruncation(n_max=p["n_max"], j_max=p["j_max"])
+        kx_grid, _, _ = qed_bloch.llb_sweep(pot, trunc, p["kx_points"])
         expected = []
         for flux in grid.axis_values:
             expected.append(["build", 0.0, cyclotron_frequency(field_for_flux_ratio(lat, flux))])

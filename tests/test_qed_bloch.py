@@ -78,15 +78,17 @@ def c2_key(_axis, kx_a):
     return abs(kx_a)
 
 
-def flux_one_sweep(v0, mode="auto", n_max=3):
-    """The polariton-butterfly's sweep (build, key) at flux 1 on the square
-    lattice of spacing A, at potential v0, in `mode` and up to n_max."""
-    return polariton_sweep(1.0, BasisTruncation(n_max=n_max), A, v0, mode)
+def flux_one_sweep(v0, mode="auto", n_max=3, kx_points=4, kw_points=1):
+    """The polariton-butterfly's sweep (k_grid, build, key) at flux 1 on the
+    square lattice of spacing A, at potential v0, in `mode` and up to n_max,
+    over kx_points x kw_points k points."""
+    return polariton_sweep(1.0, BasisTruncation(n_max=n_max), A, v0, mode, kx_points,
+                           kw_points)
 
 
 def flux_one_key(v0, mode="auto"):
     """The key of flux_one_sweep."""
-    return flux_one_sweep(v0, mode)[1]
+    return flux_one_sweep(v0, mode)[2]
 
 
 def partners_of(key, k_grid, axis=1.0):
@@ -1028,9 +1030,8 @@ class TestPolaritonGauge:
 
     @pytest.mark.parametrize("points", [1, 4, 7])
     def test_reduced_route_keeps_the_c2_partners(self, points):
-        kx_grid = midpoint_kx_grid(points)
-        assert partners_of(flux_one_key(self.V0), [(kx, 0.0) for kx in kx_grid], 1e-12) == (
-            partners_of(c2_key, kx_grid))
+        k_grid, _, key = flux_one_sweep(self.V0, kx_points=points)
+        assert partners_of(key, k_grid, 1e-12) == partners_of(c2_key, midpoint_kx_grid(points))
 
 
 class TestPolaritonC2Blocks:
@@ -1076,9 +1077,8 @@ class TestPolaritonC2Blocks:
     def test_sweep_matches_the_full_spectrum_at_every_kx(self):
         # every k_x of (g, k_w = 0) holds the merged block spectrum
         trunc = BasisTruncation(n_max=4)
-        kx_grid = [(kx, 0.0) for kx in midpoint_kx_grid(4)]
         g_values = [0.3, 1.0, 2.0]
-        build, key = flux_one_sweep(self.V0, "matrix", trunc.n_max)
+        kx_grid, build, key = flux_one_sweep(self.V0, "matrix", trunc.n_max, kx_points=4)
         grid = sweep(build, g_values, kx_grid, key)
         assert grid.partners == [[0, 0, 0, 0]] * 3
         assert not grid.failures
@@ -1104,8 +1104,7 @@ class TestPolaritonC2Blocks:
         mat = perturbed(1.0, 1.0, 0.0, 0.0, trunc, A, self.V0, "matrix")
         assert not np.array_equal(mat, mat[::-1, ::-1])
         want = np.linalg.eigvalsh(mat)
-        kx_grid = [(kx, 0.0) for kx in midpoint_kx_grid(3)]
-        build, key = flux_one_sweep(self.V0, "matrix", trunc.n_max)
+        kx_grid, build, key = flux_one_sweep(self.V0, "matrix", trunc.n_max, kx_points=3)
         call_log.record(numerics.np.linalg, "eigvalsh", lambda m: list(m.shape))
         grid = sweep(build, [1.0], kx_grid, key)
         assert call_log.entries() == [[49, 49]]
@@ -1120,7 +1119,7 @@ class TestPolaritonC2Blocks:
     ])
     def test_other_routes_return_one_matrix(self, g, kw_scaled, mode):
         trunc = BasisTruncation(n_max=3)
-        build, _ = polariton_sweep(1.0, trunc, A, self.V0, mode)
+        _, build, _ = polariton_sweep(1.0, trunc, A, self.V0, mode, 1, 1)
         got = build(g)((0.41, kw_scaled))
         want = polariton_harper_matrix(1.0, g, 0.41, kw_scaled, trunc, A, self.V0, mode)
         assert isinstance(got, np.ndarray) and np.array_equal(got, want)
@@ -1129,7 +1128,7 @@ class TestPolaritonC2Blocks:
     def test_matrix_route_at_kw_zero_returns_the_kx_zero_lattice(self, mode, call_log):
         trunc = BasisTruncation(n_max=3)
         want = polariton_harper_matrix(1.0, 1.0, 0.0, 0.0, trunc, A, self.V0, "matrix")
-        build, _ = polariton_sweep(1.0, trunc, A, self.V0, mode)
+        _, build, _ = polariton_sweep(1.0, trunc, A, self.V0, mode, 1, 1)
         call_log.record(numerics.np.linalg, "eigvalsh", lambda m: list(m.shape))
         for kx_a in (0.0, 0.41, -2.9):
             got = build(1.0)((kx_a, 0.0))
@@ -1641,3 +1640,54 @@ class TestC2Partners:
     def test_cosine_potentials_are_c2_symmetric(self, kind):
         lat = TestFourierLatticeOracle.LATTICES[kind]
         assert qed_bloch.c2_symmetric(bravais_cosine_potential(kind, 3.0 * EV, lat))
+
+
+def bits(x):
+    return np.float64(x).tobytes()
+
+
+class TestSweepAdapters:
+    """Each adapter's key pairs a point only with one whose spectrum is equal
+    by construction, on the adapter's own grid: a |k_x| partner sits at the
+    exact mirror of the point (or, on the polaritonic grid, at the point's
+    own k_x with another k_w), a ("matrix", k_w) partner at the same k_w,
+    and every k_x != 0 of a grid has its mirror in it."""
+
+    V0 = 3.0 * EV
+    HEXAGONAL = bravais_cosine_potential("hexagonal", V0, Lattice2D(A, A, math.pi / 3))
+    TRUNC = BasisTruncation(n_max=2)
+
+    def check(self, k_grid, key, axis):
+        kxs = [k[0] if isinstance(k, tuple) else k for k in k_grid]
+        assert {bits(-kx) for kx in kxs if kx != 0.0} <= {bits(kx) for kx in kxs}
+        for idx, partner in enumerate(partners_of(key, k_grid, axis)):
+            assert partner <= idx
+            if partner == idx:
+                continue
+            name = key(axis, k_grid[idx])
+            if isinstance(name, tuple) and name[0] == "matrix":
+                assert bits(k_grid[partner][1]) == bits(k_grid[idx][1])
+            elif bits(kxs[partner]) != bits(-kxs[idx]):
+                # the same k_x at another k_w: the reduced chain has no k_w
+                assert isinstance(name, tuple) and bits(kxs[partner]) == bits(kxs[idx])
+
+    @pytest.mark.parametrize("kx_points", range(1, 34))
+    def test_harper_and_llb_keys_pair_exact_mirrors(self, kx_points):
+        want = midpoint_kx_grid(kx_points)
+        for k_grid, _, key in (qed_bloch.harper_sweep(self.TRUNC.n_max, kx_points),
+                               qed_bloch.llb_sweep(self.HEXAGONAL, self.TRUNC, kx_points)):
+            assert [bits(kx) for kx in k_grid] == [bits(kx) for kx in want]
+            self.check(k_grid, key, 0.7)
+            assert sum(p == idx for idx, p in enumerate(partners_of(key, k_grid))) == (
+                (kx_points + 1) // 2)
+
+    @pytest.mark.parametrize("kx_points", range(1, 34))
+    def test_polariton_keys_pair_equal_spectra(self, kx_points):
+        for kw_points in (1, 2, 3):
+            k_grid, _, key = flux_one_sweep(self.V0, "auto", kx_points=kx_points,
+                                            kw_points=kw_points)
+            assert len(k_grid) == kx_points * kw_points
+            assert [bits(kx) for kx, _ in k_grid[::kw_points]] == [
+                bits(kx) for kx in midpoint_kx_grid(kx_points)]
+            for g in (1e-12, 1.0):  # the reduced route, and the matrix route at k_w = 0
+                self.check(k_grid, key, g)
